@@ -1,7 +1,7 @@
 """Run configuration: defaults, validation, and key=value parsing."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +57,10 @@ class SimulationConfig:
         def bad(key, constraint):
             raise ConfigError(f"{key}: {constraint} (got {getattr(self, key)})")
 
+        for key in sorted(_FLOAT_KEYS):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                bad(key, "must be finite")
         if self.domain_length_um <= 0:
             bad("domain_length_um", "must be positive")
         if not 1 <= self.jmin:

@@ -30,6 +30,7 @@ from .grid import (
     reconstruction_check,
 )
 from .wavelets import (
+    WAVELET,
     CoeffPyramid,
     fwt_full,
     interpolate_missing,
@@ -145,10 +146,9 @@ class Simulation:
         self.eb_x = (self.dt / eps) / (1.0 + qx)
         self.ea_z = (1.0 - qz) / (1.0 + qz)
         self.eb_z = (self.dt / eps) / (1.0 + qz)
-        # Matched-impedance magnetic losses share the dimensionless ramp.
-        self.ha_x = self.ea_x
+        # Matched-impedance magnetic losses share the dimensionless ramp
+        # ea_x/ea_z.
         self.hb_x = (self.dt / MU0) / (1.0 + qx)
-        self.ha_z = self.ea_z
         self.hb_z = (self.dt / MU0) / (1.0 + qz)
 
     def _initial_ey(self, initial_ey) -> np.ndarray:
@@ -226,14 +226,14 @@ class Simulation:
             return
         state.pmask0 = state.mask0
         state.pmask1 = state.mask1
-        pyr_x = CoeffPyramid.from_field(state.eyx, spec, mask=state.pmask0)
-        pyr_z = CoeffPyramid.from_field(state.eyz, spec, mask=state.pmask0)
+        # Both splits go through one stacked transform per mask.
+        pyr = CoeffPyramid.from_field((state.eyx, state.eyz), spec,
+                                      mask=state.pmask0)
         # The masks fed to the transforms here and below come from the
         # closure operations, which guarantee stencil completeness, so
         # the per-call validation is skipped.
-        fwt_full(pyr_x, state.pmask0, bank, check=False)
-        fwt_full(pyr_z, state.pmask0, bank, check=False)
-        total = CoeffPyramid(pyr_x.data + pyr_z.data, spec, "wavelet")
+        fwt_full(pyr, state.pmask0, bank, check=False)
+        total = CoeffPyramid(pyr.data[0] + pyr.data[1], spec, WAVELET)
         _, mask0 = threshold_coeffs(total, self.config.zeta,
                                     mask=state.pmask0)
         mask0 = reconstruction_check(add_adjacent_zone(mask0, spec), spec, bank)
@@ -243,10 +243,8 @@ class Simulation:
         mask2 = extend_for_derivatives(mask1, spec, level1, bank)
         _require_subset(mask0, mask1, "mask0 not within mask1")
         _require_subset(mask1, mask2, "mask1 not within mask2")
-        iwt_full(pyr_x, mask2, bank, check=False)
-        iwt_full(pyr_z, mask2, bank, check=False)
-        state.eyx = pyr_x.data
-        state.eyz = pyr_z.data
+        iwt_full(pyr, mask2, bank, check=False)
+        state.eyx, state.eyz = pyr.data
         state.ey = state.eyx + state.eyz
         state.mask0, state.mask1, state.mask2 = mask0, mask1, mask2
         state.level0, state.level1 = level0, level1
@@ -272,16 +270,18 @@ class Simulation:
         # Mask1 (update ring included); interpolating from that support
         # instead of the previous Mask0 keeps them, and the error against
         # the full-grid reference stays at the threshold scale instead of
-        # accumulating ring-prediction glitches every step.
-        state.hx = interpolate_missing(state.hx, state.pmask1, state.mask1,
-                                       spec, bank, check=False)
-        state.hz = interpolate_missing(state.hz, state.pmask1, state.mask1,
-                                       spec, bank, check=False)
+        # accumulating ring-prediction glitches every step.  Both fields
+        # share one stacked regrid; a full grid never changes and needs
+        # none.
+        if not self.config.full_grid:
+            state.hx, state.hz = interpolate_missing(
+                (state.hx, state.hz), state.pmask1, state.mask1, spec, bank,
+                check=False)
         dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank, length)
         dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank, length)
-        state.hx = np.where(state.mask1, self.ha_z * state.hx
+        state.hx = np.where(state.mask1, self.ea_z * state.hx
                             + self.hb_z * dz_ey, 0.0)
-        state.hz = np.where(state.mask1, self.ha_x * state.hz
+        state.hz = np.where(state.mask1, self.ea_x * state.hz
                             - self.hb_x * dx_ey, 0.0)
 
         # The splits came out of adapt_step valid on mask2, a superset
@@ -310,12 +310,6 @@ class Simulation:
         return interpolate_missing(self.state.ey, self.state.mask0,
                                    self.spec.full_mask(), self.spec,
                                    self.bank, check=False)
-
-    def full_grid_step(self):
-        """Reference step with the grid pinned to the full finest lattice."""
-        if not self.config.full_grid:
-            raise ConfigError("full_grid_step requires a full_grid config")
-        self.step()
 
     def apply_boundary(self, state: FieldState):
         """Outermost ring acts as a perfect conductor in both modes; the

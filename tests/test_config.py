@@ -131,3 +131,16 @@ def test_config_keys_cover_file_surface():
     cfg = parse_config("\n".join(lines))
     for key in CONFIG_KEYS:
         assert getattr(cfg, key) == getattr(defaults, key)
+
+
+FLOAT_KEYS = ("domain_length_um", "zeta", "dt_factor", "pml_width_frac",
+              "sigma_um")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key, value):
+    # With zeta = nan every threshold comparison is false and the grid
+    # would silently never thin.
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+        parse_config(f"{key} = {value}")

@@ -241,8 +241,16 @@ def test_require_closed_reports_missing_point():
 def test_compute_levels_matches_oracle():
     spec = GridSpec(2, 5)
     rng = np.random.default_rng(40)
-    for _ in range(5):
-        mask = random_mask(spec, rng, frac=0.05)
+    masks = [random_mask(spec, rng, frac=0.05) for _ in range(5)]
+    # Empty lines, isolated points, edge rows and columns, full lattices.
+    sparse = rng.random((spec.n, spec.n)) < 0.1
+    sparse[3, :] = sparse[:, 7] = False
+    edges = np.zeros((spec.n, spec.n), bool)
+    edges[0, ::3] = edges[-1, 1::5] = edges[::4, 0] = edges[2::7, -1] = True
+    lone = np.zeros((spec.n, spec.n), bool)
+    lone[0, 0] = lone[5, 9] = lone[-1, 20] = True
+    masks += [sparse, edges, lone, np.zeros_like(lone), spec.full_mask()]
+    for mask in masks:
         np.testing.assert_array_equal(
             compute_levels(mask, spec), oracle_levels(mask, spec)
         )

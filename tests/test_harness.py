@@ -216,6 +216,13 @@ def test_cli_invalid_setting_exits_two(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_non_finite_setting_exits_two(tmp_path, capsys):
+    code = cli.main(["run", "--zeta", "nan", "--steps", "0",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "zeta: must be finite" in capsys.readouterr().err
+
+
 def test_cli_missing_config_file_exits_two(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2

@@ -1,0 +1,168 @@
+"""Property tests over random masks, against the loop oracles.
+
+Random grids and masks come from hypothesis; the module is skipped when
+hypothesis is not installed.  Each mask mixes random points with whole
+emptied lines, whole filled lines, isolated points and edge rows and
+columns, the cases where sorted-coordinate gaps and edge taps go wrong.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from test_derivatives import oracle_diff  # noqa: E402
+from test_grid import oracle_levels  # noqa: E402
+from test_wavelets import oracle_fwt  # noqa: E402
+
+from awcmaxwell.derivatives import diff_x, diff_z  # noqa: E402
+from awcmaxwell.filters import build_filter_bank  # noqa: E402
+from awcmaxwell.grid import (  # noqa: E402
+    GridSpec,
+    add_adjacent_zone,
+    compute_levels,
+    find_missing_stencil_point,
+    reconstruction_check,
+)
+from awcmaxwell.wavelets import (  # noqa: E402
+    CoeffPyramid,
+    fwt_full,
+    interpolate_missing,
+    iwt_full,
+)
+
+# Fixed examples keep the suite reproducible; no example database.
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def grids(draw, max_j=5):
+    j_max = draw(st.integers(2, max_j))
+    j_min = draw(st.integers(1, j_max - 1))
+    return GridSpec(j_min, j_max)
+
+
+@st.composite
+def masks(draw, spec):
+    n = spec.n
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < density
+    index = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    for r in draw(st.lists(index, max_size=3)):
+        mask[r, :] = False
+    for c in draw(st.lists(index, max_size=3)):
+        mask[:, c] = False
+    for r in draw(st.lists(index, max_size=2)):
+        mask[r, :] = True
+    for c in draw(st.lists(index, max_size=2)):
+        mask[:, c] = True
+    for r, c in draw(st.lists(st.tuples(index, index), max_size=4)):
+        mask[r, c] = True
+    return mask
+
+
+@st.composite
+def closed_cases(draw, max_j=5):
+    """Grid, filter bank, stencil-closed mask and a field pair on it."""
+    spec = draw(grids(max_j))
+    bank = build_filter_bank(draw(st.sampled_from([2, 3, 4])))
+    mask = reconstruction_check(draw(masks(spec)), spec, bank)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = rng.standard_normal((2, spec.n, spec.n))
+    return spec, bank, mask, fields
+
+
+@PROPERTY
+@given(st.data())
+def test_compute_levels_matches_oracle_on_random_masks(data):
+    spec = data.draw(grids())
+    mask = data.draw(masks(spec))
+    np.testing.assert_array_equal(compute_levels(mask, spec),
+                                  oracle_levels(mask, spec))
+
+
+@PROPERTY
+@given(st.data())
+def test_closures_only_add_points_and_are_idempotent(data):
+    spec = data.draw(grids())
+    bank = build_filter_bank(data.draw(st.sampled_from([2, 3, 4])))
+    mask = data.draw(masks(spec)) | spec.coarse_mask()
+    zone = add_adjacent_zone(mask, spec)
+    closed = reconstruction_check(zone, spec, bank)
+    assert (zone >= mask).all() and (closed >= zone).all()
+    assert find_missing_stencil_point(closed, spec, bank) is None
+    np.testing.assert_array_equal(reconstruction_check(closed, spec, bank),
+                                  closed)
+
+
+@PROPERTY
+@given(closed_cases(max_j=4))
+def test_fwt_full_matches_loop_oracle_on_random_masks(case):
+    spec, bank, mask, fields = case
+    pyr = CoeffPyramid.from_field(fields[0], spec, mask=mask)
+    fwt_full(pyr, mask, bank)
+    want = oracle_fwt(fields[0], mask, spec, bank)
+    np.testing.assert_allclose(pyr.data, want, atol=1e-13)
+
+
+@PROPERTY
+@given(closed_cases())
+def test_round_trip_on_random_closed_masks(case):
+    # Lifting in floating point gives back the field to round-off, not
+    # bit for bit: (a + b) - b need not equal a.
+    spec, bank, mask, fields = case
+    field = np.where(mask, fields[0], 0.0)
+    pyr = CoeffPyramid.from_field(fields[0], spec, mask=mask)
+    fwt_full(pyr, mask, bank)
+    iwt_full(pyr, mask, bank)
+    assert np.max(np.abs(pyr.data - field), initial=0.0) <= 1e-12
+    assert (pyr.data[~mask] == 0.0).all()
+
+
+@PROPERTY
+@given(closed_cases())
+def test_stacked_pair_matches_single_transforms_bitwise(case):
+    spec, bank, mask, fields = case
+    pair = CoeffPyramid.from_field(fields, spec, mask=mask)
+    fwt_full(pair, mask, bank)
+    singles = [CoeffPyramid.from_field(f, spec, mask=mask) for f in fields]
+    for single, coeffs in zip(singles, pair.data):
+        fwt_full(single, mask, bank)
+        np.testing.assert_array_equal(coeffs, single.data)
+    iwt_full(pair, mask, bank)
+    for single, values in zip(singles, pair.data):
+        iwt_full(single, mask, bank)
+        np.testing.assert_array_equal(values, single.data)
+
+
+@PROPERTY
+@given(closed_cases(), st.data())
+def test_interpolate_missing_pair_matches_single_calls_bitwise(case, data):
+    # New masks that grow, shrink or move the old one; a closed subset
+    # of a closed mask closes inside it.
+    spec, bank, old, fields = case
+    other = data.draw(masks(spec))
+    combine = data.draw(st.sampled_from([np.logical_or, np.logical_and,
+                                         lambda a, b: b]))
+    new = reconstruction_check(combine(old, other), spec, bank)
+    pair = interpolate_missing(fields, old, new, spec, bank)
+    for field, got in zip(fields, pair):
+        np.testing.assert_array_equal(
+            got, interpolate_missing(field, old, new, spec, bank))
+        keep = old & new
+        np.testing.assert_array_equal(got[keep], field[keep])
+        assert (got[~new] == 0.0).all()
+
+
+@PROPERTY
+@given(closed_cases(max_j=4))
+def test_masked_derivatives_match_loop_oracle_on_random_masks(case):
+    spec, bank, mask, fields = case
+    levels = compute_levels(mask, spec)
+    for axis, fn in ((0, diff_x), (1, diff_z)):
+        got = fn(fields[0], mask, levels, spec, bank, 2.0)
+        want = oracle_diff(fields[0], mask, levels, spec, bank, 2.0, axis)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -162,12 +162,6 @@ def test_x_invariant_data_stays_x_invariant():
     np.testing.assert_array_equal(rows, np.tile(rows[0], (rows.shape[0], 1)))
 
 
-def test_full_grid_step_requires_full_grid_config():
-    sim = Simulation(small_config())
-    with pytest.raises(ConfigError):
-        sim.full_grid_step()
-
-
 def test_pml_coefficients_identity_outside_layer():
     pec = Simulation(small_config(boundary="PEC"))
     pml = Simulation(small_config(boundary="PML", pml_width_frac=0.25))
