@@ -6,49 +6,64 @@ density level, and scaled by the physical grid step at that level.
 Taps outside the array or outside the mask read zero; the grid closure
 activates every tap that matters beforehand, so zero reads only occur
 deep in the far field where the field itself is negligible.
+
+A caller that needs the derivative at some of the masked points only
+lists them (grid.Points) and gets their values alone, and may pass the
+mask's own list when it already holds it.
 """
 
 import numpy as np
 
 from .filters import FilterBank
-from .grid import GridSpec, masked_points
+from .grid import GridSpec, Points, masked_points
 
 
 def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
-          domain_length: float, axis: int) -> np.ndarray:
+          domain_length: float, axis: int, at: Points | None = None,
+          points: Points | None = None) -> np.ndarray:
     """Derivative along axis at the masked points.
 
-    The masked branch lists the masked points in one pass over the mask and
-    gives each its own tap spacing and scale from its density level, so
-    all levels go through one pass whose cost follows the number of
-    masked points.  Masked points whose level lies outside [j_min, j_max]
-    are left at zero.  The values are stored with one extra zero row and
-    column, which every tap past an edge reads.
+    Without at the result is an (n, n) array, zero off the mask; with
+    at it holds the derivative at the listed points only, in their order.
+    points, when given, lists the mask's points.
+
+    The masked branch copies the field at the mask's points into a zero
+    array with one extra zero row and column, which every tap past an
+    edge reads, and gives each point it evaluates its own tap spacing and
+    scale from its density level, so all levels go through one pass whose
+    cost follows the number of points.  Points whose level lies outside
+    [j_min, j_max] are left at zero.
     """
     coeffs = bank.deriv_filter
+    n = spec.n
 
     if mask.all() and np.all(levels == spec.j_max):
-        # Uniform classical stencil, vectorized along the whole axis.
-        values = np.where(mask, np.asarray(field, dtype=float), 0.0)
+        # Uniform classical stencil, vectorized along the whole axis: the
+        # taps of every point are slices of one zero-padded copy.
         pad = bank.deriv_halfwidth
-        width = [(0, 0), (0, 0)]
-        width[axis] = (pad, pad)
-        vp = np.pad(values, width)
-        acc = np.zeros_like(values)
-        for i, c in enumerate(coeffs, start=1):
-            fwd = np.roll(vp, -i, axis=axis)
-            bwd = np.roll(vp, i, axis=axis)
-            diff = fwd - bwd
-            sl = [slice(None), slice(None)]
-            sl[axis] = slice(pad, pad + spec.n)
-            acc += c * diff[tuple(sl)]
-        return acc * (2.0**spec.j_max / domain_length)
 
-    n, width = spec.n, spec.n + 1
-    padded = np.zeros((width, width))
-    np.copyto(padded[:n, :n], field, where=mask)
-    values = padded.reshape(-1)
-    rows, cols = masked_points(mask)
+        def along(start):
+            """Index of the n entries from start on along axis."""
+            index = [slice(None), slice(None)]
+            index[axis] = slice(start, start + n)
+            return tuple(index)
+
+        shape = [n, n]
+        shape[axis] += 2 * pad
+        vp = np.zeros(shape)
+        vp[along(pad)] = field
+        acc = np.zeros((n, n))
+        for i, c in enumerate(coeffs, start=1):
+            acc += c * (vp[along(pad + i)] - vp[along(pad - i)])
+        out = acc * (2.0**spec.j_max / domain_length)
+        return out if at is None else out.reshape(-1)[at.flat]
+
+    width = n + 1
+    taps = masked_points(mask) if points is None else points
+    values = np.zeros(width * width)
+    values[taps.padded()] = np.asarray(field, dtype=float)[taps.rows,
+                                                            taps.cols]
+    rows, cols, flat = taps if at is None else at
     level = levels[rows, cols]
     known = (level >= spec.j_min) & (level <= spec.j_max)
     rows, cols, level = rows[known], cols[known], level[known]
@@ -64,20 +79,31 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
     acc = np.zeros(rows.size)
     for i, c in enumerate(coeffs, start=1):
         for sign in (1, -1):
-            taps = values[edge[moving + sign * i * step] * unit + fixed]
-            acc += sign * c * taps
-    out = np.zeros((n, n))
-    out[rows, cols] = acc * (np.ldexp(1.0, level) / domain_length)
-    return out
+            acc += sign * c * values[edge[moving + sign * i * step] * unit
+                                     + fixed]
+    derivative = acc * (np.ldexp(1.0, level) / domain_length)
+    if at is not None:
+        out = np.zeros(known.size)
+        out[known] = derivative
+        return out
+    out = np.zeros(n * n)
+    out[flat[known]] = derivative
+    return out.reshape(n, n)
 
 
 def diff_x(field, mask, levels, spec: GridSpec, bank: FilterBank,
-           domain_length: float) -> np.ndarray:
-    """d(field)/dx (first array axis) at masked points, zero elsewhere."""
-    return _diff(field, mask, levels, spec, bank, domain_length, axis=0)
+           domain_length: float, at: Points | None = None,
+           points: Points | None = None) -> np.ndarray:
+    """d(field)/dx (first array axis) at masked points, zero elsewhere;
+    at and points as in _diff."""
+    return _diff(field, mask, levels, spec, bank, domain_length, 0, at,
+                 points)
 
 
 def diff_z(field, mask, levels, spec: GridSpec, bank: FilterBank,
-           domain_length: float) -> np.ndarray:
-    """d(field)/dz (second array axis) at masked points, zero elsewhere."""
-    return _diff(field, mask, levels, spec, bank, domain_length, axis=1)
+           domain_length: float, at: Points | None = None,
+           points: Points | None = None) -> np.ndarray:
+    """d(field)/dz (second array axis) at masked points, zero elsewhere;
+    at and points as in _diff."""
+    return _diff(field, mask, levels, spec, bank, domain_length, 1, at,
+                 points)

@@ -11,7 +11,15 @@ Masks are plain boolean arrays of shape (2^j_max + 1, 2^j_max + 1).  The
 closure operations here (adjacent zone, reconstruction check, derivative
 extension) only ever add points, are idempotent, and keep the coarse
 lattice contained.
+
+masked_points lists the points of a mask once, as coordinates and flat
+indices.  Work that only concerns the masked points (levels, derivative
+taps, derivatives, the field update) runs on such a list, so its cost
+follows the number of masked points rather than the size of the lattice;
+a caller that already holds the list of a mask passes it on.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,10 +78,25 @@ def cardinality(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
-def masked_points(mask: np.ndarray):
-    """(rows, cols) of the masked points in row-major order, as np.nonzero
-    lists them; going through the flat indices is several times faster."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+class Points(NamedTuple):
+    """Listed points of a lattice: coordinates and flat (row-major) indices."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    flat: np.ndarray
+
+    def padded(self) -> np.ndarray:
+        """Flat indices of the points in a copy of the lattice stored with
+        one extra row and column: row * (n + 1) + col."""
+        return self.flat + self.rows
+
+
+def masked_points(mask: np.ndarray) -> Points:
+    """The masked points in row-major order, as np.nonzero lists them;
+    going through the flat indices is several times faster."""
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, mask.shape[1])
+    return Points(rows, cols, flat)
 
 
 def _shift_into(dst, src, dr, dc):
@@ -193,19 +216,42 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     detail land on the level-b lattice or coarser, and the only same-level
     births (odd-odd taps hitting singly odd points) are picked up by
     running the d3 family before d1/d2 within each level.
+
+    Each level works on contiguous copies of the four parity classes of
+    its lattice.  An odd tap offset d moves a point to the other parity
+    along its axis, d // 2 + 1 class rows or columns away, so every family
+    is one class shifted into another: d3 rows into d2, d3 columns into
+    d1, d1 rows and d2 columns into even-even.  The d3 tensor taps are the
+    column taps of the d2 points its row taps create, so the d2 family
+    covers them.  The even-even class is the next level's lattice, and
+    the classes of the points born at a level are stored once it is done.
     """
     out = mask.copy()
-    offs = _tap_offsets(bank)
+    shifts = [d // 2 + 1 for d in _tap_offsets(bank)]
+    lattice = out
     for b in range(spec.j_max, spec.j_min, -1):
-        h = spec.stride(b)
-        sub = out[::h, ::h]
-        d3 = np.zeros_like(sub)
-        d3[1::2, 1::2] = sub[1::2, 1::2]
+        # d3 is (k, k), d1 (k, k + 1), d2 (k + 1, k), even (k + 1, k + 1).
+        d1, d2, d3, even = (np.ascontiguousarray(lattice[r::2, c::2])
+                            for r, c in ((1, 0), (0, 1), (1, 1), (0, 0)))
+        k = d3.shape[0]
+        # Class row or column i moves to i + s; past the edges it drops.
+        moves = [(slice(max(s, 0), min(k + s, k + 1)),
+                  slice(max(-s, 0), min(k, k + 1 - s)))
+                 for s in shifts if -k < s <= k]
         if d3.any():
-            sub |= _d3_taps(d3, offs)
-        d1, d2, _ = _detail_kinds(sub)
-        if d1.any() or d2.any():
-            sub |= _d12_taps(d1, d2, offs)
+            for to, of in moves:
+                d2[to] |= d3[of]
+                d1[:, to] |= d3[:, of]
+        for to, of in moves:
+            even[to] |= d1[of]
+            even[:, to] |= d2[:, of]
+        h = spec.stride(b)
+        out[h::2 * h, ::2 * h] = d1
+        out[::2 * h, h::2 * h] = d2
+        out[h::2 * h, h::2 * h] = d3
+        lattice = even
+    coarse = spec.stride(spec.j_min)
+    out[::coarse, ::coarse] = lattice
     return out
 
 
@@ -272,7 +318,8 @@ def _line_levels(major, minor, spec: GridSpec) -> np.ndarray:
     return levels
 
 
-def compute_levels(mask: np.ndarray, spec: GridSpec) -> np.ndarray:
+def compute_levels(mask: np.ndarray, spec: GridSpec,
+                   points: Points | None = None) -> np.ndarray:
     """Density level of every masked point (max of the two axis levels).
 
     The axis level is j_max - log2(gap) with gap the finest-index distance
@@ -284,15 +331,16 @@ def compute_levels(mask: np.ndarray, spec: GridSpec) -> np.ndarray:
     The gaps come from the sorted coordinates of the masked points: one
     pass over the mask lists them row by row, which orders every row, and a
     stable sort by column orders every column, so the cost follows the
-    number of masked points rather than the size of the lattice.
+    number of masked points rather than the size of the lattice.  points,
+    when given, is the mask's list in row-major order (masked_points).
     """
-    rows, cols = masked_points(mask)
+    rows, cols, flat = masked_points(mask) if points is None else points
     lz = _line_levels(rows, cols, spec)
     by_col = np.argsort(cols, kind="stable")
     lx = np.empty_like(lz)
     lx[by_col] = _line_levels(cols[by_col], rows[by_col], spec)
     out = np.zeros((spec.n, spec.n), dtype=np.int64)
-    out[rows, cols] = np.maximum(lx, lz)
+    out.reshape(-1)[flat] = np.maximum(lx, lz)
     return out
 
 
@@ -301,22 +349,35 @@ def extend_for_derivatives(
     spec: GridSpec,
     levels: np.ndarray,
     bank: FilterBank,
+    points: Points | None = None,
 ) -> np.ndarray:
     """Add the derivative stencil taps of every masked point, then re-close.
 
     A point at density level j0 taps i = 1..len(deriv_filter) steps of size
     2^(j_max - j0) along both axes; taps beyond the array edge are dropped
-    (they read zero).  A reconstruction check runs afterwards so inverse
-    transforms stay well defined on the grown mask.
+    (they read zero), and so are the taps of a point whose level lies
+    outside [j_min, j_max].  A reconstruction check runs afterwards so
+    inverse transforms stay well defined on the grown mask.
+
+    The taps come from the coordinates and levels of the masked points
+    (points, when given, lists them), so their cost follows the number of
+    masked points.
     """
-    out = mask.copy()
-    for j0 in range(spec.j_min, spec.j_max + 1):
-        pts = mask & (levels == j0)
-        if not pts.any():
-            continue
-        step = spec.stride(j0)
-        for i in range(1, bank.deriv_halfwidth + 1):
-            for d in (i * step, -i * step):
-                _shift_into(out, pts, d, 0)
-                _shift_into(out, pts, 0, d)
+    rows, cols, _ = masked_points(mask) if points is None else points
+    level = levels[rows, cols]
+    known = (level >= spec.j_min) & (level <= spec.j_max)
+    step = np.left_shift(1, spec.j_max - level[known])
+    # The taps go to a copy of the lattice with a margin as wide as the
+    # farthest reach, so none needs an edge test; the margin is dropped.
+    n, margin = spec.n, bank.deriv_halfwidth * spec.stride(spec.j_min)
+    width = n + 2 * margin
+    taps = np.zeros((width, width), dtype=bool)
+    at = (rows[known] + margin) * width + cols[known] + margin
+    flat = taps.reshape(-1)
+    for i in range(1, bank.deriv_halfwidth + 1):
+        for unit in (width, 1):
+            shift = i * unit * step
+            flat[at + shift] = True
+            flat[at - shift] = True
+    out = mask | taps[margin:margin + n, margin:margin + n]
     return reconstruction_check(out, spec, bank)

@@ -75,23 +75,28 @@ def _fmt(value) -> str:
 
 def write_field_csv(path, state: FieldState, spec: GridSpec,
                     domain_length_um: float) -> Path:
-    """Write every finest-lattice point as row,col,x_um,z_um,Ey,Hx,Hz."""
+    """Write every finest-lattice point as row,col,x_um,z_um,Ey,Hx,Hz.
+
+    The values are the state's own arrays, which hold 0.0 at every point
+    outside the active grid (Ey off mask0, Hx and Hz off mask1); the
+    adaptive solution between active points is the wavelet interpolation
+    that Simulation.dense_ey computes, not these zeros.  Each value is
+    written with repr, one lattice row at a time.
+    """
     path = Path(path)
     delta_um = domain_length_um / (spec.n - 1)
-    ey, hx, hz = state.ey, state.hx, state.hz
-
-    def rows():
-        yield FIELD_HEADER + "\n"
-        for m in range(spec.n):
-            x = _fmt(m * delta_um)
-            row_ey, row_hx, row_hz = ey[m], hx[m], hz[m]
-            for n in range(spec.n):
-                yield (f"{m},{n},{x},{_fmt(n * delta_um)},"
-                       f"{_fmt(row_ey[n])},{_fmt(row_hx[n])},"
-                       f"{_fmt(row_hz[n])}\n")
-
+    cols = range(spec.n)
+    z_um = [_fmt(n * delta_um) for n in cols]
     with open(path, "w") as fh:
-        fh.writelines(rows())
+        fh.write(FIELD_HEADER + "\n")
+        for m in cols:
+            lead = f"{m},"
+            x = f",{_fmt(m * delta_um)},"
+            fh.write("".join([
+                f"{lead}{n}{x}{z},{e!r},{a!r},{b!r}\n"
+                for n, z, e, a, b in zip(cols, z_um, state.ey[m].tolist(),
+                                         state.hx[m].tolist(),
+                                         state.hz[m].tolist())]))
     return path
 
 

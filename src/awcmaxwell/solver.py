@@ -11,6 +11,14 @@ layer the pair behaves exactly like the plain field.
 Grids, levels and stencils come from the grid/wavelets/derivatives
 modules; this module owns the physics, the step-size control, and the
 boundary treatment.
+
+On an adaptive grid a step lists the points of each of its masks once
+(grid.Points) and works on those lists: the levels, the derivative
+closure, the derivatives, the field update, Ey = Eyx + Eyz and the
+finite check cost in proportion to the active points.  Every entry off
+the masks is 0.0 by construction, so only the listed entries are
+computed.  In full-grid mode every point is active and the same
+arithmetic runs on the whole arrays.
 """
 
 import math
@@ -24,14 +32,17 @@ from .errors import ConfigError, InstabilityError
 from .filters import FilterBank, build_filter_bank
 from .grid import (
     GridSpec,
+    Points,
     add_adjacent_zone,
     compute_levels,
     extend_for_derivatives,
+    masked_points,
     reconstruction_check,
 )
 from .wavelets import (
     WAVELET,
     CoeffPyramid,
+    MaskPlan,
     fwt_full,
     interpolate_missing,
     iwt_full,
@@ -81,6 +92,34 @@ class FieldState:
     level1: np.ndarray
     k: int = 0
     t: float = 0.0
+
+
+def _split_sum(pair: CoeffPyramid, plan: MaskPlan) -> np.ndarray:
+    """Sum of a stacked pair at the plan's points, in the plan's order."""
+    first, second = pair.data[:, plan.rows, plan.cols]
+    return first + second
+
+
+def _at(array, points: Points | None):
+    """A lattice array, or a coefficient column (n, 1) or row (1, n), at
+    the listed points; the whole array when points is None."""
+    if points is None:
+        return array
+    if array.shape[1] == 1:
+        return array[points.rows, 0]
+    if array.shape[0] == 1:
+        return array[0, points.cols]
+    return array[points.rows, points.cols]
+
+
+def _lattice(values, points: Points | None, n: int):
+    """Values at the listed points on an otherwise zero (n, n) lattice;
+    values itself when points is None."""
+    if points is None:
+        return values
+    out = np.zeros(n * n)
+    out[points.flat] = values
+    return out.reshape(n, n)
 
 
 def _require_subset(inner, outer, what):
@@ -206,7 +245,7 @@ class Simulation:
 
     # ------------------------------------------------------------ stepping
 
-    def adapt_step(self):
+    def adapt_step(self) -> tuple[Points, Points, Points] | None:
         """Re-fit the grid to the current Ey (no-op in full-grid mode).
 
         The transform of the summed field decides only grid membership:
@@ -218,53 +257,78 @@ class Simulation:
         sub-threshold coefficients instead deletes just-below-threshold
         field content every step and the deviation from the full-grid
         reference then grows far past the threshold scale.
+
+        Returns the listed points of the new mask0, mask1 and mask2, for
+        update_step, or None in full-grid mode.
         """
         state, spec, bank = self.state, self.spec, self.bank
-        if self.config.full_grid:
-            state.pmask0 = state.mask0
-            state.pmask1 = state.mask1
-            return
         state.pmask0 = state.mask0
         state.pmask1 = state.mask1
+        if self.config.full_grid:
+            return None
         # Both splits go through one stacked transform per mask.
         pyr = CoeffPyramid.from_field((state.eyx, state.eyz), spec,
                                       mask=state.pmask0)
-        # The masks fed to the transforms here and below come from the
-        # closure operations, which guarantee stencil completeness, so
-        # the per-call validation is skipped.
-        fwt_full(pyr, state.pmask0, bank, check=False)
-        total = CoeffPyramid(pyr.data[0] + pyr.data[1], spec, WAVELET)
-        _, mask0 = threshold_coeffs(total, self.config.zeta,
-                                    mask=state.pmask0)
+        mask0 = self._thinned_mask(pyr, state.pmask0)
         mask0 = reconstruction_check(add_adjacent_zone(mask0, spec), spec, bank)
-        level0 = compute_levels(mask0, spec)
-        mask1 = extend_for_derivatives(mask0, spec, level0, bank)
-        level1 = compute_levels(mask1, spec)
-        mask2 = extend_for_derivatives(mask1, spec, level1, bank)
+        points0 = masked_points(mask0)
+        level0 = compute_levels(mask0, spec, points0)
+        mask1 = extend_for_derivatives(mask0, spec, level0, bank, points0)
+        points1 = masked_points(mask1)
+        level1 = compute_levels(mask1, spec, points1)
+        mask2 = extend_for_derivatives(mask1, spec, level1, bank, points1)
         _require_subset(mask0, mask1, "mask0 not within mask1")
         _require_subset(mask1, mask2, "mask1 not within mask2")
-        iwt_full(pyr, mask2, bank, check=False)
+        plan = MaskPlan(mask2, spec)
+        iwt_full(pyr, mask2, bank, check=False, plan=plan)
+        points2 = Points(plan.rows, plan.cols, plan.rows * spec.n + plan.cols)
         state.eyx, state.eyz = pyr.data
-        state.ey = state.eyx + state.eyz
+        state.ey = _lattice(_split_sum(pyr, plan), points2, spec.n)
         state.mask0, state.mask1, state.mask2 = mask0, mask1, mask2
         state.level0, state.level1 = level0, level1
+        return points0, points1, points2
 
-    def update_step(self):
-        """Advance H by dt, then Ey by dt, on the adapted grid."""
+    def _thinned_mask(self, pair: CoeffPyramid, mask) -> np.ndarray:
+        """Forward-transform the split pair on mask, in place, and return
+        the mask that thresholding their summed coefficients leaves.
+
+        The masks fed to the transforms here and in adapt_step come from
+        the closure operations, which guarantee stencil completeness, so
+        the per-call validation is skipped.
+        """
+        plan = MaskPlan(mask, self.spec)
+        fwt_full(pair, mask, self.bank, check=False, plan=plan)
+        # Off the mask both transformed splits are zero, and so is their sum.
+        total = CoeffPyramid(pair.data[0], self.spec, WAVELET, where=False)
+        total.data[plan.rows, plan.cols] = _split_sum(pair, plan)
+        return threshold_coeffs(total, self.config.zeta, mask=mask)[1]
+
+    def update_step(self, points: tuple[Points, Points, Points] | None = None):
+        """Advance H by dt, then Ey by dt, on the adapted grid.
+
+        points are the listed points of the state's masks, as adapt_step
+        returns them; on an adaptive grid they are listed here when not
+        given.
+        """
+        state = self.state
+        if points is None and not self.config.full_grid:
+            points = tuple(masked_points(mask) for mask in (
+                state.mask0, state.mask1, state.mask2))
         with np.errstate(over="ignore", invalid="ignore"):
             # Blow-ups surface through the finite check below, not as
             # per-operation warnings.
-            self._update_fields()
-        state = self.state
+            self._update_fields(points)
         state.k += 1
         state.t += self.dt
-        if not (np.isfinite(state.ey).all() and np.isfinite(state.hx).all()
-                and np.isfinite(state.hz).all()):
+        at0, at1 = (None, None) if points is None else points[:2]
+        if not (np.isfinite(_at(state.ey, at0)).all()
+                and np.isfinite(_at(state.hx, at1)).all()
+                and np.isfinite(_at(state.hz, at1)).all()):
             raise InstabilityError(state.k)
 
-    def _update_fields(self):
+    def _update_fields(self, points):
         state, spec, bank = self.state, self.spec, self.bank
-        length = self.length_m
+        length, n = self.length_m, self.spec.n
 
         # The magnetic fields carry genuine values on the whole previous
         # Mask1 (update ring included); interpolating from that support
@@ -277,28 +341,34 @@ class Simulation:
             state.hx, state.hz = interpolate_missing(
                 (state.hx, state.hz), state.pmask1, state.mask1, spec, bank,
                 check=False)
-        dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank, length)
-        dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank, length)
-        state.hx = np.where(state.mask1, self.ea_z * state.hx
-                            + self.hb_z * dz_ey, 0.0)
-        state.hz = np.where(state.mask1, self.ea_x * state.hz
-                            - self.hb_x * dx_ey, 0.0)
+        p0, p1, p2 = (None,) * 3 if points is None else points
+        # H is updated on mask1 and reads the derivatives of Ey there
+        # only; their taps reach over mask2.
+        dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank,
+                       length, at=p1, points=p2)
+        dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank,
+                       length, at=p1, points=p2)
+        state.hx = _lattice(_at(self.ea_z, p1) * _at(state.hx, p1)
+                            + _at(self.hb_z, p1) * dz_ey, p1, n)
+        state.hz = _lattice(_at(self.ea_x, p1) * _at(state.hz, p1)
+                            - _at(self.hb_x, p1) * dx_ey, p1, n)
 
         # The splits came out of adapt_step valid on mask2, a superset
         # of mask0, so they need no separate interpolation pass here.
-        dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank, length)
-        dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank, length)
-        state.eyz = np.where(state.mask0, self.ea_z * state.eyz
-                             + self.eb_z * dz_hx, 0.0)
-        state.eyx = np.where(state.mask0, self.ea_x * state.eyx
-                             - self.eb_x * dx_hz, 0.0)
+        dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank,
+                       length, at=p0, points=p1)
+        dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank,
+                       length, at=p0, points=p1)
+        state.eyz = _lattice(_at(self.ea_z, p0) * _at(state.eyz, p0)
+                             + _at(self.eb_z, p0) * dz_hx, p0, n)
+        state.eyx = _lattice(_at(self.ea_x, p0) * _at(state.eyx, p0)
+                             - _at(self.eb_x, p0) * dx_hz, p0, n)
         self.apply_boundary(state)
-        state.ey = state.eyx + state.eyz
+        state.ey = _lattice(_at(state.eyx, p0) + _at(state.eyz, p0), p0, n)
 
     def step(self):
         """One full time step: adapt, then update."""
-        self.adapt_step()
-        self.update_step()
+        self.update_step(self.adapt_step())
 
     def dense_ey(self) -> np.ndarray:
         """Ey over the whole finest lattice.

@@ -38,29 +38,50 @@ WAVELET = "wavelet"
 BLOCK = 2048
 
 
+def _fields(data):
+    """data as (leading shape, float fields); a sequence of 2-D arrays
+    gives its fields as they are, without stacking them into a copy."""
+    if isinstance(data, (tuple, list)) and all(
+            isinstance(field, np.ndarray) and field.ndim == 2
+            for field in data):
+        return (len(data),), [np.asarray(f, dtype=float) for f in data]
+    data = np.asarray(data, dtype=float)
+    return data.shape[:-2], data.reshape((-1,) + data.shape[-2:])
+
+
 class CoeffPyramid:
     """Field samples or transform coefficients in the in-place layout.
 
     data has shape (n, n), or (k, n, n) for k fields transformed
-    together.  It is a view of ``padded``, which has one more row and
-    column, held at zero, for the taps that fall past an edge.  The
-    constructor copies data; where, as in np.copyto, selects the entries
-    taken from it, and the others start at zero.
+    together; the constructor also takes a sequence of k (n, n) fields.
+    data is a view of ``padded``, which has one more row and column, held
+    at zero, for the taps that fall past an edge.  The constructor copies
+    data; where, True, False or an (n, n) mask, selects the entries taken
+    from it, and the others start at zero.  A mask's points are listed
+    and copied alone, so the copy costs in proportion to their number.
     """
 
     def __init__(self, data, spec: GridSpec, state: str = PHYSICAL, *,
                  where=True):
         n = spec.n
-        data = np.asarray(data, dtype=float)
-        if data.shape[-2:] != (n, n):
-            raise ValueError(
-                f"data shape {data.shape} does not match grid "
-                f"({n}, {n})"
-            )
+        lead, fields = _fields(data)
+        for field in fields:
+            if field.shape != (n, n):
+                raise ValueError(
+                    f"data shape {lead + field.shape} does not match grid "
+                    f"({n}, {n})"
+                )
         if state not in (PHYSICAL, WAVELET):
             raise ValueError(f"unknown pyramid state {state!r}")
-        self.padded = np.zeros(data.shape[:-2] + (n + 1, n + 1))
-        np.copyto(self.data, data, where=where)
+        self.padded = np.zeros(lead + (n + 1, n + 1))
+        stored = self.padded.reshape(-1, (n + 1) ** 2)
+        if where is True:
+            for dst, field in zip(stored, fields):
+                dst.reshape(n + 1, n + 1)[:-1, :-1] = field
+        elif where is not False:
+            listed = masked_points(where)
+            for dst, field in zip(stored, fields):
+                dst[listed.padded()] = field[listed.rows, listed.cols]
         self.spec = spec
         self.state = state
 
@@ -94,7 +115,7 @@ class MaskPlan:
     """
 
     def __init__(self, mask, spec: GridSpec):
-        rows, cols = masked_points(mask)
+        rows, cols, _ = masked_points(mask)
         birth = spec.birth[rows, cols]
         order = np.argsort(birth, kind="stable")
         self.rows, self.cols = rows, cols = rows[order], cols[order]
@@ -286,19 +307,22 @@ def iwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     return pyramid
 
 
-def fwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True):
+def fwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True,
+             plan: MaskPlan | None = None):
     """Forward transform down to the coarsest level, physical -> wavelet.
 
-    The mask's plan is built once and shared by every level.  check=False
-    skips the stencil-closure validation of the mask; callers holding a
-    mask straight out of the closure operations may do so, since those
-    guarantee the property by construction.
+    The mask's plan is built once, unless the caller passes it, and
+    shared by every level.  check=False skips the stencil-closure
+    validation of the mask; callers holding a mask straight out of the
+    closure operations may do so, since those guarantee the property by
+    construction.
     """
     if pyramid.state != PHYSICAL:
         raise ValueError(f"fwt_full requires physical state, got {pyramid.state}")
     if check:
         require_closed(mask, pyramid.spec, bank, "fwt_full")
-    plan = MaskPlan(mask, pyramid.spec)
+    if plan is None:
+        plan = MaskPlan(mask, pyramid.spec)
     _restrict(pyramid, plan)
     for level in range(pyramid.j_max - 1, pyramid.j_min - 1, -1):
         fwt_step(pyramid, level, mask, bank, plan)
@@ -306,16 +330,18 @@ def fwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True):
     return pyramid
 
 
-def iwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True):
+def iwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True,
+             plan: MaskPlan | None = None):
     """Inverse transform up to the finest level, wavelet -> physical.
 
-    check and the shared plan are as in fwt_full.
+    check and plan are as in fwt_full.
     """
     if pyramid.state != WAVELET:
         raise ValueError(f"iwt_full requires wavelet state, got {pyramid.state}")
     if check:
         require_closed(mask, pyramid.spec, bank, "iwt_full")
-    plan = MaskPlan(mask, pyramid.spec)
+    if plan is None:
+        plan = MaskPlan(mask, pyramid.spec)
     _restrict(pyramid, plan)
     for level in range(pyramid.j_min, pyramid.j_max):
         iwt_step(pyramid, level, mask, bank, plan)
@@ -354,19 +380,20 @@ def interpolate_missing(field_values, old_mask, new_mask, spec: GridSpec,
     Transforms the field on old_mask, drops coefficients outside
     new_mask, reconstructs on new_mask, then copies the original values
     back onto the overlap so points present in both masks are untouched.
-    field_values may also be a stack of fields, shape (k, n, n), which
-    share the two transforms and their plans.  check has the same
-    meaning as in fwt_full and covers both masks.
+    field_values may also be a stack or a sequence of fields, shape
+    (k, n, n), which share the two transforms and their plans.  check has
+    the same meaning as in fwt_full and covers both masks.  Values are
+    copied at the listed points of the masks only.
     """
-    values = np.array(field_values, dtype=float)
     if not (new_mask & ~old_mask).any():
         # Copy-back would restore every point of new_mask anyway.
-        np.copyto(values, 0.0, where=~new_mask)
-        return values
-    pyramid = CoeffPyramid.from_field(values, spec, mask=old_mask)
+        return CoeffPyramid(field_values, spec, where=new_mask).data
+    pyramid = CoeffPyramid.from_field(field_values, spec, mask=old_mask)
     fwt_full(pyramid, old_mask, bank, check=check)
     iwt_full(pyramid, new_mask, bank, check=check)
     # iwt_full left every entry off new_mask at zero.
-    out = pyramid.data
-    np.copyto(out, values, where=old_mask & new_mask)
-    return out
+    kept = masked_points(old_mask & new_mask)
+    _, fields = _fields(field_values)
+    for out, field in zip(pyramid.padded.reshape(len(fields), -1), fields):
+        out[kept.padded()] = field[kept.rows, kept.cols]
+    return pyramid.data

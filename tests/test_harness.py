@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from awcmaxwell.harness import (
     read_manifest,
     read_mask_pgm,
     run_simulation,
+    write_field_csv,
     write_mask_pgm,
 )
+from awcmaxwell.grid import GridSpec
 
 SIGMA_PAPERED = 1.0 / (4.0 * math.sqrt(2.0))
 
@@ -61,6 +64,23 @@ def test_field_csv_values_round_trip(tmp_path):
     center = lines[1 + (n // 2) * n + n // 2].split(",")
     assert int(center[0]) == n // 2 and int(center[1]) == n // 2
     assert float(center[4]) == 1.0  # pulse peak sits at the center
+
+
+def test_field_csv_matches_per_value_repr(tmp_path):
+    spec = GridSpec(1, 2)
+    special = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 0.0, -1.5, 1.0 / 3.0]
+    rng = np.random.default_rng(3)
+    ey, hx, hz = (rng.permutation(np.resize(special, spec.n**2)).reshape(
+        spec.n, spec.n) for _ in range(3))
+    state = SimpleNamespace(ey=ey, hx=hx, hz=hz)
+    path = write_field_csv(tmp_path / "field.csv", state, spec, 6.0)
+    delta = 6.0 / (spec.n - 1)
+    want = [FIELD_HEADER] + [
+        ",".join([str(m), str(n)] + [repr(float(v)) for v in (
+            m * delta, n * delta, ey[m, n], hx[m, n], hz[m, n])])
+        for m in range(spec.n) for n in range(spec.n)]
+    assert path.read_text() == "\n".join(want) + "\n"
+    assert "-0.0" in path.read_text() and "5e-324" in path.read_text()
 
 
 def test_mask_pgm_round_trip(tmp_path):

@@ -13,16 +13,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_derivatives import oracle_diff  # noqa: E402
-from test_grid import oracle_levels  # noqa: E402
+from test_grid import oracle_extend, oracle_levels  # noqa: E402
 from test_wavelets import oracle_fwt  # noqa: E402
 
 from awcmaxwell.derivatives import diff_x, diff_z  # noqa: E402
 from awcmaxwell.filters import build_filter_bank  # noqa: E402
 from awcmaxwell.grid import (  # noqa: E402
     GridSpec,
+    Points,
     add_adjacent_zone,
     compute_levels,
+    extend_for_derivatives,
     find_missing_stencil_point,
+    masked_points,
     reconstruction_check,
 )
 from awcmaxwell.wavelets import (  # noqa: E402
@@ -166,3 +169,28 @@ def test_masked_derivatives_match_loop_oracle_on_random_masks(case):
         got = fn(fields[0], mask, levels, spec, bank, 2.0)
         want = oracle_diff(fields[0], mask, levels, spec, bank, 2.0, axis)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        # At listed points (every other masked point, and one off the
+        # mask), with the mask's own list given, the same values.
+        listed = masked_points(mask)
+        at = Points(*(np.append(part[::2], 0) for part in listed))
+        values = fn(fields[0], mask, levels, spec, bank, 2.0, at=at,
+                    points=listed)
+        assert values.tobytes() == got[at.rows, at.cols].tobytes()
+
+
+@PROPERTY
+@given(closed_cases(max_j=4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_extend_for_derivatives_matches_loop_oracle(case, own_levels, seed):
+    # Levels from compute_levels, or any in-range level at every point.
+    spec, bank, mask, _ = case
+    mask = reconstruction_check(mask | spec.coarse_mask(), spec, bank)
+    if own_levels:
+        levels = compute_levels(mask, spec)
+    else:
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(spec.j_min, spec.j_max + 1, (spec.n, spec.n))
+    grown = extend_for_derivatives(mask, spec, levels, bank)
+    np.testing.assert_array_equal(grown,
+                                  oracle_extend(mask, spec, levels, bank))
+    assert (grown >= mask).all() and grown[spec.coarse_mask()].all()
+    assert find_missing_stencil_point(grown, spec, bank) is None

@@ -1,12 +1,14 @@
 """Time stepping: step control, initial data, adaptivity, stability."""
 
+import copy
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from awcmaxwell.config import SimulationConfig
+from awcmaxwell.derivatives import diff_x, diff_z
 from awcmaxwell.errors import ConfigError, InstabilityError
 from awcmaxwell.filters import build_filter_bank
 from awcmaxwell.solver import (
@@ -17,6 +19,7 @@ from awcmaxwell.solver import (
     cfl_max_dt,
     default_dt_factor,
 )
+from awcmaxwell.wavelets import interpolate_missing
 
 SIGMA_PAPERED = 1.0 / (4.0 * math.sqrt(2.0))
 
@@ -263,3 +266,61 @@ def test_stable_run_stays_finite():
     sim.run()
     assert np.isfinite(sim.state.ey).all()
     assert np.abs(sim.state.ey).max() <= 2.0
+
+
+# ------------------------------------------------------------ point-wise update
+
+
+def dense_update(sim, state):
+    """The field update on whole arrays: np.where over the masks and the
+    derivatives over the whole lattice, zero off their masks."""
+    spec, bank, length = sim.spec, sim.bank, sim.length_m
+    if not sim.config.full_grid:
+        state.hx, state.hz = interpolate_missing(
+            (state.hx, state.hz), state.pmask1, state.mask1, spec, bank)
+    dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank, length)
+    dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank, length)
+    state.hx = np.where(state.mask1, sim.ea_z * state.hx + sim.hb_z * dz_ey,
+                        0.0)
+    state.hz = np.where(state.mask1, sim.ea_x * state.hz - sim.hb_x * dx_ey,
+                        0.0)
+    dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank, length)
+    dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank, length)
+    state.eyz = np.where(state.mask0,
+                         sim.ea_z * state.eyz + sim.eb_z * dz_hx, 0.0)
+    state.eyx = np.where(state.mask0,
+                         sim.ea_x * state.eyx - sim.eb_x * dx_hz, 0.0)
+    sim.apply_boundary(state)
+    state.ey = state.eyx + state.eyz
+    return state
+
+
+@pytest.mark.parametrize("full_grid", [False, True])
+def test_update_step_matches_dense_update_bitwise(full_grid):
+    sim = Simulation(small_config(boundary="PML", full_grid=full_grid))
+    for _ in range(4):
+        sim.step()
+        listed = sim.adapt_step()
+        want = dense_update(sim, copy.deepcopy(sim.state))
+        # Once from the lists adapt_step returned, once listing the masks.
+        for points in (listed, None):
+            before = copy.deepcopy(sim.state)
+            sim.update_step(points)
+            for name in ("ey", "eyx", "eyz", "hx", "hz"):
+                got = getattr(sim.state, name)
+                assert got.tobytes() == getattr(want, name).tobytes(), name
+            if points is listed:
+                sim.state = before
+    if not full_grid:
+        assert sim.state.mask0.sum() < sim.state.mask2.sum() < sim.spec.n**2
+
+
+@pytest.mark.parametrize("full_grid", [False, True])
+def test_field_state_holds_only_arrays_and_numbers(full_grid):
+    # A replay copies a state field by field and digests anything that is
+    # not an array by its repr, so an object stored here would break it.
+    sim = Simulation(small_config(boundary="PML", full_grid=full_grid))
+    for state in (sim.state, sim.run(3)):
+        for field in fields(state):
+            value = getattr(state, field.name)
+            assert isinstance(value, (np.ndarray, int, float)), field.name
