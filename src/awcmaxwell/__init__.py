@@ -1,94 +1,3 @@
 """Adaptive wavelet-collocation solver for 2D time-domain Maxwell."""
 
-from .config import CONFIG_KEYS, SimulationConfig, parse_config
-from .derivatives import diff_x, diff_z
-from .errors import ConfigError, InstabilityError, MaskClosureError
-from .filters import SUPPORTED_ORDERS, FilterBank, build_filter_bank
-from .grid import (
-    GridSpec,
-    add_adjacent_zone,
-    cardinality,
-    compute_levels,
-    extend_for_derivatives,
-    reconstruction_check,
-)
-from .harness import (
-    ErrorRecord,
-    RunResult,
-    StepRecord,
-    compare_adaptive_vs_oracle,
-    emit_snapshot,
-    proportionality_report,
-    read_manifest,
-    read_mask_pgm,
-    run_simulation,
-    write_field_csv,
-    write_mask_pgm,
-)
-from .solver import (
-    C0,
-    EPS0,
-    ETA0,
-    MU0,
-    FieldState,
-    Simulation,
-    cfl_max_dt,
-    default_dt_factor,
-)
-from .wavelets import (
-    CoeffPyramid,
-    fwt_full,
-    fwt_step,
-    interpolate_missing,
-    iwt_full,
-    iwt_step,
-    threshold_coeffs,
-)
-
-__all__ = [
-    "C0",
-    "CONFIG_KEYS",
-    "CoeffPyramid",
-    "ConfigError",
-    "EPS0",
-    "ETA0",
-    "ErrorRecord",
-    "FieldState",
-    "FilterBank",
-    "GridSpec",
-    "InstabilityError",
-    "MU0",
-    "MaskClosureError",
-    "RunResult",
-    "SUPPORTED_ORDERS",
-    "Simulation",
-    "SimulationConfig",
-    "StepRecord",
-    "add_adjacent_zone",
-    "build_filter_bank",
-    "cardinality",
-    "cfl_max_dt",
-    "compare_adaptive_vs_oracle",
-    "compute_levels",
-    "default_dt_factor",
-    "diff_x",
-    "diff_z",
-    "emit_snapshot",
-    "extend_for_derivatives",
-    "fwt_full",
-    "fwt_step",
-    "interpolate_missing",
-    "iwt_full",
-    "iwt_step",
-    "parse_config",
-    "proportionality_report",
-    "read_manifest",
-    "read_mask_pgm",
-    "reconstruction_check",
-    "run_simulation",
-    "threshold_coeffs",
-    "write_field_csv",
-    "write_mask_pgm",
-]
-
 __version__ = "0.1.0"

@@ -6,18 +6,20 @@ Three subcommands share one configuration surface:
     awcmaxwell compare  --config run.cfg --out results
     awcmaxwell report   --manifest results/manifest.csv
 
-Every config-file key is also a flag (--jmax 7 overrides jmax from the
-file); --out overrides out_dir and --snapshot-every the snapshot
-cadence.  Exit codes: 0 success, 2 configuration error, 3 numerical
+Every config-file key is a flag by construction: the flags are built
+from config.CONFIG_KEYS (--jmax 7 overrides jmax from the file; out_dir
+is --out).  A flag's value goes through the same parser as a file's, so
+--boundary pml and --boundary Pml both work; the file and the flags are
+validated together, and an invalid value exits 2 with a message naming
+the key.  Exit codes: 0 success, 2 configuration error, 3 numerical
 instability.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import SimulationConfig, parse_config
+from .config import CONFIG_KEYS, SimulationConfig, parse_config
 from .errors import ConfigError, InstabilityError
 from .harness import (
     compare_adaptive_vs_oracle,
@@ -33,19 +35,9 @@ EXIT_UNSTABLE = 3
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="key = value configuration file")
-    parser.add_argument("--out", metavar="DIR", dest="out_dir",
-                        help="output directory (overrides out_dir)")
-    parser.add_argument("--snapshot-every", type=int, metavar="K")
-    parser.add_argument("--domain-length-um", type=float, metavar="L")
-    parser.add_argument("--jmin", type=int)
-    parser.add_argument("--jmax", type=int)
-    parser.add_argument("--order", type=int)
-    parser.add_argument("--zeta", type=float)
-    parser.add_argument("--dt-factor", type=float)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--boundary", choices=["PEC", "PML", "pec", "pml"])
-    parser.add_argument("--pml-width-frac", type=float)
-    parser.add_argument("--sigma-um", type=float)
+    for key in CONFIG_KEYS:
+        flag = "--out" if key == "out_dir" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, help=f"overrides {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,20 +66,8 @@ def _load_config(args) -> SimulationConfig:
     text = ""
     if args.config is not None:
         text = Path(args.config).read_text()
-    config = parse_config(text)
-    overrides = {}
-    for key in ("domain_length_um", "jmin", "jmax", "order", "zeta",
-                "dt_factor", "steps", "boundary", "pml_width_frac",
-                "sigma_um", "snapshot_every", "out_dir"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if "boundary" in overrides:
-        overrides["boundary"] = overrides["boundary"].upper()
-    if overrides:
-        config = replace(config, **overrides)
-        config.validate()
-    return config
+    return parse_config(text, {key: getattr(args, key) for key in CONFIG_KEYS
+                               if getattr(args, key) is not None})
 
 
 def _cmd_run(args) -> int:
@@ -119,7 +99,8 @@ def _cmd_compare(args) -> int:
 def _cmd_report(args) -> int:
     manifest = args.manifest
     if manifest is None:
-        base = args.out_dir if args.out_dir is not None else "out"
+        base = (args.out_dir if args.out_dir is not None
+                else SimulationConfig.out_dir)
         manifest = Path(base) / "manifest.csv"
     pearson = proportionality_report(manifest, out_dir=args.out_dir)
     if pearson is None:

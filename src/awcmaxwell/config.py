@@ -1,31 +1,18 @@
-"""Run configuration: defaults, validation, and key=value parsing."""
+"""Run configuration: defaults, validation, and key=value parsing.
+
+The positional fields of SimulationConfig are the configuration surface,
+and the only place its keys and their types are written down.  Each one
+is a config-file key and, by construction, a CLI flag; one parser turns
+the text of either into the field's type, so a file and a flag accept the
+same values (``boundary`` in any case).  An unparseable or out-of-range
+value raises ConfigError naming the key.
+"""
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import KW_ONLY, dataclass, fields
+from typing import get_args
 
 from .errors import ConfigError
-
-#: Keys accepted in configuration text and as CLI overrides.
-CONFIG_KEYS = (
-    "domain_length_um",
-    "jmin",
-    "jmax",
-    "order",
-    "zeta",
-    "dt_factor",
-    "steps",
-    "boundary",
-    "pml_width_frac",
-    "sigma_um",
-    "snapshot_every",
-    "out_dir",
-)
-
-_INT_KEYS = {"jmin", "jmax", "order", "steps", "snapshot_every"}
-_FLOAT_KEYS = {"domain_length_um", "zeta", "dt_factor", "pml_width_frac",
-               "sigma_um"}
 
 
 @dataclass
@@ -46,8 +33,9 @@ class SimulationConfig:
     snapshot_every: int = 50
     out_dir: str = "out"
 
-    # Programmatic knobs, not part of the config-file surface.
-    eps_r: float = 1.0
+    # Programmatic knobs, keyword-only and not part of the config-file
+    # surface: CONFIG_KEYS stops at this marker.
+    _: KW_ONLY
     ic: str = "gaussian"  # gaussian | zero
     center_frac: tuple = (0.5, 0.5)
     full_grid: bool = False
@@ -57,7 +45,7 @@ class SimulationConfig:
         def bad(key, constraint):
             raise ConfigError(f"{key}: {constraint} (got {getattr(self, key)})")
 
-        for key in sorted(_FLOAT_KEYS):
+        for key in _FLOAT_KEYS:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 bad(key, "must be finite")
@@ -88,8 +76,6 @@ class SimulationConfig:
             bad("sigma_um", "must be positive")
         if self.snapshot_every < 1:
             bad("snapshot_every", "must be at least 1")
-        if np.any(np.asarray(self.eps_r) < 1):
-            bad("eps_r", "must be at least 1 everywhere")
         if self.ic not in ("gaussian", "zero"):
             bad("ic", "must be gaussian or zero")
         if not all(0 < c < 1 for c in self.center_frac):
@@ -97,10 +83,33 @@ class SimulationConfig:
         return self
 
 
-def parse_config(text: str) -> SimulationConfig:
+# Each key's value type, taken from its annotation (float for the
+# optional dt_factor).
+_TYPES = {f.name: (get_args(f.type) or (f.type,))[0]
+          for f in fields(SimulationConfig) if not f.kw_only}
+
+#: Keys accepted in configuration text and as CLI overrides, in field order.
+CONFIG_KEYS = tuple(_TYPES)
+
+_FLOAT_KEYS = tuple(key for key, kind in _TYPES.items() if kind is float)
+
+
+def _parse_value(key: str, text: str):
+    """Convert the text of one config key, from a file or a flag, to the
+    key's type; ``boundary`` is upper-cased so it ignores case."""
+    try:
+        value = _TYPES[key](text)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse value {text!r}") from None
+    return value.upper() if key == "boundary" else value
+
+
+def parse_config(text: str, overrides: dict | None = None) -> SimulationConfig:
     """Build a validated config from flat ``key = value`` text.
 
-    Blank lines and ``#`` comments are ignored; unknown keys and
+    Blank lines and ``#`` comments are ignored.  overrides maps keys to
+    value text, as CLI flags give it, that replaces the text's values;
+    the result is validated once, after them.  Unknown keys and
     invariant violations raise ConfigError naming the key.
     """
     config = SimulationConfig()
@@ -114,16 +123,7 @@ def parse_config(text: str) -> SimulationConfig:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
-        try:
-            if key in _INT_KEYS:
-                parsed = int(value)
-            elif key in _FLOAT_KEYS:
-                parsed = float(value)
-            else:
-                parsed = value
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse value {value!r}") from None
-        if key == "boundary":
-            parsed = parsed.upper()
-        setattr(config, key, parsed)
+        setattr(config, key, _parse_value(key, value))
+    for key, value in (overrides or {}).items():
+        setattr(config, key, _parse_value(key, value))
     return config.validate()

@@ -3,13 +3,14 @@
 The scheme of order N interpolates the value at a dyadic midpoint from its
 2N nearest neighbours on the coarser lattice with symmetric Lagrange
 weights, which makes the prediction exact for polynomials up to degree
-2N - 1.  Three coefficient sets belong together:
+2N - 1.  Two coefficient sets belong together:
 
 - ``predict_weights``: weights w_l, l = -(N-1)..N, applied to the even
-  neighbours 2m + 2l when predicting the odd point 2m + 1,
-- ``update_weights``: weights u_l, l = -N..N-1, applied to the detail
-  coefficients d_{m+l} when lifting the even (scaling) coefficient at m;
-  with the half-normalized details used here the two value lists coincide,
+  neighbours 2m + 2l when predicting the odd point 2m + 1.  The lifting
+  update applies the same values to the detail coefficients d_{m+l},
+  l = -N..N-1 (``update_offsets``), when lifting the even (scaling)
+  coefficient at m: the half-normalized details used here absorb the
+  /2 of the raw update,
 - ``deriv_filter``: the antisymmetric first-derivative filter DD'_N(i),
   i = 1..2(N-1), of the order-N interpolating scaling function, with
   DD'_N(0) = 0 and DD'_N(-i) = -DD'_N(i).  Its consistency order is 2N.
@@ -87,12 +88,12 @@ class FilterBank:
     """Coefficient sets of one interpolating-wavelet order.
 
     ``predict_offsets`` / ``update_offsets`` give the integer tap offsets
-    that the corresponding weights belong to (see module docstring).
+    that ``predict_weights`` belong to when predicting and when lifting
+    (see module docstring).
     """
 
     order: int
     predict_weights: np.ndarray
-    update_weights: np.ndarray
     deriv_filter: np.ndarray
     predict_offsets: np.ndarray = field(init=False)
     update_offsets: np.ndarray = field(init=False)
@@ -127,15 +128,8 @@ def build_filter_bank(order: int) -> FilterBank:
             f"{', '.join(str(o) for o in SUPPORTED_ORDERS)}"
         )
     predict = _lagrange_midpoint_fractions(order)
-    # The lifting update on the raw interpolation residual uses predict/2;
-    # Eq.-style half-normalized details absorb that factor, so the weights
-    # applied to stored detail coefficients equal the predict values
-    # (shifted from offsets -(N-1)..N to -N..N-1 so they stay centred on
-    # the even target point).
-    update = list(predict)
     return FilterBank(
         order=order,
         predict_weights=np.array([float(w) for w in predict]),
-        update_weights=np.array([float(w) for w in update]),
         deriv_filter=np.array([float(v) for v in _DERIV_FILTERS[order]]),
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SimulationConfig
+from .config import CONFIG_KEYS, SimulationConfig
 from .errors import ConfigError
 from .grid import GridSpec
 from .solver import FieldState, Simulation
@@ -150,25 +150,11 @@ def emit_snapshot(state: FieldState, spec: GridSpec,
 def _write_manifest(path, config: SimulationConfig, records, snapshots,
                     final_rel_error=None) -> Path:
     path = Path(path)
-    factor = config.dt_factor
-    if factor is None:
+    echo = {key: getattr(config, key) for key in CONFIG_KEYS}
+    if echo["dt_factor"] is None:
         from .solver import default_dt_factor
         from .filters import build_filter_bank
-        factor = default_dt_factor(build_filter_bank(config.order))
-    echo = {
-        "domain_length_um": config.domain_length_um,
-        "jmin": config.jmin,
-        "jmax": config.jmax,
-        "order": config.order,
-        "zeta": config.zeta,
-        "dt_factor": factor,
-        "steps": config.steps,
-        "boundary": config.boundary,
-        "pml_width_frac": config.pml_width_frac,
-        "sigma_um": config.sigma_um,
-        "snapshot_every": config.snapshot_every,
-        "out_dir": config.out_dir,
-    }
+        echo["dt_factor"] = default_dt_factor(build_filter_bank(config.order))
     with open(path, "w") as fh:
         fh.write("# run manifest\n")
         for key, value in echo.items():

@@ -178,13 +178,12 @@ class Simulation:
 
     def _build_update_coefficients(self):
         sig_x, sig_z = self._sigma_profile()
-        eps = EPS0 * self.config.eps_r
-        qx = (sig_x * self.dt / (2.0 * eps))[:, None]
-        qz = (sig_z * self.dt / (2.0 * eps))[None, :]
+        qx = (sig_x * self.dt / (2.0 * EPS0))[:, None]
+        qz = (sig_z * self.dt / (2.0 * EPS0))[None, :]
         self.ea_x = (1.0 - qx) / (1.0 + qx)
-        self.eb_x = (self.dt / eps) / (1.0 + qx)
+        self.eb_x = (self.dt / EPS0) / (1.0 + qx)
         self.ea_z = (1.0 - qz) / (1.0 + qz)
-        self.eb_z = (self.dt / eps) / (1.0 + qz)
+        self.eb_z = (self.dt / EPS0) / (1.0 + qz)
         # Matched-impedance magnetic losses share the dimensionless ramp
         # ea_x/ea_z.
         self.hb_x = (self.dt / MU0) / (1.0 + qx)

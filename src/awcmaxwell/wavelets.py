@@ -254,7 +254,7 @@ def fwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     if found is None:
         return pyramid
     (d1, d2, d3, even), predict, update = found
-    pw, uw = bank.predict_weights, bank.update_weights
+    pw = bank.predict_weights
     v = pyramid.padded.reshape(-1)
 
     # Detail passes read the untouched level-(level+1) values.
@@ -268,9 +268,10 @@ def fwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     v[at2] = x2
     v[at3] = x3
 
-    # Scaling update reads the freshly written details.
+    # Scaling update reads the freshly written details and lifts with
+    # the predict values at the update offsets (see the filters module).
     at, lift = _by_block(pyramid, even, update, lambda t: (
-        t.along_x(v, uw) + t.along_z(v, uw) + t.tensor(v, uw)))
+        t.along_x(v, pw) + t.along_z(v, pw) + t.tensor(v, pw)))
     v[at] += lift
     return pyramid
 
@@ -283,12 +284,12 @@ def iwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     if found is None:
         return pyramid
     (d1, d2, d3, even), predict, update = found
-    pw, uw = bank.predict_weights, bank.update_weights
+    pw = bank.predict_weights
     v = pyramid.padded.reshape(-1)
 
     # Undo the scaling update (reads the stored details).
     at, lift = _by_block(pyramid, even, update, lambda t: (
-        t.along_x(v, uw) + t.along_z(v, uw) + t.tensor(v, uw)))
+        t.along_x(v, pw) + t.along_z(v, pw) + t.tensor(v, pw)))
     v[at] -= lift
 
     # Rebuild the singly odd points from the restored even-even values.

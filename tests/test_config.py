@@ -1,6 +1,7 @@
 """Config parsing, defaults, and validation errors."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +145,22 @@ def test_non_finite_float_rejected(key, value):
     # would silently never thin.
     with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
         parse_config(f"{key} = {value}")
+
+
+def test_readme_key_table_lists_config_keys_with_defaults():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.split("|")[1:3]])
+    assert [key for key, _ in rows] == list(CONFIG_KEYS)
+    defaults = SimulationConfig()
+    for key, shown in rows:
+        want = getattr(defaults, key)
+        if want is None:
+            assert shown == "unset"
+        else:
+            assert getattr(parse_config(f"{key} = {shown}"), key) == want

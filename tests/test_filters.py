@@ -79,9 +79,6 @@ class TestBuildFilterBank:
 
     def test_order2_update_values(self):
         bank = build_filter_bank(2)
-        np.testing.assert_array_equal(
-            bank.update_weights, [-1 / 16, 9 / 16, 9 / 16, -1 / 16]
-        )
         np.testing.assert_array_equal(bank.update_offsets, [-2, -1, 0, 1])
 
     def test_order2_deriv_values(self):
@@ -112,15 +109,8 @@ class TestBuildFilterBank:
     def test_filter_lengths(self, order):
         bank = build_filter_bank(order)
         assert len(bank.predict_weights) == 2 * order
-        assert len(bank.update_weights) == 2 * order
+        assert len(bank.update_offsets) == 2 * order
         assert bank.deriv_halfwidth == 2 * (order - 1)
-
-    def test_update_equals_predict_values(self, any_bank):
-        # The /2 of the raw lifting update is absorbed by the detail
-        # normalization, leaving identical value lists (see filters module).
-        np.testing.assert_array_equal(
-            any_bank.update_weights, any_bank.predict_weights
-        )
 
     @pytest.mark.parametrize("order", [0, 1, 5, 7])
     def test_rejects_unsupported_order(self, order):

