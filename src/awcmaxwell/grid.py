@@ -205,6 +205,15 @@ def _d12_taps(d1, d2, offs):
     return need
 
 
+def class_moves(k: int, shifts):
+    """(to, from) slice pairs that move class rows or columns i to
+    i + s, for each shift s, between a class of k and one of k + 1 lines;
+    lines moved past either edge drop."""
+    return [(slice(max(s, 0), min(k + s, k + 1)),
+             slice(max(-s, 0), min(k, k + 1 - s)))
+            for s in shifts if -k < s <= k]
+
+
 def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     """Close the mask so every retained detail coefficient is computable.
 
@@ -225,6 +234,13 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     column taps of the d2 points its row taps create, so the d2 family
     covers them.  The even-even class is the next level's lattice, and
     the classes of the points born at a level are stored once it is done.
+
+    The one-axis lifting of the wavelets module is exact because of two
+    of these families: "d3 rows into d2" keeps the d2 details that a d3
+    detail reads along x, and "d3 columns into d1" keeps every d1 point
+    at which the update's staged z sum of d3 details is nonzero (the tap
+    offsets are symmetric).  A transform on a mask without them, run
+    with check=False, gives undefined results.
     """
     out = mask.copy()
     shifts = [d // 2 + 1 for d in _tap_offsets(bank)]
@@ -233,11 +249,7 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
         # d3 is (k, k), d1 (k, k + 1), d2 (k + 1, k), even (k + 1, k + 1).
         d1, d2, d3, even = (np.ascontiguousarray(lattice[r::2, c::2])
                             for r, c in ((1, 0), (0, 1), (1, 1), (0, 0)))
-        k = d3.shape[0]
-        # Class row or column i moves to i + s; past the edges it drops.
-        moves = [(slice(max(s, 0), min(k + s, k + 1)),
-                  slice(max(-s, 0), min(k, k + 1 - s)))
-                 for s in shifts if -k < s <= k]
+        moves = class_moves(d3.shape[0], shifts)
         if d3.any():
             for to, of in moves:
                 d2[to] |= d3[of]

@@ -278,7 +278,7 @@ class Simulation:
         mask2 = extend_for_derivatives(mask1, spec, level1, bank, points1)
         _require_subset(mask0, mask1, "mask0 not within mask1")
         _require_subset(mask1, mask2, "mask1 not within mask2")
-        plan = MaskPlan(mask2, spec)
+        plan = MaskPlan(mask2, spec, bank)
         iwt_full(pyr, mask2, bank, check=False, plan=plan)
         points2 = Points(plan.rows, plan.cols, plan.rows * spec.n + plan.cols)
         state.eyx, state.eyz = pyr.data
@@ -295,7 +295,7 @@ class Simulation:
         the closure operations, which guarantee stencil completeness, so
         the per-call validation is skipped.
         """
-        plan = MaskPlan(mask, self.spec)
+        plan = MaskPlan(mask, self.spec, self.bank)
         fwt_full(pair, mask, self.bank, check=False, plan=plan)
         # Off the mask both transformed splits are zero, and so is their sum.
         total = CoeffPyramid(pair.data[0], self.spec, WAVELET, where=False)

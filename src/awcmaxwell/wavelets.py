@@ -10,31 +10,36 @@ scaling values equal field point values and detail magnitudes are
 comparable across levels, which lets a single threshold act uniformly.
 
 Any stencil tap that falls outside the array or outside the active mask
-reads zero.  Masked transforms therefore require the mask to be closed
-under the prediction stencils (see grid.require_closed); the background
-of the array is kept at exactly zero so gathers never need per-point
-guards, and the array is stored with one extra zero row and column that
-every tap past an edge reads.
+reads zero.  The background of the array is kept at exactly zero so
+gathers never need per-point guards, and the array is stored with one
+extra zero row and column that every tap past an edge reads.
 
-A full transform finds the active points once, in a MaskPlan: one
-pass over the mask, sorted by birth level, gives every level's
-detail and scaling points as index lists.  Each level then gathers its
-stencil taps at those points only, so its work follows the active point
-count rather than the size of the lattice.
+Each level is lifted in one-axis passes, the tensor-product form of 1-D
+lifting (Sweldens, SIAM J. Math. Anal. 29, 1998): the odd-odd detail
+takes its x part from the even-odd details, d3 = (v - Sz v) / 4 -
+Sx d2 / 2, and the scaling update is Sx(d1 + Sz d3) + Sz d2, so no
+point gathers a two-axis tensor of taps.  This equals the direct 2-D
+lifting with zero extension exactly when the mask is closed under the
+prediction stencils (grid.reconstruction_check), through two of its
+closure families: "d3 rows into d2" keeps the d2 points whose details
+Sx d2 reads, and "d3 columns into d1" keeps every d1 point where Sz d3
+is nonzero.  A transform called with check=False on a mask that is not
+closed gives undefined results.
+
+A full transform lists the active points once, in a MaskPlan, and each
+level gathers its taps at the points listed for it only, so its work
+follows the active point count rather than the size of the lattice.
 """
-
-import functools
 
 import numpy as np
 
 from .errors import ConfigError
 from .filters import FilterBank
-from .grid import GridSpec, masked_points, require_closed
+from .grid import GridSpec, class_moves, masked_points, require_closed
 
 PHYSICAL = "physical"
 WAVELET = "wavelet"
-# Points of one kind whose tap indices are built at once; it bounds the
-# index memory of a transform on a full lattice.
+# Points whose tap indices are built at once; bounds a transform's memory.
 BLOCK = 2048
 
 
@@ -59,6 +64,12 @@ class CoeffPyramid:
     data; where, True, False or an (n, n) mask, selects the entries taken
     from it, and the others start at zero.  A mask's points are listed
     and copied alone, so the copy costs in proportion to their number.
+
+    support is a mask off which every entry is zero, or None when no
+    such mask is known.  where=mask sets it to mask (held, not copied)
+    and a transform on a mask to that mask, which lets the transform
+    skip zeroing entries that already are zero.  Code that writes
+    entries off it through data or padded must set it to None.
     """
 
     def __init__(self, data, spec: GridSpec, state: str = PHYSICAL, *,
@@ -82,20 +93,13 @@ class CoeffPyramid:
             listed = masked_points(where)
             for dst, field in zip(stored, fields):
                 dst[listed.padded()] = field[listed.rows, listed.cols]
+        self.support = where if isinstance(where, np.ndarray) else None
         self.spec = spec
         self.state = state
 
     @property
     def data(self) -> np.ndarray:
         return self.padded[..., :-1, :-1]
-
-    @property
-    def j_min(self) -> int:
-        return self.spec.j_min
-
-    @property
-    def j_max(self) -> int:
-        return self.spec.j_max
 
     @classmethod
     def from_field(cls, field_values, spec: GridSpec, mask=None):
@@ -109,12 +113,13 @@ class MaskPlan:
     rows and cols list every masked point, coarsest birth level first.
     levels[level - j_min] holds, as (rows, cols) finest-lattice index
     arrays, the d1, d2 and d3 points born at level + 1 (odd-even,
-    even-odd and odd-odd on that lattice) and the even-even points, born
-    at level or coarser, whose scaling coefficients that level lifts.
-    A plan describes one mask only and is rebuilt whenever it changes.
+    even-odd and odd-odd on that lattice) and the lifted even-even
+    points (_lifted_evens); every other even-even point has an exactly
+    zero lift, since a masked d3 point's column taps are masked d1
+    points.  A plan is rebuilt whenever the mask changes.
     """
 
-    def __init__(self, mask, spec: GridSpec):
+    def __init__(self, mask, spec: GridSpec, bank: FilterBank):
         rows, cols, _ = masked_points(mask)
         birth = spec.birth[rows, cols]
         order = np.argsort(birth, kind="stable")
@@ -130,19 +135,35 @@ class MaskPlan:
             r, c = rows[lo:hi], cols[lo:hi]
             odd_r, odd_c = (r & h) > 0, (c & h) > 0
             d1, d3 = odd_r & ~odd_c, odd_r & odd_c
-            self.levels.append(((r[d1], c[d1]), (r[~odd_r], c[~odd_r]),
-                                (r[d3], c[d3]), (rows[:lo], cols[:lo])))
+            d1, d2, d3 = (r[d1], c[d1]), (r[~odd_r], c[~odd_r]), (r[d3], c[d3])
+            even = (_lifted_evens(mask, h, bank) if d1[0].size or d2[0].size
+                    else (r[:0], c[:0]))
+            self.levels.append((d1, d2, d3, even))
+
+
+def _lifted_evens(mask, h: int, bank: FilterBank):
+    """(rows, cols) of the masked even-even points of the stride-h
+    lattice with a masked d1 point (along x) or d2 point (along z) in
+    update reach: a tap (2l - 1) h moves odd class index i to i + l."""
+    s = 2 * h
+    near = np.zeros(mask[::s, ::s].shape, dtype=bool)
+    odd_x, odd_z = (np.ascontiguousarray(mask[r::s, c::s])
+                    for r, c in ((h, 0), (0, h)))
+    for to, of in class_moves(near.shape[0] - 1, bank.predict_offsets):
+        near[to] |= odd_x[of]
+        near[:, to] |= odd_z[:, of]
+    near &= mask[::s, ::s]
+    return tuple(i * s for i in np.nonzero(near))
 
 
 class _Taps:
-    """Flat positions in a pyramid's padded storage of some points, in
-    every stacked field, and of their taps at the given offsets along
-    each axis.  A flat position is a row part plus a column part; taps
-    past an edge land on the zero row or column."""
+    """Flat positions (at) of some points in a pyramid's padded storage,
+    in every stacked field, and the weighted sums of the values at their
+    taps along x, sx(), and z, sz().  A flat position is a row part plus
+    a column part; taps past an edge land on the zero row or column."""
 
-    def __init__(self, pyramid: CoeffPyramid, points, offsets):
-        n = pyramid.spec.n
-        width = n + 1
+    def __init__(self, pyramid: CoeffPyramid, points, offsets, weights):
+        n, width = pyramid.spec.n, pyramid.spec.n + 1
         fields = np.arange(pyramid.padded.size // width**2)[:, None]
         reach = int(np.abs(offsets).max())
         # lattice[p + reach] is p on the lattice and n, the zero row or
@@ -155,86 +176,88 @@ class _Taps:
         rows, cols = points
         self._row_key = (fields * lattice.size + rows).reshape(-1)
         self._shifts = [reach + int(t) for t in offsets]
+        self._weights = weights
+        self._v = pyramid.padded.reshape(-1)
         self.row = self._row_edge[self._row_key + reach]
         self.col = np.tile(cols, fields.size)
         self.at = self.row + self.col
 
-    @property
-    def _x_rows(self):
-        """Row part of each tap along x."""
-        return (self._row_edge[self._row_key + s] for s in self._shifts)
-
-    @functools.cached_property
-    def _z_cols(self):
-        """Column part of each tap along z."""
-        return [self._col_edge[self.col + s] for s in self._shifts]
-
-    def along_x(self, v, weights):
-        """Sum_l w_l * v[tap_l] over the taps along x."""
+    def sx(self):
         out = np.zeros(self.at.size)
-        for r, w in zip(self._x_rows, weights):
-            out += w * v[r + self.col]
+        for s, w in zip(self._shifts, self._weights):
+            out += w * self._v[self._row_edge[self._row_key + s] + self.col]
         return out
 
-    def along_z(self, v, weights):
-        """Sum_l w_l * v[tap_l] over the taps along z."""
+    def sz(self):
         out = np.zeros(self.at.size)
-        for c, w in zip(self._z_cols, weights):
-            out += w * v[self.row + c]
-        return out
-
-    def tensor(self, v, weights):
-        """Sum_l sum_k w_l w_k * v[tap_lk] over the tensor taps."""
-        out = np.zeros(self.at.size)
-        for r, wr in zip(self._x_rows, weights):
-            for c, wc in zip(self._z_cols, weights):
-                out += wr * wc * v[r + c]
+        for s, w in zip(self._shifts, self._weights):
+            out += w * self._v[self.row + self._col_edge[self.col + s]]
         return out
 
 
-def _check_level(level: int, spec: GridSpec, what: str):
+def _level(pyramid, level, mask, bank, plan, what):
+    """The plan's points of one level and its stencil (tap offsets and
+    weights), or None when the level holds no masked detail."""
+    spec = pyramid.spec
     if not spec.j_min <= level <= spec.j_max - 1:
         raise ValueError(
-            f"{what} level {level} outside [{spec.j_min}, {spec.j_max - 1}]"
-        )
-
-
-def _level(pyramid, level, mask, bank, plan):
-    """The plan's d1, d2, d3 and even-even points of one level, with the
-    finest-lattice offsets of the prediction and of the update taps, or
-    None when the level holds no masked detail."""
+            f"{what} level {level} outside [{spec.j_min}, {spec.j_max - 1}]")
     if plan is None:
-        plan = MaskPlan(mask, pyramid.spec)
-    points = plan.levels[level - pyramid.j_min]
+        plan = MaskPlan(mask, spec, bank)
+    points = plan.levels[level - spec.j_min]
     if all(rows.size == 0 for rows, _ in points[:3]):
         return None
-    h = pyramid.spec.stride(level + 1)
-    return (points, (2 * bank.predict_offsets - 1) * h,
-            (2 * bank.update_offsets + 1) * h)
+    # Prediction and update share their taps: (2l - 1) h on the finest
+    # lattice for l in predict_offsets, weighted by predict_weights.
+    h = spec.stride(level + 1)
+    return points, ((2 * bank.predict_offsets - 1) * h, bank.predict_weights)
 
 
-def _by_block(pyramid, points, offsets, values):
-    """Flat positions of the points in every stacked field, and
-    values(taps) at them, built BLOCK points at a time so that the tap
-    index arrays stay small even on a full lattice."""
+def _blocks(pyramid, points, stencil):
+    """_Taps of the points, BLOCK points at a time, so that the tap index
+    arrays stay small even on a full lattice."""
     rows, cols = points
-    parts = [(t.at, values(t)) for t in (
-        _Taps(pyramid, (rows[i:i + BLOCK], cols[i:i + BLOCK]), offsets)
-        for i in range(0, max(rows.size, 1), BLOCK))]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    for i in range(0, rows.size, BLOCK):
+        yield _Taps(pyramid, (rows[i:i + BLOCK], cols[i:i + BLOCK]), *stencil)
 
 
-def _restrict(pyramid: CoeffPyramid, plan: MaskPlan):
-    """Zero every entry off the plan's mask: the masked entries move to
-    a fresh zero buffer, at a cost that follows their number."""
-    at = plan.rows * (pyramid.spec.n + 1) + plan.cols
-    old = pyramid.padded.reshape(-1, pyramid.padded.shape[-1] ** 2)
-    new = np.zeros(old.shape)
-    for kept, values in zip(new, old):
-        kept[at] = values[at]
-    pyramid.padded = new.reshape(pyramid.padded.shape)
+def _pass(pyramid, points, stencil, values):
+    """Write values(taps, stored values) at the points, a block at a time.
+    A block is written before the next is read, so values may read no
+    point of the kind being written but its own."""
+    v = pyramid.padded.reshape(-1)
+    for t in _blocks(pyramid, points, stencil):
+        v[t.at] = values(t, v[t.at])
+
+
+def _update(pyramid, points, stencil, lift):
+    """Set the lifted even-even values s to lift(s, Sx(d1 + Sz d3) +
+    Sz d2).  d1 + Sz d3 is staged at the d1 points, which hold every
+    nonzero Sz d3, and their d1 values are put back bit for bit."""
+    d1, _, d3, even = points
+    v = pyramid.padded.reshape(-1)
+    kept = []
+    if d3[0].size:
+        for t in _blocks(pyramid, d1, stencil):
+            kept.append((t.at, v[t.at]))
+            v[t.at] = kept[-1][1] + t.sz()
+    _pass(pyramid, even, stencil, lambda t, s: lift(s, t.sx() + t.sz()))
+    for at, values in kept:
+        v[at] = values
+
+
+def _restrict(pyramid: CoeffPyramid, mask):
+    """Zero every entry off the mask, in place.  Only entries of the
+    pyramid's support (every entry when it is None) may be nonzero, so
+    only those off the mask are written; the support becomes mask."""
+    if pyramid.support is not mask:
+        stale = ~mask if pyramid.support is None else pyramid.support & ~mask
+        if stale.any():
+            at = np.flatnonzero(stale)
+            at += at // pyramid.spec.n  # the index in padded storage
+            for field in pyramid.padded.reshape(-1, (pyramid.spec.n + 1) ** 2):
+                field[at] = 0.0
+    pyramid.support = mask
 
 
 def fwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
@@ -242,69 +265,60 @@ def fwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     """One forward level: split level-(level+1) values into details and
     level-(level) scaling coefficients, in place.
 
-    Details and update sums are evaluated only at the masked positions
-    that plan (built from mask when not given) lists for this level, so
-    the work per level scales with the active point count there.
-    Entries off the mask are expected to hold zero (fwt_full zeroes them
-    at entry); a level without masked details is the identity and is
-    skipped.
+    With Sx, Sz the weighted tap sums along x and z, the level writes
+    d2 = (v - Sz v) / 2, then d3 = (v - Sz v) / 4 - Sx d2 / 2 (its z
+    taps read the untouched d1 positions, its x taps the d2 details just
+    written), then d1 = (v - Sx v) / 2, and last adds Sx(d1 + Sz d3) +
+    Sz d2 to the lifted even-even values.  Only the points that plan
+    (built from mask when not given) lists are computed.  Entries off
+    the mask must hold zero (fwt_full zeroes them at entry); a level
+    without masked details is the identity and is skipped.
     """
-    _check_level(level, pyramid.spec, "fwt")
-    found = _level(pyramid, level, mask, bank, plan)
-    if found is None:
-        return pyramid
-    (d1, d2, d3, even), predict, update = found
-    pw = bank.predict_weights
-    v = pyramid.padded.reshape(-1)
-
-    # Detail passes read the untouched level-(level+1) values.
-    at1, x1 = _by_block(pyramid, d1, predict, lambda t: 0.5 * (
-        v[t.at] - t.along_x(v, pw)))
-    at2, x2 = _by_block(pyramid, d2, predict, lambda t: 0.5 * (
-        v[t.at] - t.along_z(v, pw)))
-    at3, x3 = _by_block(pyramid, d3, predict, lambda t: 0.25 * (
-        v[t.at] - t.along_x(v, pw) - t.along_z(v, pw) + t.tensor(v, pw)))
-    v[at1] = x1
-    v[at2] = x2
-    v[at3] = x3
-
-    # Scaling update reads the freshly written details and lifts with
-    # the predict values at the update offsets (see the filters module).
-    at, lift = _by_block(pyramid, even, update, lambda t: (
-        t.along_x(v, pw) + t.along_z(v, pw) + t.tensor(v, pw)))
-    v[at] += lift
+    found = _level(pyramid, level, mask, bank, plan, "fwt")
+    if found is not None:
+        points, stencil = found
+        d1, d2, d3, _ = points
+        _pass(pyramid, d2, stencil, lambda t, v: 0.5 * (v - t.sz()))
+        _pass(pyramid, d3, stencil,
+              lambda t, v: 0.25 * (v - t.sz()) - 0.5 * t.sx())
+        _pass(pyramid, d1, stencil, lambda t, v: 0.5 * (v - t.sx()))
+        _update(pyramid, points, stencil, np.add)
     return pyramid
 
 
 def iwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
              plan: MaskPlan | None = None):
-    """One inverse level: exact inverse of fwt_step on the same mask."""
-    _check_level(level, pyramid.spec, "iwt")
-    found = _level(pyramid, level, mask, bank, plan)
-    if found is None:
-        return pyramid
-    (d1, d2, d3, even), predict, update = found
-    pw = bank.predict_weights
-    v = pyramid.padded.reshape(-1)
+    """One inverse level: fwt_step's passes undone in reverse order.
 
-    # Undo the scaling update (reads the stored details).
-    at, lift = _by_block(pyramid, even, update, lambda t: (
-        t.along_x(v, pw) + t.along_z(v, pw) + t.tensor(v, pw)))
-    v[at] -= lift
+    The scaling update comes off first, then d1 is rebuilt, d3 from the
+    rebuilt d1 values and the stored d2 details, and d2 last.
+    """
+    found = _level(pyramid, level, mask, bank, plan, "iwt")
+    if found is not None:
+        points, stencil = found
+        d1, d2, d3, _ = points
+        _update(pyramid, points, stencil, np.subtract)
+        _pass(pyramid, d1, stencil, lambda t, d: 2.0 * d + t.sx())
+        _pass(pyramid, d3, stencil,
+              lambda t, d: 4.0 * d + t.sz() + 2.0 * t.sx())
+        _pass(pyramid, d2, stencil, lambda t, d: 2.0 * d + t.sz())
+    return pyramid
 
-    # Rebuild the singly odd points from the restored even-even values.
-    at, x = _by_block(pyramid, d1, predict, lambda t: (
-        2.0 * v[t.at] + t.along_x(v, pw)))
-    v[at] = x
-    at, x = _by_block(pyramid, d2, predict, lambda t: (
-        2.0 * v[t.at] + t.along_z(v, pw)))
-    v[at] = x
 
-    # Rebuild the odd-odd points from the values rebuilt above.
-    at, x = _by_block(pyramid, d3, predict, lambda t: (
-        4.0 * v[t.at] + t.along_x(v, pw) + t.along_z(v, pw)
-        - t.tensor(v, pw)))
-    v[at] = x
+def _full(pyramid, mask, bank, check, plan, what, start, steps):
+    """Run steps(pyramid, level, mask, bank, plan) over the levels, on a
+    pyramid in the start state, after zeroing its entries off the mask."""
+    if pyramid.state != start:
+        raise ValueError(f"{what} requires {start} state, got {pyramid.state}")
+    if check:
+        require_closed(mask, pyramid.spec, bank, what)
+    if plan is None:
+        plan = MaskPlan(mask, pyramid.spec, bank)
+    _restrict(pyramid, mask)
+    levels = range(pyramid.spec.j_min, pyramid.spec.j_max)
+    for level in reversed(levels) if start == PHYSICAL else levels:
+        steps(pyramid, level, mask, bank, plan)
+    pyramid.state = WAVELET if start == PHYSICAL else PHYSICAL
     return pyramid
 
 
@@ -316,19 +330,10 @@ def fwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True,
     shared by every level.  check=False skips the stencil-closure
     validation of the mask; callers holding a mask straight out of the
     closure operations may do so, since those guarantee the property by
-    construction.
+    construction.  On a mask that is not closed the result is undefined.
     """
-    if pyramid.state != PHYSICAL:
-        raise ValueError(f"fwt_full requires physical state, got {pyramid.state}")
-    if check:
-        require_closed(mask, pyramid.spec, bank, "fwt_full")
-    if plan is None:
-        plan = MaskPlan(mask, pyramid.spec)
-    _restrict(pyramid, plan)
-    for level in range(pyramid.j_max - 1, pyramid.j_min - 1, -1):
-        fwt_step(pyramid, level, mask, bank, plan)
-    pyramid.state = WAVELET
-    return pyramid
+    return _full(pyramid, mask, bank, check, plan, "fwt_full", PHYSICAL,
+                 fwt_step)
 
 
 def iwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True,
@@ -337,17 +342,8 @@ def iwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True,
 
     check and plan are as in fwt_full.
     """
-    if pyramid.state != WAVELET:
-        raise ValueError(f"iwt_full requires wavelet state, got {pyramid.state}")
-    if check:
-        require_closed(mask, pyramid.spec, bank, "iwt_full")
-    if plan is None:
-        plan = MaskPlan(mask, pyramid.spec)
-    _restrict(pyramid, plan)
-    for level in range(pyramid.j_min, pyramid.j_max):
-        iwt_step(pyramid, level, mask, bank, plan)
-    pyramid.state = PHYSICAL
-    return pyramid
+    return _full(pyramid, mask, bank, check, plan, "iwt_full", WAVELET,
+                 iwt_step)
 
 
 def threshold_coeffs(pyramid: CoeffPyramid, zeta: float, mask=None):

@@ -14,7 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_derivatives import oracle_diff  # noqa: E402
 from test_grid import oracle_extend, oracle_levels  # noqa: E402
-from test_wavelets import oracle_fwt  # noqa: E402
+from test_wavelets import oracle_fwt, oracle_iwt  # noqa: E402
 
 from awcmaxwell.derivatives import diff_x, diff_z  # noqa: E402
 from awcmaxwell.filters import build_filter_bank  # noqa: E402
@@ -29,7 +29,9 @@ from awcmaxwell.grid import (  # noqa: E402
     reconstruction_check,
 )
 from awcmaxwell.wavelets import (  # noqa: E402
+    WAVELET,
     CoeffPyramid,
+    MaskPlan,
     fwt_full,
     interpolate_missing,
     iwt_full,
@@ -109,6 +111,48 @@ def test_fwt_full_matches_loop_oracle_on_random_masks(case):
     fwt_full(pyr, mask, bank)
     want = oracle_fwt(fields[0], mask, spec, bank)
     np.testing.assert_allclose(pyr.data, want, atol=1e-13)
+
+
+@PROPERTY
+@given(closed_cases(max_j=4), st.sampled_from(["mask", "larger", "all"]),
+       st.data())
+def test_iwt_full_matches_loop_oracle_on_random_masks(case, stored, data):
+    # Random coefficients on the mask; or, as when a regrid drops points,
+    # on a larger closed mask (or everywhere) and then inverted on the
+    # smaller one, which must act as if those outside it were zero.
+    spec, bank, mask, fields = case
+    where = {"mask": mask, "all": True, "larger": reconstruction_check(
+        mask | data.draw(masks(spec)), spec, bank)}[stored]
+    pyr = CoeffPyramid(fields[0], spec, WAVELET, where=where)
+    iwt_full(pyr, mask, bank)
+    want = oracle_iwt(fields[0], mask, spec, bank)
+    np.testing.assert_allclose(pyr.data, want, atol=1e-13)
+
+
+@PROPERTY
+@given(closed_cases(max_j=4))
+def test_mask_plan_lifts_exactly_the_evens_near_a_detail(case):
+    # The evens listed at a level are the masked ones with a masked d1
+    # point (along x) or d2 point (along z) within update reach; every
+    # other masked even gets an exactly zero lift from the oracle.
+    spec, bank, mask, fields = case
+    lifts = {}
+    oracle_fwt(fields[0], mask, spec, bank, lifts)
+    reach = [2 * int(l) + 1 for l in bank.update_offsets]
+    plan = MaskPlan(mask, spec, bank)
+    for level, (_, _, _, even) in enumerate(plan.levels, spec.j_min):
+        h, n = spec.stride(level + 1), spec.n
+        listed = set(zip(even[0].tolist(), even[1].tolist()))
+        assert len(listed) == even[0].size
+        want = {(r, c) for r in range(0, n, 2 * h) for c in range(0, n, 2 * h)
+                if mask[r, c] and any(
+                    (0 <= r + u * h < n and mask[r + u * h, c])
+                    or (0 <= c + u * h < n and mask[r, c + u * h])
+                    for u in reach)}
+        assert listed == want
+        left_out = [lift for (at_level, r, c), lift in lifts.items()
+                    if at_level == level and (r, c) not in listed]
+        assert all(lift == 0.0 for lift in left_out)
 
 
 @PROPERTY

@@ -1,8 +1,9 @@
 """Transforms against a direct loop implementation and hand values.
 
-The oracle below evaluates the lifted decomposition with explicit
-python loops and explicit zero extension, sharing no code with the
-vectorized implementation.
+The oracles below evaluate the lifted decomposition and its inverse
+directly in 2-D, the odd-odd detail and the scaling update with their
+tensor terms, with explicit python loops and explicit zero extension,
+sharing no code with the vectorized one-axis passes.
 """
 
 import numpy as np
@@ -39,7 +40,9 @@ def _tap(arr, m, n):
     return 0.0
 
 
-def oracle_fwt(field, mask, spec, bank):
+def oracle_fwt(field, mask, spec, bank, lifts=None):
+    """Forward transform; lifts, when given, receives the scaling update
+    of every masked even-even point, keyed (level, row, col)."""
     w = bank.predict_weights
     po = [2 * int(l) - 1 for l in bank.predict_offsets]
     u = bank.predict_weights  # the update lifts with the predict values
@@ -85,7 +88,52 @@ def oracle_fwt(field, mask, spec, bank):
                     for k in range(len(u))
                 )
                 out[m, n] = detailed[m, n] + s1 + s2 + s3
+                if lifts is not None:
+                    lifts[b - 1, m * h, n * h] = s1 + s2 + s3
         a[::h, ::h] = out
+    return a
+
+
+def oracle_iwt(coeffs, mask, spec, bank):
+    """Inverse transform of the coefficients on the mask, level by level
+    from the coarsest: undo the update, rebuild d1 and d2 from the
+    even-even values, then d3 with its tensor term."""
+    w = bank.predict_weights
+    po = [2 * int(l) - 1 for l in bank.predict_offsets]
+    uo = [2 * int(l) + 1 for l in bank.update_offsets]
+    taps = range(len(w))
+    a = np.where(mask, np.asarray(coeffs, dtype=float), 0.0)
+    for b in range(spec.j_min + 1, spec.j_max + 1):
+        h = spec.stride(b)
+        c = a[::h, ::h].copy()
+        mv = mask[::h, ::h]
+        size = c.shape[0]
+        v = np.zeros_like(c)
+        for m in range(0, size, 2):
+            for n in range(0, size, 2):
+                if mv[m, n]:
+                    s1 = sum(w[i] * _tap(c, m + uo[i], n) for i in taps)
+                    s2 = sum(w[i] * _tap(c, m, n + uo[i]) for i in taps)
+                    s3 = sum(w[i] * w[k] * _tap(c, m + uo[i], n + uo[k])
+                             for i in taps for k in taps)
+                    v[m, n] = c[m, n] - (s1 + s2 + s3)
+        for m in range(size):
+            for n in range(size):
+                if mv[m, n] and m % 2 == 1 and n % 2 == 0:
+                    px = sum(w[i] * _tap(v, m + po[i], n) for i in taps)
+                    v[m, n] = 2.0 * c[m, n] + px
+                elif mv[m, n] and m % 2 == 0 and n % 2 == 1:
+                    pz = sum(w[i] * _tap(v, m, n + po[i]) for i in taps)
+                    v[m, n] = 2.0 * c[m, n] + pz
+        for m in range(1, size, 2):
+            for n in range(1, size, 2):
+                if mv[m, n]:
+                    px = sum(w[i] * _tap(v, m + po[i], n) for i in taps)
+                    pz = sum(w[i] * _tap(v, m, n + po[i]) for i in taps)
+                    pxz = sum(w[i] * w[k] * _tap(v, m + po[i], n + po[k])
+                              for i in taps for k in taps)
+                    v[m, n] = 4.0 * c[m, n] + px + pz - pxz
+        a[::h, ::h] = v
     return a
 
 
