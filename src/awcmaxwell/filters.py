@@ -5,12 +5,12 @@ The scheme of order N interpolates the value at a dyadic midpoint from its
 weights, which makes the prediction exact for polynomials up to degree
 2N - 1.  Two coefficient sets belong together:
 
-- ``predict_weights``: weights w_l, l = -(N-1)..N, applied to the even
-  neighbours 2m + 2l when predicting the odd point 2m + 1.  The lifting
-  update applies the same values to the detail coefficients d_{m+l},
-  l = -N..N-1 (``update_offsets``), when lifting the even (scaling)
-  coefficient at m: the half-normalized details used here absorb the
-  /2 of the raw update,
+- ``predict_weights``: weights w_l, l = -(N-1)..N (``predict_offsets``),
+  applied to the even neighbours 2m + 2l when predicting the odd point
+  2m + 1, that is, at offsets 2l - 1.  The lifting update applies the
+  same values at the same offsets to the details around the even
+  (scaling) point it lifts: the half-normalized details used here absorb
+  the /2 of the raw update,
 - ``deriv_filter``: the antisymmetric first-derivative filter DD'_N(i),
   i = 1..2(N-1), of the order-N interpolating scaling function, with
   DD'_N(0) = 0 and DD'_N(-i) = -DD'_N(i).  Its consistency order is 2N.
@@ -87,21 +87,19 @@ def lagrange_midpoint_weights(order: int) -> np.ndarray:
 class FilterBank:
     """Coefficient sets of one interpolating-wavelet order.
 
-    ``predict_offsets`` / ``update_offsets`` give the integer tap offsets
-    that ``predict_weights`` belong to when predicting and when lifting
-    (see module docstring).
+    ``predict_offsets`` gives the integer l that each of
+    ``predict_weights`` belongs to; a tap sits 2l - 1 finer-lattice steps
+    away, both when predicting and when lifting (see module docstring).
     """
 
     order: int
     predict_weights: np.ndarray
     deriv_filter: np.ndarray
     predict_offsets: np.ndarray = field(init=False)
-    update_offsets: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = self.order
         object.__setattr__(self, "predict_offsets", np.arange(-(n - 1), n + 1))
-        object.__setattr__(self, "update_offsets", np.arange(-n, n))
 
     @property
     def deriv_halfwidth(self) -> int:

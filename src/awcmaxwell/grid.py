@@ -10,7 +10,9 @@ of the point on its birth lattice (odd-even: d1, even-odd: d2, odd-odd: d3).
 Masks are plain boolean arrays of shape (2^j_max + 1, 2^j_max + 1).  The
 closure operations here (adjacent zone, reconstruction check, derivative
 extension) only ever add points, are idempotent, and keep the coarse
-lattice contained.
+lattice contained.  So a mask is stencil-closed exactly when
+reconstruction_check returns it unchanged, which is all require_closed
+checks.
 
 masked_points lists the points of a mask once, as coordinates and flat
 indices.  Work that only concerns the masked points (levels, derivative
@@ -99,17 +101,6 @@ def masked_points(mask: np.ndarray) -> Points:
     return Points(rows, cols, flat)
 
 
-def _shift_into(dst, src, dr, dc):
-    """dst |= src translated by (dr, dc); parts shifted past an edge drop."""
-    nr, nc = src.shape
-    hr, wc = nr - abs(dr), nc - abs(dc)
-    if hr <= 0 or wc <= 0:
-        return
-    r0, c0 = max(dr, 0), max(dc, 0)
-    r1, c1 = max(-dr, 0), max(-dc, 0)
-    dst[r0:r0 + hr, c0:c0 + wc] |= src[r1:r1 + hr, c1:c1 + wc]
-
-
 def _box_dilate(a, radius):
     """Union of a with its translates up to radius along both axes."""
     rows = a.copy()
@@ -164,47 +155,6 @@ def add_adjacent_zone(
     return out
 
 
-def _detail_kinds(sub):
-    """Kind-separated detail members of a sublattice mask (d1, d2, d3)."""
-    d1 = np.zeros_like(sub)
-    d1[1::2, 0::2] = sub[1::2, 0::2]
-    d2 = np.zeros_like(sub)
-    d2[0::2, 1::2] = sub[0::2, 1::2]
-    d3 = np.zeros_like(sub)
-    d3[1::2, 1::2] = sub[1::2, 1::2]
-    return d1, d2, d3
-
-
-def _tap_offsets(bank: FilterBank):
-    """Prediction tap positions relative to a detail point, in its stride."""
-    return [2 * int(l) - 1 for l in bank.predict_offsets]
-
-
-def _d3_taps(d3, offs):
-    """Stencil taps of the odd-odd details: row, column, tensor families.
-
-    The tensor block is the column-shifted row union, which needs half
-    the translations of the direct double loop.
-    """
-    rows_u = np.zeros_like(d3)
-    for d in offs:
-        _shift_into(rows_u, d3, d, 0)
-    need = rows_u.copy()
-    for d in offs:
-        _shift_into(need, d3, 0, d)
-        _shift_into(need, rows_u, 0, d)
-    return need
-
-
-def _d12_taps(d1, d2, offs):
-    """Stencil taps of the singly odd details: along their odd axis."""
-    need = np.zeros_like(d1)
-    for d in offs:
-        _shift_into(need, d1, d, 0)
-        _shift_into(need, d2, 0, d)
-    return need
-
-
 def class_moves(k: int, shifts):
     """(to, from) slice pairs that move class rows or columns i to
     i + s, for each shift s, between a class of k and one of k + 1 lines;
@@ -227,10 +177,11 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     running the d3 family before d1/d2 within each level.
 
     Each level works on contiguous copies of the four parity classes of
-    its lattice.  An odd tap offset d moves a point to the other parity
-    along its axis, d // 2 + 1 class rows or columns away, so every family
-    is one class shifted into another: d3 rows into d2, d3 columns into
-    d1, d1 rows and d2 columns into even-even.  The d3 tensor taps are the
+    its lattice.  A tap offset (2l - 1) stride(b), l in predict_offsets,
+    moves a point to the other parity along its axis, l class rows or
+    columns away, so every family is one class shifted into another: d3
+    rows into d2, d3 columns into d1, d1 rows and d2 columns into
+    even-even.  The d3 tensor taps are the
     column taps of the d2 points its row taps create, so the d2 family
     covers them.  The even-even class is the next level's lattice, and
     the classes of the points born at a level are stored once it is done.
@@ -243,13 +194,12 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     with check=False, gives undefined results.
     """
     out = mask.copy()
-    shifts = [d // 2 + 1 for d in _tap_offsets(bank)]
     lattice = out
     for b in range(spec.j_max, spec.j_min, -1):
         # d3 is (k, k), d1 (k, k + 1), d2 (k + 1, k), even (k + 1, k + 1).
         d1, d2, d3, even = (np.ascontiguousarray(lattice[r::2, c::2])
                             for r, c in ((1, 0), (0, 1), (1, 1), (0, 0)))
-        moves = class_moves(d3.shape[0], shifts)
+        moves = class_moves(d3.shape[0], bank.predict_offsets)
         if d3.any():
             for to, of in moves:
                 d2[to] |= d3[of]
@@ -267,48 +217,45 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     return out
 
 
-def _tap_source(d1, d2, d3, offs, tm, tn):
-    """Some detail point whose stencil contains the tap (tm, tn)."""
-    nr, nc = d1.shape
-    for d in offs:
-        r, c = tm - d, tn - d
-        if 0 <= r < nr and (d1[r, tn] or d3[r, tn]):
-            return r, tn
-        if 0 <= c < nc and (d2[tm, c] or d3[tm, c]):
-            return tm, c
-        for dp in offs:
-            c = tn - dp
-            if 0 <= r < nr and 0 <= c < nc and d3[r, c]:
-                return r, c
-    return tm, tn
-
-
-def find_missing_stencil_point(mask, spec: GridSpec, bank: FilterBank):
-    """First (point, tap) pair violating stencil closure, or None."""
-    offs = _tap_offsets(bank)
-    for b in range(spec.j_max, spec.j_min, -1):
+def _holder(tap, mask, spec: GridSpec, bank: FilterBank):
+    """Some masked detail point whose prediction stencil holds tap: born
+    at b > j_min, it sits (2l - 1) stride(b) away along each axis on which
+    it is odd at level b, and level with the tap along the others."""
+    tm, tn = tap
+    for b in range(spec.j_min + 1, spec.j_max + 1):
         h = spec.stride(b)
-        sub = mask[::h, ::h]
-        d1, d2, d3 = _detail_kinds(sub)
-        if not (d1.any() or d2.any() or d3.any()):
-            continue
-        need = _d3_taps(d3, offs) | _d12_taps(d1, d2, offs)
-        missing = need & ~sub
-        if missing.any():
-            tm, tn = (int(v) for v in np.argwhere(missing)[0])
-            sm, sn = _tap_source(d1, d2, d3, offs, tm, tn)
-            return (sm * h, sn * h), (tm * h, tn * h)
+        moves = [0] + [(2 * int(l) - 1) * h for l in bank.predict_offsets]
+        for dm in moves:
+            for dn in moves:
+                m, n = tm - dm, tn - dn
+                if ((dm or dn) and 0 <= m < spec.n and 0 <= n < spec.n
+                        and mask[m, n] and spec.birth[m, n] == b
+                        and (not dm or m // h % 2) and (not dn or n // h % 2)):
+                    return m, n
     return None
 
 
 def require_closed(mask, spec: GridSpec, bank: FilterBank, what: str):
-    missing = find_missing_stencil_point(mask, spec, bank)
-    if missing is not None:
-        (pm, pn), (tm, tn) = missing
-        raise MaskClosureError(
-            f"{what}: mask is not stencil-closed; point ({pm}, {pn}) "
-            f"needs absent tap ({tm}, {tn})"
-        )
+    """Raise MaskClosureError unless reconstruction_check leaves the mask
+    as it is, naming a masked detail point and an absent tap it needs.
+
+    The first point the closure adds is traced back, holder by holder
+    through the closed mask, to a point of the mask.  A holder is born no
+    coarser than its tap, and no d3 point is a tap of its own level, so
+    the trace ends.
+    """
+    closed = reconstruction_check(mask, spec, bank)
+    added = np.argwhere(closed & ~mask)
+    if not added.size:
+        return
+    tap = tuple(int(v) for v in added[0])
+    point = _holder(tap, closed, spec, bank)
+    while not mask[point]:
+        tap, point = point, _holder(point, closed, spec, bank)
+    raise MaskClosureError(
+        f"{what}: mask is not stencil-closed; point {point} "
+        f"needs absent tap {tap}"
+    )
 
 
 def _line_levels(major, minor, spec: GridSpec) -> np.ndarray:

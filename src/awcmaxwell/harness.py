@@ -2,7 +2,9 @@
 
 A run writes everything needed to reproduce and plot it into one output
 directory: a manifest with the config echo and per-step metrics, field
-snapshots as headered CSV, and grid masks as plain P2 graymaps.  The
+snapshots as headered CSV, and grid masks as plain P2 graymaps; with the
+full-grid oracle on, the same loop also writes the per-step relative
+deviation from it to error_series.csv.  The
 compression rate cp of a step is the active-point count divided by the
 full finest-lattice count (2^jmax + 1)^2.
 
@@ -64,6 +66,7 @@ class RunResult:
     out_dir: Path
     manifest_path: Path
     records: list
+    errors: list  # ErrorRecords of an oracle run, else empty
     snapshots: dict
     final_state: FieldState
 
@@ -148,7 +151,7 @@ def emit_snapshot(state: FieldState, spec: GridSpec,
 
 
 def _write_manifest(path, config: SimulationConfig, records, snapshots,
-                    final_rel_error=None) -> Path:
+                    errors=()) -> Path:
     path = Path(path)
     echo = {key: getattr(config, key) for key in CONFIG_KEYS}
     if echo["dt_factor"] is None:
@@ -172,8 +175,9 @@ def _write_manifest(path, config: SimulationConfig, records, snapshots,
         else:
             fh.write("# summary: min_cp = undefined\n")
             fh.write("# summary: max_cp = undefined\n")
-        if final_rel_error is not None:
-            fh.write(f"# summary: final_rel_error = {_fmt(final_rel_error)}\n")
+        if errors:
+            fh.write("# summary: final_rel_error = "
+                     f"{_fmt(errors[-1].rel_err)}\n")
     return path
 
 
@@ -206,18 +210,20 @@ def run_simulation(config: SimulationConfig, out_dir=None,
     """Run the configured experiment, writing snapshots and a manifest.
 
     Snapshots go out at step 0, every snapshot_every steps, and at the
-    final step.  With oracle=True a full-grid twin advances in lockstep
-    (outside the timed section) and the final relative max Ey deviation
-    lands in the manifest summary.
+    final step.  With oracle=True a full-grid twin advances in lockstep,
+    outside the timed section, and each step adds an ErrorRecord of
+    dense_ey against the twin's Ey to error_series.csv; the last rel_err
+    goes to the manifest summary.  The twin is dropped once its peak falls
+    below ORACLE_FLOOR times its initial peak, or to zero.
     """
     sim = Simulation(config)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     twin = Simulation(replace(config, full_grid=True)) if oracle else None
+    floor = ORACLE_FLOOR * float(np.abs(twin.state.ey).max()) if oracle else 0
 
-    records = []
-    snapshots = {}
+    records, errors, snapshots = [], [], {}
     full_count = sim.spec.n ** 2
     emit_snapshot(sim.state, sim.spec, config, out, snapshots)
     for _ in range(config.steps):
@@ -232,57 +238,27 @@ def run_simulation(config: SimulationConfig, out_dir=None,
             cp=card / full_count, wall_ms=wall_ms))
         if twin is not None:
             twin.step()
+            peak = float(np.abs(twin.state.ey).max())
+            if peak < floor or peak == 0.0:
+                twin = None
+            else:
+                rel = float(np.abs(sim.dense_ey() - twin.state.ey).max())
+                errors.append(ErrorRecord(k=twin.state.k, t=twin.state.t,
+                                          max_full=peak, rel_err=rel / peak))
         if state.k % config.snapshot_every == 0 or state.k == config.steps:
             emit_snapshot(state, sim.spec, config, out, snapshots)
 
-    final_rel_error = None
-    if twin is not None:
-        peak = float(np.abs(twin.state.ey).max())
-        if peak > 0:
-            final_rel_error = float(
-                np.abs(sim.dense_ey() - twin.state.ey).max()) / peak
+    if oracle:
+        with open(out / "error_series.csv", "w") as fh:
+            fh.write(ERROR_HEADER + "\n")
+            for r in errors:
+                fh.write(f"{r.k},{_fmt(r.t)},{_fmt(r.max_full)},"
+                         f"{_fmt(r.rel_err)}\n")
     manifest_path = _write_manifest(out / "manifest.csv", config, records,
-                                    snapshots, final_rel_error)
+                                    snapshots, errors)
     return RunResult(config=config, out_dir=out, manifest_path=manifest_path,
-                     records=records, snapshots=snapshots,
+                     records=records, errors=errors, snapshots=snapshots,
                      final_state=sim.state)
-
-
-def compare_adaptive_vs_oracle(config: SimulationConfig,
-                               out_dir=None) -> list:
-    """Advance the adaptive and full-grid solvers in lockstep.
-
-    Emits one relative-error record per step to error_series.csv and
-    returns the records.  Reporting stops once the reference field's
-    peak falls below ORACLE_FLOOR times its initial value; past that
-    point the pulse has left the domain and the ratio means nothing.
-    """
-    adaptive = Simulation(replace(config, full_grid=False))
-    reference = Simulation(replace(config, full_grid=True))
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    floor = ORACLE_FLOOR * float(np.abs(reference.state.ey).max())
-    records = []
-    for _ in range(config.steps):
-        adaptive.step()
-        reference.step()
-        max_full = float(np.abs(reference.state.ey).max())
-        if max_full < floor:
-            break
-        # Compare the adaptive solution as it is defined over the whole
-        # domain: active values plus interpolation at inactive points.
-        rel = float(np.abs(adaptive.dense_ey()
-                           - reference.state.ey).max()) / max_full
-        records.append(ErrorRecord(k=reference.state.k, t=reference.state.t,
-                                   max_full=max_full, rel_err=rel))
-
-    with open(out / "error_series.csv", "w") as fh:
-        fh.write(ERROR_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.k},{_fmt(r.t)},{_fmt(r.max_full)},"
-                     f"{_fmt(r.rel_err)}\n")
-    return records
 
 
 def proportionality_report(manifest, out_dir=None):

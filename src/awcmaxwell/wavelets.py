@@ -23,8 +23,9 @@ lifting with zero extension exactly when the mask is closed under the
 prediction stencils (grid.reconstruction_check), through two of its
 closure families: "d3 rows into d2" keeps the d2 points whose details
 Sx d2 reads, and "d3 columns into d1" keeps every d1 point where Sz d3
-is nonzero.  A transform called with check=False on a mask that is not
-closed gives undefined results.
+is nonzero.  With check=True a transform first asks grid.require_closed,
+that is, the reconstruction check itself; called with check=False on a
+mask that is not closed it gives undefined results.
 
 A full transform lists the active points once, in a MaskPlan, and each
 level gathers its taps at the points listed for it only, so its work

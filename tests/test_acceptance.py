@@ -20,7 +20,6 @@ from awcmaxwell.errors import InstabilityError
 from awcmaxwell.filters import build_filter_bank
 from awcmaxwell.grid import GridSpec
 from awcmaxwell.harness import (
-    compare_adaptive_vs_oracle,
     proportionality_report,
     read_mask_pgm,
     run_simulation,
@@ -47,17 +46,19 @@ def report(criterion: int, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def calibration_runs(tmp_path_factory):
+    # The second run has the full-grid oracle on, so criterion 10 also
+    # shows that the oracle leaves the adaptive run as it is.
     first = run_simulation(CALIBRATION,
                            out_dir=tmp_path_factory.mktemp("run_first"))
     second = run_simulation(CALIBRATION,
-                            out_dir=tmp_path_factory.mktemp("run_second"))
+                            out_dir=tmp_path_factory.mktemp("run_second"),
+                            oracle=True)
     return first, second
 
 
 @pytest.fixture(scope="module")
-def oracle_records(tmp_path_factory):
-    return compare_adaptive_vs_oracle(
-        CALIBRATION, out_dir=tmp_path_factory.mktemp("compare"))
+def oracle_records(calibration_runs):
+    return calibration_runs[1].errors
 
 
 def test_criterion_01_derivative_filter_exactness():
@@ -232,11 +233,28 @@ def test_criterion_07_compression_and_far_field_coarseness(
               f"coarse beyond the front (min slack {worst_slack:.3f} um)")
 
 
+def worst_fit_steps(records, count=5):
+    """The steps farthest from the linear fit of wall time on cardinality,
+    as (k, cardinality, wall_ms, residual ms).  A host stall shows as a
+    few steps with large residuals; a real regression as a poor fit
+    throughout."""
+    card = np.array([r.cardinality for r in records], dtype=float)
+    wall = np.array([r.wall_ms for r in records])
+    slope, intercept = np.polyfit(card, wall, 1)
+    residual = wall - (intercept + slope * card)
+    return [(records[i].k, records[i].cardinality, round(float(wall[i]), 2),
+             round(float(residual[i]), 2))
+            for i in np.argsort(-np.abs(residual))[:count]]
+
+
 def test_criterion_08_wall_time_tracks_active_points(calibration_runs):
     first, _ = calibration_runs
     pearson = proportionality_report(first.manifest_path)
     assert pearson is not None
-    assert pearson >= 0.9
+    assert pearson >= 0.9, (
+        f"Pearson {pearson:.4f}; steps farthest from the cost fit as "
+        f"(k, cardinality, wall_ms, residual): "
+        f"{worst_fit_steps(first.records)}")
     report(8, f"wall-time vs cardinality Pearson {pearson:.4f} >= 0.9")
 
 

@@ -77,10 +77,6 @@ class TestBuildFilterBank:
         )
         np.testing.assert_array_equal(bank.predict_offsets, [-1, 0, 1, 2])
 
-    def test_order2_update_values(self):
-        bank = build_filter_bank(2)
-        np.testing.assert_array_equal(bank.update_offsets, [-2, -1, 0, 1])
-
     def test_order2_deriv_values(self):
         bank = build_filter_bank(2)
         np.testing.assert_array_equal(bank.deriv_filter, [2 / 3, -1 / 12])
@@ -109,7 +105,6 @@ class TestBuildFilterBank:
     def test_filter_lengths(self, order):
         bank = build_filter_bank(order)
         assert len(bank.predict_weights) == 2 * order
-        assert len(bank.update_offsets) == 2 * order
         assert bank.deriv_halfwidth == 2 * (order - 1)
 
     @pytest.mark.parametrize("order", [0, 1, 5, 7])

@@ -16,7 +16,6 @@ from awcmaxwell.harness import (
     MANIFEST_HEADER,
     StepRecord,
     _write_manifest,
-    compare_adaptive_vs_oracle,
     proportionality_report,
     read_manifest,
     read_mask_pgm,
@@ -182,12 +181,13 @@ def test_oracle_summary_written(tmp_path):
     result = run_simulation(tiny_config(steps=2), out_dir=tmp_path,
                             oracle=True)
     text = result.manifest_path.read_text()
-    assert "# summary: final_rel_error = " in text
+    last = result.errors[-1].rel_err
+    assert f"# summary: final_rel_error = {last!r}" in text
 
 
 def test_compare_zero_threshold_is_exact(tmp_path):
     cfg = tiny_config(zeta=0.0, steps=8)
-    records = compare_adaptive_vs_oracle(cfg, out_dir=tmp_path)
+    records = run_simulation(cfg, out_dir=tmp_path, oracle=True).errors
     assert len(records) == 8
     assert max(r.rel_err for r in records) <= 1e-12
     lines = (tmp_path / "error_series.csv").read_text().splitlines()
@@ -196,10 +196,29 @@ def test_compare_zero_threshold_is_exact(tmp_path):
 
 
 def test_compare_tracks_reference_peak(tmp_path):
-    records = compare_adaptive_vs_oracle(tiny_config(steps=3),
-                                         out_dir=tmp_path)
+    records = run_simulation(tiny_config(steps=3), out_dir=tmp_path,
+                             oracle=True).errors
     assert [r.k for r in records] == [1, 2, 3]
     assert all(r.max_full > 0 for r in records)
+
+
+def test_oracle_on_zero_field_writes_no_records(tmp_path):
+    # A reference that is zero from the start is below any floor: no
+    # record, no summary, and a header-only error series.
+    cfg = SimulationConfig(jmin=3, jmax=5, steps=3, ic="zero")
+    result = run_simulation(cfg, out_dir=tmp_path, oracle=True)
+    assert result.errors == []
+    assert len(result.records) == 3
+    assert "final_rel_error" not in result.manifest_path.read_text()
+    assert ((tmp_path / "error_series.csv").read_text()
+            == "k,t,max_full,rel_err\n")
+
+
+def test_oracle_off_writes_no_error_series(tmp_path):
+    result = run_simulation(tiny_config(steps=2), out_dir=tmp_path)
+    assert result.errors == []
+    assert not (tmp_path / "error_series.csv").exists()
+    assert "final_rel_error" not in result.manifest_path.read_text()
 
 
 # ------------------------------------------------------------ timing report
@@ -308,6 +327,8 @@ def test_cli_compare_exits_zero(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "error_series.csv").exists()
+    assert (tmp_path / "manifest.csv").exists()
+    assert (tmp_path / "field_k2.csv").exists()
     assert "max relative error" in capsys.readouterr().out
 
 

@@ -6,6 +6,8 @@ emptied lines, whole filled lines, isolated points and edge rows and
 columns, the cases where sorted-coordinate gaps and edge taps go wrong.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_derivatives import oracle_diff  # noqa: E402
-from test_grid import oracle_extend, oracle_levels  # noqa: E402
+from test_grid import (  # noqa: E402
+    oracle_closure,
+    oracle_extend,
+    oracle_levels,
+    oracle_stencil_taps,
+)
 from test_wavelets import oracle_fwt, oracle_iwt  # noqa: E402
 
 from awcmaxwell.derivatives import diff_x, diff_z  # noqa: E402
+from awcmaxwell.errors import MaskClosureError  # noqa: E402
 from awcmaxwell.filters import build_filter_bank  # noqa: E402
 from awcmaxwell.grid import (  # noqa: E402
     GridSpec,
@@ -24,9 +32,9 @@ from awcmaxwell.grid import (  # noqa: E402
     add_adjacent_zone,
     compute_levels,
     extend_for_derivatives,
-    find_missing_stencil_point,
     masked_points,
     reconstruction_check,
+    require_closed,
 )
 from awcmaxwell.wavelets import (  # noqa: E402
     WAVELET,
@@ -98,9 +106,33 @@ def test_closures_only_add_points_and_are_idempotent(data):
     zone = add_adjacent_zone(mask, spec)
     closed = reconstruction_check(zone, spec, bank)
     assert (zone >= mask).all() and (closed >= zone).all()
-    assert find_missing_stencil_point(closed, spec, bank) is None
+    np.testing.assert_array_equal(oracle_closure(closed, spec, bank), closed)
     np.testing.assert_array_equal(reconstruction_check(closed, spec, bank),
                                   closed)
+
+
+@PROPERTY
+@given(st.data())
+def test_require_closed_names_a_masked_point_and_its_absent_tap(data):
+    # It raises exactly when the loop closure would add a point, and the
+    # pair it names is a masked detail point and a tap of its stencil
+    # that the mask lacks.
+    spec = data.draw(grids())
+    bank = build_filter_bank(data.draw(st.sampled_from([2, 3, 4])))
+    mask = data.draw(masks(spec))
+    closed = (oracle_closure(mask, spec, bank) == mask).all()
+    try:
+        require_closed(mask, spec, bank, "test")
+    except MaskClosureError as err:
+        found = re.search(r"point \((\d+), (\d+)\) needs absent tap "
+                          r"\((\d+), (\d+)\)", str(err))
+        pm, pn, tm, tn = (int(v) for v in found.groups())
+        assert not closed
+        assert mask[pm, pn] and spec.detail[pm, pn]
+        assert (tm, tn) in oracle_stencil_taps(spec, bank, pm, pn)
+        assert not mask[tm, tn]
+    else:
+        assert closed
 
 
 @PROPERTY
@@ -138,7 +170,7 @@ def test_mask_plan_lifts_exactly_the_evens_near_a_detail(case):
     spec, bank, mask, fields = case
     lifts = {}
     oracle_fwt(fields[0], mask, spec, bank, lifts)
-    reach = [2 * int(l) + 1 for l in bank.update_offsets]
+    reach = [2 * int(l) - 1 for l in bank.predict_offsets]
     plan = MaskPlan(mask, spec, bank)
     for level, (_, _, _, even) in enumerate(plan.levels, spec.j_min):
         h, n = spec.stride(level + 1), spec.n
@@ -237,4 +269,4 @@ def test_extend_for_derivatives_matches_loop_oracle(case, own_levels, seed):
     np.testing.assert_array_equal(grown,
                                   oracle_extend(mask, spec, levels, bank))
     assert (grown >= mask).all() and grown[spec.coarse_mask()].all()
-    assert find_missing_stencil_point(grown, spec, bank) is None
+    np.testing.assert_array_equal(oracle_closure(grown, spec, bank), grown)

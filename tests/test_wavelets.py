@@ -45,8 +45,8 @@ def oracle_fwt(field, mask, spec, bank, lifts=None):
     of every masked even-even point, keyed (level, row, col)."""
     w = bank.predict_weights
     po = [2 * int(l) - 1 for l in bank.predict_offsets]
-    u = bank.predict_weights  # the update lifts with the predict values
-    uo = [2 * int(l) + 1 for l in bank.update_offsets]
+    # The update lifts with the predict values, at the same offsets.
+    u = bank.predict_weights
     a = np.where(mask, np.asarray(field, dtype=float), 0.0)
     for b in range(spec.j_max, spec.j_min, -1):
         h = spec.stride(b)
@@ -80,10 +80,10 @@ def oracle_fwt(field, mask, spec, bank, lifts=None):
                 if not mv[m, n]:
                     out[m, n] = 0.0
                     continue
-                s1 = sum(u[i] * _tap(detailed, m + uo[i], n) for i in range(len(u)))
-                s2 = sum(u[i] * _tap(detailed, m, n + uo[i]) for i in range(len(u)))
+                s1 = sum(u[i] * _tap(detailed, m + po[i], n) for i in range(len(u)))
+                s2 = sum(u[i] * _tap(detailed, m, n + po[i]) for i in range(len(u)))
                 s3 = sum(
-                    u[i] * u[k] * _tap(detailed, m + uo[i], n + uo[k])
+                    u[i] * u[k] * _tap(detailed, m + po[i], n + po[k])
                     for i in range(len(u))
                     for k in range(len(u))
                 )
@@ -100,7 +100,6 @@ def oracle_iwt(coeffs, mask, spec, bank):
     even-even values, then d3 with its tensor term."""
     w = bank.predict_weights
     po = [2 * int(l) - 1 for l in bank.predict_offsets]
-    uo = [2 * int(l) + 1 for l in bank.update_offsets]
     taps = range(len(w))
     a = np.where(mask, np.asarray(coeffs, dtype=float), 0.0)
     for b in range(spec.j_min + 1, spec.j_max + 1):
@@ -112,9 +111,9 @@ def oracle_iwt(coeffs, mask, spec, bank):
         for m in range(0, size, 2):
             for n in range(0, size, 2):
                 if mv[m, n]:
-                    s1 = sum(w[i] * _tap(c, m + uo[i], n) for i in taps)
-                    s2 = sum(w[i] * _tap(c, m, n + uo[i]) for i in taps)
-                    s3 = sum(w[i] * w[k] * _tap(c, m + uo[i], n + uo[k])
+                    s1 = sum(w[i] * _tap(c, m + po[i], n) for i in taps)
+                    s2 = sum(w[i] * _tap(c, m, n + po[i]) for i in taps)
+                    s3 = sum(w[i] * w[k] * _tap(c, m + po[i], n + po[k])
                              for i in taps for k in taps)
                     v[m, n] = c[m, n] - (s1 + s2 + s3)
         for m in range(size):
@@ -251,9 +250,9 @@ def test_impulse_update_lifts_even_neighbours():
     pyr = CoeffPyramid(data, spec)
     fwt_step(pyr, 4, spec.full_mask(), bank)
     assert pyr.data[15, 17] == 0.25
-    for i, ui in zip(bank.update_offsets, bank.predict_weights):
-        for k, uk in zip(bank.update_offsets, bank.predict_weights):
-            got = pyr.data[15 - (2 * i + 1), 17 - (2 * k + 1)]
+    for i, ui in zip(bank.predict_offsets, bank.predict_weights):
+        for k, uk in zip(bank.predict_offsets, bank.predict_weights):
+            got = pyr.data[15 - (2 * i - 1), 17 - (2 * k - 1)]
             assert got == pytest.approx(ui * uk * 0.25, abs=1e-16)
 
 
