@@ -37,9 +37,12 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
     coeffs = bank.deriv_filter
     n = spec.n
 
-    if mask.all() and np.all(levels == spec.j_max):
+    if not spec.coarsened and mask.all() and np.all(levels == spec.j_max):
         # Uniform classical stencil, vectorized along the whole axis: the
-        # taps of every point are slices of one zero-padded copy.
+        # taps of every point are slices of one zero-padded copy.  It
+        # rounds differently from the masked branch, so a full mask on
+        # a coarser lattice (GridSpec.lattice), which is not full on the
+        # finest one, takes the masked branch.
         pad = bank.deriv_halfwidth
 
         def along(start):

@@ -66,23 +66,6 @@ def _lagrange_midpoint_fractions(order: int) -> list[Fraction]:
     return weights
 
 
-def lagrange_midpoint_weights(order: int) -> np.ndarray:
-    """Midpoint interpolation weights of the order-``order`` scheme.
-
-    Parameters
-    ----------
-    order:
-        Half the stencil width; any integer >= 1.
-
-    Returns
-    -------
-    ndarray of shape (2*order,), the weights for nodes -(order-1)..order.
-    """
-    if order < 1:
-        raise ConfigError(f"interpolation order must be >= 1, got {order}")
-    return np.array([float(w) for w in _lagrange_midpoint_fractions(order)])
-
-
 @dataclass(frozen=True)
 class FilterBank:
     """Coefficient sets of one interpolating-wavelet order.

@@ -19,6 +19,21 @@ indices.  Work that only concerns the masked points (levels, derivative
 taps, derivatives, the field update) runs on such a list, so its cost
 follows the number of masked points rather than the size of the lattice;
 a caller that already holds the list of a mask passes it on.
+
+A mask whose points all lie on the level-J lattice can be worked on with
+the grid of that lattice alone, GridSpec.lattice(J), through the view
+mask[::s, ::s], s = stride(J).  Birth and density levels are absolute,
+so the points keep theirs, and every operation here, in the wavelets
+and in the derivatives reads the same taps with the same weights in the
+same order on either grid.  So the reconstruction check, the levels,
+the derivative extension, the transforms, the threshold and the
+derivatives give bit for bit the finest grid's values at the lattice's
+points, and the finest grid's results are zero or False off it: the
+reconstruction check only adds taps of a point's own birth level or
+coarser, and a point's derivative taps are spaced by its density level,
+which is no finer than J.  The adjacent zone of a point born at level b
+reaches level b + 1, so it stays on the lattice when no point is born
+at J.  finest_level finds the level J of a mask.
 """
 
 from typing import NamedTuple
@@ -60,10 +75,30 @@ class GridSpec:
         birth = np.maximum.outer(axis_level, axis_level)
         self.birth = np.maximum(birth, j_min)
         self.detail = self.birth > j_min
+        self.coarsened = False
+        self._lattices = {j_max: self}
 
     def stride(self, j: int) -> int:
         """Finest-index spacing of the level-j lattice."""
         return 1 << (self.j_max - j)
+
+    def lattice(self, j: int) -> "GridSpec":
+        """The grid of the level-j lattice alone, GridSpec(j_min, j) for
+        j_min < j <= j_max, built once; this grid itself for j = j_max.
+
+        Its points are this grid's points at stride(j), with the same
+        birth levels (see the module docstring).  Its ``coarsened`` is
+        True below j_max: its finest level is not the lattice the fields
+        are sampled on.
+        """
+        if j not in self._lattices:
+            if not self.j_min < j < self.j_max:
+                raise ValueError(f"level {j} outside ({self.j_min}, "
+                                 f"{self.j_max}]")
+            grid = GridSpec(self.j_min, j)
+            grid.coarsened = True
+            self._lattices[j] = grid
+        return self._lattices[j]
 
     def full_mask(self) -> np.ndarray:
         return np.ones((self.n, self.n), dtype=bool)
@@ -78,6 +113,18 @@ class GridSpec:
 
 def cardinality(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
+
+
+def finest_level(mask: np.ndarray, spec: GridSpec) -> int:
+    """Finest birth level of a masked point; j_min when the mask holds
+    only coarse points or none.  Walks down from j_max, testing the
+    points born at each level (odd rows, or even rows and odd columns,
+    of that level's lattice) through strided views."""
+    for b in range(spec.j_max, spec.j_min, -1):
+        h = spec.stride(b)
+        if mask[h::2 * h, ::h].any() or mask[::2 * h, h::2 * h].any():
+            return b
+    return spec.j_min
 
 
 class Points(NamedTuple):
@@ -126,10 +173,11 @@ def add_adjacent_zone(
     every lattice point (j', m', n') with |j' - b| <= level_range and
     |2^(j'-b) mb - m'| <= space_range (likewise for n'), with j' clipped to
     [j_min, j_max].  Coarse scaling points spawn no zone; their same-level
-    neighbourhood is the always-present coarse lattice.
+    neighbourhood is the always-present coarse lattice.  Levels finer than
+    the mask's finest detail point spawn nothing and are not visited.
     """
     out = mask.copy()
-    for b in range(spec.j_min + 1, spec.j_max + 1):
+    for b in range(spec.j_min + 1, finest_level(mask, spec) + 1):
         h = spec.stride(b)
         det = np.zeros_like(mask[::h, ::h])
         det[1::2, :] = mask[h::2 * h, ::h]
@@ -192,10 +240,14 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     at which the update's staged z sum of d3 details is nonzero (the tap
     offsets are symmetric).  A transform on a mask without them, run
     with check=False, gives undefined results.
+
+    The pass starts at the mask's finest birth level: a level without
+    masked details adds nothing.
     """
     out = mask.copy()
-    lattice = out
-    for b in range(spec.j_max, spec.j_min, -1):
+    top = finest_level(mask, spec)
+    lattice = out[::spec.stride(top), ::spec.stride(top)]
+    for b in range(top, spec.j_min, -1):
         # d3 is (k, k), d1 (k, k + 1), d2 (k + 1, k), even (k + 1, k + 1).
         d1, d2, d3, even = (np.ascontiguousarray(lattice[r::2, c::2])
                             for r, c in ((1, 0), (0, 1), (1, 1), (0, 0)))

@@ -19,6 +19,22 @@ finite check cost in proportion to the active points.  Every entry off
 the masks is 0.0 by construction, so only the listed entries are
 computed.  In full-grid mode every point is active and the same
 arithmetic runs on the whole arrays.
+
+Each phase of an adaptive step runs on the lattice of its working level
+J, with the grid GridSpec.lattice(J), and reads the state's (n, n)
+arrays through [::s, ::s] views, s = 2^(j_max - J).  adapt_step takes J
+one level finer than the finest point of the incoming mask0, since the
+threshold keeps points of that mask only and the adjacent zone adds at
+most one level; update_step takes the finest level of pmask1 | mask2,
+the supports it reads.  On that lattice every point reads the same taps
+with the same weights in the same order as on the finest one (see the
+grid module), so the results are bit for bit those of the whole mesh,
+at a cost that follows the lattice of the points rather than the
+(2^j_max + 1)^2 mesh.  A phase writes the state back as fresh (n, n)
+arrays, scattering the values of its listed points; the points it
+returns and takes stay in finest-lattice coordinates, and J is chosen
+afresh from the masks each time, so a replayed or hand-built state
+picks its own.  Full-grid mode runs on the finest lattice.
 """
 
 import math
@@ -36,6 +52,7 @@ from .grid import (
     add_adjacent_zone,
     compute_levels,
     extend_for_derivatives,
+    finest_level,
     masked_points,
     reconstruction_check,
 )
@@ -113,13 +130,40 @@ def _at(array, points: Points | None):
 
 
 def _lattice(values, points: Points | None, n: int):
-    """Values at the listed points on an otherwise zero (n, n) lattice;
-    values itself when points is None."""
+    """Values at the listed points on an otherwise zero (n, n) lattice,
+    of the values' type; values itself when points is None."""
     if points is None:
         return values
-    out = np.zeros(n * n)
+    out = np.zeros(n * n, dtype=np.result_type(values))
     out[points.flat] = values
     return out.reshape(n, n)
+
+
+def _to_finest(points: Points, s: int, n: int) -> Points:
+    """Points of the stride-s lattice in coordinates of the finest one,
+    which has n points per axis."""
+    if s == 1:
+        return points
+    rows, cols = points.rows * s, points.cols * s
+    return Points(rows, cols, rows * n + cols)
+
+
+def _to_working(points: Points | None, s: int, m: int) -> Points | None:
+    """Finest-lattice points, all on the stride-s lattice, in coordinates
+    of that lattice, which has m points per axis."""
+    if points is None or s == 1:
+        return points
+    rows, cols = points.rows // s, points.cols // s
+    return Points(rows, cols, rows * m + cols)
+
+
+def _widened(array, points: Points, fine: Points, n: int):
+    """A working-lattice array as an (n, n) one: the array itself on the
+    finest lattice, else its values at the points, zero elsewhere; fine
+    lists the points in finest-lattice coordinates."""
+    if array.shape[-1] == n:
+        return array
+    return _lattice(array[points.rows, points.cols], fine, n)
 
 
 def _require_subset(inner, outer, what):
@@ -244,6 +288,12 @@ class Simulation:
 
     # ------------------------------------------------------------ stepping
 
+    def _working(self, level: int) -> tuple[GridSpec, int]:
+        """The grid of the level-`level` lattice, at least j_min + 1, and
+        its stride on the finest lattice."""
+        level = max(level, self.spec.j_min + 1)
+        return self.spec.lattice(level), self.spec.stride(level)
+
     def adapt_step(self) -> tuple[Points, Points, Points] | None:
         """Re-fit the grid to the current Ey (no-op in full-grid mode).
 
@@ -257,18 +307,23 @@ class Simulation:
         field content every step and the deviation from the full-grid
         reference then grows far past the threshold scale.
 
-        Returns the listed points of the new mask0, mask1 and mask2, for
-        update_step, or None in full-grid mode.
+        Returns the listed points of the new mask0, mask1 and mask2, in
+        finest-lattice coordinates, for update_step, or None in full-grid
+        mode.  It runs on the lattice one level finer than pmask0's finest
+        point (see the module docstring).
         """
-        state, spec, bank = self.state, self.spec, self.bank
+        state, bank, n = self.state, self.bank, self.spec.n
         state.pmask0 = state.mask0
         state.pmask1 = state.mask1
         if self.config.full_grid:
             return None
+        finest = finest_level(state.pmask0, self.spec)
+        spec, s = self._working(min(self.spec.j_max, finest + 1))
+        pmask0 = np.ascontiguousarray(state.pmask0[::s, ::s])
         # Both splits go through one stacked transform per mask.
-        pyr = CoeffPyramid.from_field((state.eyx, state.eyz), spec,
-                                      mask=state.pmask0)
-        mask0 = self._thinned_mask(pyr, state.pmask0)
+        pyr = CoeffPyramid.from_field(
+            (state.eyx[::s, ::s], state.eyz[::s, ::s]), spec, mask=pmask0)
+        mask0 = self._thinned_mask(pyr, pmask0)
         mask0 = reconstruction_check(add_adjacent_zone(mask0, spec), spec, bank)
         points0 = masked_points(mask0)
         level0 = compute_levels(mask0, spec, points0)
@@ -281,11 +336,17 @@ class Simulation:
         plan = MaskPlan(mask2, spec, bank)
         iwt_full(pyr, mask2, bank, check=False, plan=plan)
         points2 = Points(plan.rows, plan.cols, plan.rows * spec.n + plan.cols)
-        state.eyx, state.eyz = pyr.data
-        state.ey = _lattice(_split_sum(pyr, plan), points2, spec.n)
-        state.mask0, state.mask1, state.mask2 = mask0, mask1, mask2
-        state.level0, state.level1 = level0, level1
-        return points0, points1, points2
+        listed = points0, points1, points2
+        fine = tuple(_to_finest(points, s, n) for points in listed)
+        # The splits are zero off mask2, the masks off their points and
+        # the levels off their masks' points.
+        state.eyx, state.eyz = (_widened(field, points2, fine[2], n)
+                                for field in pyr.data)
+        state.ey = _lattice(_split_sum(pyr, plan), fine[2], n)
+        state.mask0, state.mask1, state.mask2, state.level0, state.level1 = (
+            _widened(array, listed[i], fine[i], n) for array, i in (
+                (mask0, 0), (mask1, 1), (mask2, 2), (level0, 0), (level1, 1)))
+        return fine
 
     def _thinned_mask(self, pair: CoeffPyramid, mask) -> np.ndarray:
         """Forward-transform the split pair on mask, in place, and return
@@ -295,10 +356,10 @@ class Simulation:
         the closure operations, which guarantee stencil completeness, so
         the per-call validation is skipped.
         """
-        plan = MaskPlan(mask, self.spec, self.bank)
+        plan = MaskPlan(mask, pair.spec, self.bank)
         fwt_full(pair, mask, self.bank, check=False, plan=plan)
         # Off the mask both transformed splits are zero, and so is their sum.
-        total = CoeffPyramid(pair.data[0], self.spec, WAVELET, where=False)
+        total = CoeffPyramid(pair.data[0], pair.spec, WAVELET, where=False)
         total.data[plan.rows, plan.cols] = _split_sum(pair, plan)
         return threshold_coeffs(total, self.config.zeta, mask=mask)[1]
 
@@ -307,7 +368,8 @@ class Simulation:
 
         points are the listed points of the state's masks, as adapt_step
         returns them; on an adaptive grid they are listed here when not
-        given.
+        given.  An adaptive update runs on the lattice of the finest
+        point of pmask1 | mask2 (see the module docstring).
         """
         state = self.state
         if points is None and not self.config.full_grid:
@@ -326,27 +388,41 @@ class Simulation:
             raise InstabilityError(state.k)
 
     def _update_fields(self, points):
-        state, spec, bank = self.state, self.spec, self.bank
+        state, bank = self.state, self.bank
         length, n = self.length_m, self.spec.n
+        if points is None:
+            spec, s = self.spec, 1
+            p0, p1, p2 = (None,) * 3
+        else:
+            spec, s = self._working(
+                finest_level(state.pmask1 | state.mask2, self.spec))
+            p0, p1, p2 = points
+        # The p* list points on the finest lattice, the w* on spec's.
+        w0, w1, w2 = (_to_working(p, s, spec.n) for p in (p0, p1, p2))
+        mask1, mask2, level0, level1 = (
+            array[::s, ::s] for array in (state.mask1, state.mask2,
+                                          state.level0, state.level1))
 
         # The magnetic fields carry genuine values on the whole previous
         # Mask1 (update ring included); interpolating from that support
         # instead of the previous Mask0 keeps them, and the error against
         # the full-grid reference stays at the threshold scale instead of
         # accumulating ring-prediction glitches every step.  Both fields
-        # share one stacked regrid; a full grid never changes and needs
-        # none.
-        if not self.config.full_grid:
-            state.hx, state.hz = interpolate_missing(
-                (state.hx, state.hz), state.pmask1, state.mask1, spec, bank,
-                check=False)
-        p0, p1, p2 = (None,) * 3 if points is None else points
+        # share one stacked regrid.  The update reads H at mask1's points
+        # only, so when mask1 lies inside pmask1, and on a full grid, the
+        # values there are H's own and no regrid runs.
+        if p1 is not None and not state.pmask1.reshape(-1)[p1.flat].all():
+            state.hx, state.hz = (
+                _lattice(_at(field, w1), p1, n)
+                for field in interpolate_missing(
+                    (state.hx[::s, ::s], state.hz[::s, ::s]),
+                    state.pmask1[::s, ::s], mask1, spec, bank, check=False))
         # H is updated on mask1 and reads the derivatives of Ey there
         # only; their taps reach over mask2.
-        dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank,
-                       length, at=p1, points=p2)
-        dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank,
-                       length, at=p1, points=p2)
+        dz_ey = diff_z(state.ey[::s, ::s], mask2, level1, spec, bank, length,
+                       at=w1, points=w2)
+        dx_ey = diff_x(state.ey[::s, ::s], mask2, level1, spec, bank, length,
+                       at=w1, points=w2)
         state.hx = _lattice(_at(self.ea_z, p1) * _at(state.hx, p1)
                             + _at(self.hb_z, p1) * dz_ey, p1, n)
         state.hz = _lattice(_at(self.ea_x, p1) * _at(state.hz, p1)
@@ -354,10 +430,10 @@ class Simulation:
 
         # The splits came out of adapt_step valid on mask2, a superset
         # of mask0, so they need no separate interpolation pass here.
-        dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank,
-                       length, at=p0, points=p1)
-        dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank,
-                       length, at=p0, points=p1)
+        dz_hx = diff_z(state.hx[::s, ::s], mask1, level0, spec, bank, length,
+                       at=w0, points=w1)
+        dx_hz = diff_x(state.hz[::s, ::s], mask1, level0, spec, bank, length,
+                       at=w0, points=w1)
         state.eyz = _lattice(_at(self.ea_z, p0) * _at(state.eyz, p0)
                              + _at(self.eb_z, p0) * dz_hx, p0, n)
         state.eyx = _lattice(_at(self.ea_x, p0) * _at(state.eyx, p0)

@@ -335,6 +335,18 @@ def test_extend_for_derivatives_idempotent_with_fixed_levels():
     np.testing.assert_array_equal(once, twice)
 
 
+def test_lattice_grid_is_the_strided_grid_of_its_level():
+    spec = GridSpec(2, 5)
+    assert spec.lattice(5) is spec and not spec.coarsened
+    coarse = spec.lattice(3)
+    assert coarse is spec.lattice(3) and coarse.coarsened
+    assert (coarse.j_min, coarse.j_max) == (2, 3)
+    np.testing.assert_array_equal(coarse.birth, spec.birth[::4, ::4])
+    for level in (2, 6):
+        with pytest.raises(ValueError, match="level"):
+            spec.lattice(level)
+
+
 def test_cardinality_counts_points(spec4):
     assert cardinality(spec4.coarse_mask()) == 25
     assert cardinality(spec4.full_mask()) == 17 * 17

@@ -32,6 +32,7 @@ from awcmaxwell.grid import (  # noqa: E402
     add_adjacent_zone,
     compute_levels,
     extend_for_derivatives,
+    finest_level,
     masked_points,
     reconstruction_check,
     require_closed,
@@ -43,6 +44,7 @@ from awcmaxwell.wavelets import (  # noqa: E402
     fwt_full,
     interpolate_missing,
     iwt_full,
+    threshold_coeffs,
 )
 
 # Fixed examples keep the suite reproducible; no example database.
@@ -270,3 +272,147 @@ def test_extend_for_derivatives_matches_loop_oracle(case, own_levels, seed):
                                   oracle_extend(mask, spec, levels, bank))
     assert (grown >= mask).all() and grown[spec.coarse_mask()].all()
     np.testing.assert_array_equal(oracle_closure(grown, spec, bank), grown)
+
+
+# ------------------------------------------------- coarser working lattices
+
+
+@st.composite
+def lattice_cases(draw):
+    """Grid, a level J of it, the grid of the level-J lattice, filter bank
+    and a mask drawn on that lattice: random, or (one case in four) the
+    whole lattice, whose points then all get the uniform level J."""
+    spec = draw(grids())
+    level = draw(st.integers(spec.j_min + 1, spec.j_max))
+    coarse = spec.lattice(level)
+    bank = build_filter_bank(draw(st.sampled_from([2, 3, 4])))
+    whole = draw(st.integers(0, 3)) == 0
+    mask = coarse.full_mask() if whole else draw(masks(coarse))
+    return spec, coarse, bank, mask
+
+
+def on_finest(values, spec, coarse):
+    """A level-J lattice array as an (n, n) one, zero off the lattice."""
+    s = spec.stride(coarse.j_max)
+    out = np.zeros(values.shape[:-2] + (spec.n, spec.n), dtype=values.dtype)
+    out[..., ::s, ::s] = values
+    return out
+
+
+def assert_lattice_result(fine, got, spec, coarse):
+    """The (n, n) result equals the lattice's bit for bit at the lattice's
+    points and is zero or False off them."""
+    s = spec.stride(coarse.j_max)
+    assert fine[..., ::s, ::s].tobytes() == got.tobytes()
+    off = np.ones((spec.n, spec.n), dtype=bool)
+    off[::s, ::s] = False
+    assert not fine[..., off].any()
+
+
+@PROPERTY
+@given(lattice_cases(), st.integers(0, 2**32 - 1))
+def test_closures_and_levels_on_a_coarser_lattice_match_the_finest(case,
+                                                                   seed):
+    spec, coarse, bank, mask = case
+    fine = on_finest(mask, spec, coarse)
+    assert finest_level(fine, spec) == finest_level(mask, coarse) == max(
+        spec.birth[fine], default=spec.j_min)
+    assert_lattice_result(reconstruction_check(fine, spec, bank),
+                          reconstruction_check(mask, coarse, bank),
+                          spec, coarse)
+    # The adjacent zone reaches one level finer than its points, so its
+    # mask holds the points of the lattice one level coarser (as the one
+    # adapt_step thresholds), or of the finest one.
+    zoned = mask
+    if coarse.j_max < spec.j_max:
+        zoned = np.zeros_like(mask)
+        zoned[::2, ::2] = mask[::2, ::2]
+    assert_lattice_result(add_adjacent_zone(on_finest(zoned, spec, coarse),
+                                            spec),
+                          add_adjacent_zone(zoned, coarse), spec, coarse)
+    closed = reconstruction_check(mask | coarse.coarse_mask(), coarse, bank)
+    levels = compute_levels(closed, coarse)
+    assert_lattice_result(compute_levels(on_finest(closed, spec, coarse),
+                                         spec), levels, spec, coarse)
+    # Levels from compute_levels, or any level of the lattice at every
+    # point: the taps stay on it.
+    if seed % 2:
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(coarse.j_min, coarse.j_max + 1, levels.shape)
+    assert_lattice_result(
+        extend_for_derivatives(on_finest(closed, spec, coarse), spec,
+                               on_finest(levels, spec, coarse), bank),
+        extend_for_derivatives(closed, coarse, levels, bank), spec, coarse)
+
+
+@PROPERTY
+@given(lattice_cases(), st.data())
+def test_transforms_and_threshold_on_a_coarser_lattice_match_the_finest(
+        case, data):
+    spec, coarse, bank, mask = case
+    closed = reconstruction_check(mask, coarse, bank)
+    fine_mask = on_finest(closed, spec, coarse)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fields = on_finest(rng.standard_normal((2, coarse.n, coarse.n)), spec,
+                       coarse)
+    s = spec.stride(coarse.j_max)
+    fine_plan, plan = (MaskPlan(fine_mask, spec, bank),
+                       MaskPlan(closed, coarse, bank))
+    assert fine_plan.rows.tobytes() == (plan.rows * s).tobytes()
+    assert fine_plan.cols.tobytes() == (plan.cols * s).tobytes()
+    for fine_level, level in zip(fine_plan.levels, plan.levels):
+        for (fine_r, fine_c), (r, c) in zip(fine_level, level):
+            assert fine_r.tobytes() == (r * s).tobytes()
+            assert fine_c.tobytes() == (c * s).tobytes()
+    fine, got = (CoeffPyramid.from_field(fields, spec, mask=fine_mask),
+                 CoeffPyramid.from_field(fields[:, ::s, ::s], coarse,
+                                         mask=closed))
+    fwt_full(fine, fine_mask, bank, plan=fine_plan)
+    fwt_full(got, closed, bank, plan=plan)
+    assert_lattice_result(fine.data, got.data, spec, coarse)
+    # Inverted on the mask or on a closed part of it, as a regrid drops
+    # points.
+    smaller = closed
+    if data.draw(st.booleans()):
+        smaller = reconstruction_check(closed & data.draw(masks(coarse)),
+                                       coarse, bank)
+    iwt_full(fine, on_finest(smaller, spec, coarse), bank)
+    iwt_full(got, smaller, bank)
+    assert_lattice_result(fine.data, got.data, spec, coarse)
+    # Standard normal coefficients: a threshold of 0.5 drops about a third.
+    fine, thinned_fine = threshold_coeffs(
+        CoeffPyramid(fields[0], spec, WAVELET, where=fine_mask), 0.5,
+        mask=fine_mask)
+    got, thinned = threshold_coeffs(
+        CoeffPyramid(fields[0, ::s, ::s], coarse, WAVELET, where=closed), 0.5,
+        mask=closed)
+    assert_lattice_result(fine.data, got.data, spec, coarse)
+    assert_lattice_result(thinned_fine, thinned, spec, coarse)
+
+
+@PROPERTY
+@given(lattice_cases(), st.integers(0, 2**32 - 1))
+def test_derivatives_on_a_coarser_lattice_match_the_finest(case, seed):
+    # A whole coarser lattice with uniform levels is not the whole finest
+    # one, so it takes the masked branch there too.
+    spec, coarse, bank, mask = case
+    closed = reconstruction_check(mask, coarse, bank)
+    levels = compute_levels(closed, coarse)
+    field = np.random.default_rng(seed).standard_normal(
+        (coarse.n, coarse.n))
+    fine_args = (on_finest(field, spec, coarse),
+                 on_finest(closed, spec, coarse),
+                 on_finest(levels, spec, coarse), spec)
+    s = spec.stride(coarse.j_max)
+    for fn in (diff_x, diff_z):
+        assert_lattice_result(fn(*fine_args, bank, 2.0),
+                              fn(field, closed, levels, coarse, bank, 2.0),
+                              spec, coarse)
+        # The lattice's listed points, on either grid, give the same values.
+        listed = masked_points(closed)
+        fine_listed = Points(listed.rows * s, listed.cols * s,
+                             (listed.rows * spec.n + listed.cols) * s)
+        got = fn(field, closed, levels, coarse, bank, 2.0, at=listed,
+                 points=listed)
+        want = fn(*fine_args, bank, 2.0, at=fine_listed, points=fine_listed)
+        assert got.tobytes() == want.tobytes()

@@ -1,12 +1,14 @@
 """Time stepping: step control, initial data, adaptivity, stability."""
 
 import copy
+import hashlib
 import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from awcmaxwell import grid, solver
 from awcmaxwell.config import SimulationConfig
 from awcmaxwell.derivatives import diff_x, diff_z
 from awcmaxwell.errors import ConfigError, InstabilityError
@@ -324,3 +326,50 @@ def test_field_state_holds_only_arrays_and_numbers(full_grid):
         for field in fields(state):
             value = getattr(state, field.name)
             assert isinstance(value, (np.ndarray, int, float)), field.name
+
+
+# ------------------------------------------------------------ working lattice
+
+
+def state_digest(state):
+    digest = hashlib.blake2b(digest_size=16)
+    for field in fields(state):
+        value = getattr(state, field.name)
+        digest.update(value.tobytes() if isinstance(value, np.ndarray)
+                      else repr(value).encode())
+    return digest.hexdigest()
+
+
+def step_digests(config, steps):
+    sim = Simulation(config)
+    digests = []
+    for _ in range(steps):
+        sim.step()
+        digests.append(state_digest(sim.state))
+    return digests
+
+
+@pytest.mark.parametrize("jmax, steps", [(7, 150), (9, 12)])
+def test_working_lattice_steps_match_the_whole_mesh_bitwise(monkeypatch,
+                                                            jmax, steps):
+    # The calibration geometry through the collapse to the coarse lattice
+    # (step 135), and the default scale.  The reference runs every phase
+    # and every closure level on the finest lattice.
+    config = small_config(jmax=jmax, jmin=3, boundary="PML",
+                          pml_width_frac=0.25, steps=steps)
+    levels = []
+
+    def spied(mask, spec):
+        levels.append(grid.finest_level(mask, spec))
+        return levels[-1]
+
+    monkeypatch.setattr(solver, "finest_level", spied)
+    got = step_digests(config, steps)
+    assert min(levels) < jmax - 1
+
+    def whole_mesh(mask, spec):
+        return spec.j_max
+
+    monkeypatch.setattr(solver, "finest_level", whole_mesh)
+    monkeypatch.setattr(grid, "finest_level", whole_mesh)
+    assert got == step_digests(config, steps)
