@@ -21,19 +21,17 @@ follows the number of masked points rather than the size of the lattice;
 a caller that already holds the list of a mask passes it on.
 
 A mask whose points all lie on the level-J lattice can be worked on with
-the grid of that lattice alone, GridSpec.lattice(J), through the view
-mask[::s, ::s], s = stride(J).  Birth and density levels are absolute,
-so the points keep theirs, and every operation here, in the wavelets
-and in the derivatives reads the same taps with the same weights in the
-same order on either grid.  So the reconstruction check, the levels,
-the derivative extension, the transforms, the threshold and the
-derivatives give bit for bit the finest grid's values at the lattice's
-points, and the finest grid's results are zero or False off it: the
-reconstruction check only adds taps of a point's own birth level or
-coarser, and a point's derivative taps are spaced by its density level,
-which is no finer than J.  The adjacent zone of a point born at level b
-reaches level b + 1, so it stays on the lattice when no point is born
-at J.  finest_level finds the level J of a mask.
+the grid of that lattice alone, GridSpec.lattice(J), as its entries at
+stride(J).  Birth and density levels are absolute, so the points keep
+theirs, and every operation here, in the wavelets and in the derivatives
+reads the same taps with the same weights in the same order on either
+grid: the reconstruction check only adds taps of a point's own birth
+level or coarser, and a point's derivative taps are spaced by its
+density level, which is no finer than J.  So the results are bit for bit
+the finest grid's at the lattice's points, which are zero or False off
+it.  The adjacent zone of a point born at level b reaches level b + 1,
+so it stays on the lattice when no point is born at J.  finest_level
+finds the level J of a mask.
 """
 
 from typing import NamedTuple
@@ -88,8 +86,7 @@ class GridSpec:
 
         Its points are this grid's points at stride(j), with the same
         birth levels (see the module docstring).  Its ``coarsened`` is
-        True below j_max: its finest level is not the lattice the fields
-        are sampled on.
+        True below j_max: its finest level is not the whole mesh's.
         """
         if j not in self._lattices:
             if not self.j_min < j < self.j_max:

@@ -22,7 +22,7 @@ import numpy as np
 from .config import CONFIG_KEYS, SimulationConfig
 from .errors import ConfigError
 from .grid import GridSpec
-from .solver import FieldState, Simulation
+from .solver import FieldState, Simulation, on_finest_lattice
 
 MANIFEST_HEADER = "k,t,cardinality,card1,card2,cp,wall_ms"
 ERROR_HEADER = "k,t,max_full,rel_err"
@@ -136,12 +136,13 @@ def read_mask_pgm(path) -> np.ndarray:
 def emit_snapshot(state: FieldState, spec: GridSpec,
                   config: SimulationConfig, out_dir,
                   index: dict | None = None) -> tuple:
-    """Write the field CSV and mask image for the state's current step.
+    """Write the field CSV and mask image of the state on spec's mesh.
 
     When an index dict is given the pair of file names is recorded
     under the step number, ready for the manifest trailer.
     """
     out_dir = Path(out_dir)
+    state = on_finest_lattice(state, spec)
     field_path = write_field_csv(out_dir / f"field_k{state.k}.csv", state,
                                  spec, config.domain_length_um)
     mask_path = write_mask_pgm(out_dir / f"mask_k{state.k}.pgm", state.mask0)

@@ -20,25 +20,22 @@ the masks is 0.0 by construction, so only the listed entries are
 computed.  In full-grid mode every point is active and the same
 arithmetic runs on the whole arrays.
 
-Each phase of an adaptive step runs on the lattice of its working level
-J, with the grid GridSpec.lattice(J), and reads the state's (n, n)
-arrays through [::s, ::s] views, s = 2^(j_max - J).  adapt_step takes J
-one level finer than the finest point of the incoming mask0, since the
-threshold keeps points of that mask only and the adjacent zone adds at
-most one level; update_step takes the finest level of pmask1 | mask2,
-the supports it reads.  On that lattice every point reads the same taps
-with the same weights in the same order as on the finest one (see the
-grid module), so the results are bit for bit those of the whole mesh,
-at a cost that follows the lattice of the points rather than the
-(2^j_max + 1)^2 mesh.  A phase writes the state back as fresh (n, n)
-arrays, scattering the values of its listed points; the points it
-returns and takes stay in finest-lattice coordinates, and J is chosen
-afresh from the masks each time, so a replayed or hand-built state
-picks its own.  Full-grid mode runs on the finest lattice.
+An adaptive state is stored on the level-J lattice of the finest point
+of its masks, J = finest_level(pmask1 | mask2), at least j_min + 1: its
+arrays are (2^J + 1)-square, J is read from their shape, and the points
+adapt_step returns and update_step takes are in that lattice's
+coordinates.  adapt_step narrows the state to the finest level of
+pmask1, which holds every field, thresholds there, and goes one level
+finer only when a survivor is born at that level, since the adjacent
+zone reaches one level past a point; update_step runs where adapt_step
+leaves the state.  Every point reads the same taps with the same
+weights in the same order as on the whole mesh (see the grid module), so
+the results are bit for bit the whole mesh's.  on_finest_lattice
+spreads a state over the (2^j_max + 1)^2 mesh; full-grid mode stays there.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -93,6 +90,9 @@ class FieldState:
     are the previous step's final mask0/mask1: the supports on which
     the electric splits and the magnetic fields carry valid values
     when a new step begins.
+
+    The arrays sample one lattice (see the module docstring); fields are
+    0.0 off their masks, levels 0.  on_finest_lattice gives them (n, n).
     """
 
     ey: np.ndarray
@@ -139,31 +139,39 @@ def _lattice(values, points: Points | None, n: int):
     return out.reshape(n, n)
 
 
-def _to_finest(points: Points, s: int, n: int) -> Points:
-    """Points of the stride-s lattice in coordinates of the finest one,
-    which has n points per axis."""
-    if s == 1:
-        return points
-    rows, cols = points.rows * s, points.cols * s
-    return Points(rows, cols, rows * n + cols)
+def _level(array) -> int:
+    """J of the (2^J + 1)-square lattice an array samples."""
+    return (array.shape[-1] - 1).bit_length() - 1
 
 
-def _to_working(points: Points | None, s: int, m: int) -> Points | None:
-    """Finest-lattice points, all on the stride-s lattice, in coordinates
-    of that lattice, which has m points per axis."""
-    if points is None or s == 1:
-        return points
-    rows, cols = points.rows // s, points.cols // s
-    return Points(rows, cols, rows * m + cols)
+def _relattice(array, level: int):
+    """The array on the level-`level` lattice: a finer one's entries at
+    its points, or a coarser one's spread out with 0 (False) between
+    them; the array itself when it samples that lattice."""
+    up = level - _level(array)
+    if up <= 0:
+        return array if up == 0 else np.ascontiguousarray(
+            array[..., ::1 << -up, ::1 << -up])
+    n = ((array.shape[-1] - 1) << up) + 1
+    out = np.zeros(array.shape[:-2] + (n, n), dtype=array.dtype)
+    out[..., ::1 << up, ::1 << up] = array
+    return out
 
 
-def _widened(array, points: Points, fine: Points, n: int):
-    """A working-lattice array as an (n, n) one: the array itself on the
-    finest lattice, else its values at the points, zero elsewhere; fine
-    lists the points in finest-lattice coordinates."""
-    if array.shape[-1] == n:
-        return array
-    return _lattice(array[points.rows, points.cols], fine, n)
+_ARRAYS = tuple(f.name for f in fields(FieldState) if f.type is np.ndarray)
+
+
+def _to_level(state: FieldState, level: int):
+    """Put every array of the state on the level-`level` lattice."""
+    for name in _ARRAYS:
+        setattr(state, name, _relattice(getattr(state, name), level))
+
+
+def on_finest_lattice(state: FieldState, spec: GridSpec) -> FieldState:
+    """A copy of the state with every array on spec's finest lattice,
+    (n, n); arrays already there are shared, not copied."""
+    return replace(state, **{name: _relattice(getattr(state, name),
+                                              spec.j_max) for name in _ARRAYS})
 
 
 def _require_subset(inner, outer, what):
@@ -288,12 +296,6 @@ class Simulation:
 
     # ------------------------------------------------------------ stepping
 
-    def _working(self, level: int) -> tuple[GridSpec, int]:
-        """The grid of the level-`level` lattice, at least j_min + 1, and
-        its stride on the finest lattice."""
-        level = max(level, self.spec.j_min + 1)
-        return self.spec.lattice(level), self.spec.stride(level)
-
     def adapt_step(self) -> tuple[Points, Points, Points] | None:
         """Re-fit the grid to the current Ey (no-op in full-grid mode).
 
@@ -307,23 +309,34 @@ class Simulation:
         field content every step and the deviation from the full-grid
         reference then grows far past the threshold scale.
 
-        Returns the listed points of the new mask0, mask1 and mask2, in
-        finest-lattice coordinates, for update_step, or None in full-grid
-        mode.  It runs on the lattice one level finer than pmask0's finest
-        point (see the module docstring).
+        Returns the listed points of the new mask0, mask1 and mask2 for
+        update_step, in the coordinates of the lattice the state leaves
+        on, or None in full-grid mode; on_finest_lattice gives the state
+        as (n, n) arrays.
         """
-        state, bank, n = self.state, self.bank, self.spec.n
+        state, bank = self.state, self.bank
         state.pmask0 = state.mask0
         state.pmask1 = state.mask1
         if self.config.full_grid:
             return None
-        finest = finest_level(state.pmask0, self.spec)
-        spec, s = self._working(min(self.spec.j_max, finest + 1))
-        pmask0 = np.ascontiguousarray(state.pmask0[::s, ::s])
+        # Every field lives on pmask1, which holds pmask0.
+        level = max(finest_level(state.pmask1,
+                                 self.spec.lattice(_level(state.ey))),
+                    self.spec.j_min + 1)
+        _to_level(state, level)
+        spec = self.spec.lattice(level)
         # Both splits go through one stacked transform per mask.
-        pyr = CoeffPyramid.from_field(
-            (state.eyx[::s, ::s], state.eyz[::s, ::s]), spec, mask=pmask0)
-        mask0 = self._thinned_mask(pyr, pmask0)
+        pyr = CoeffPyramid.from_field((state.eyx, state.eyz), spec,
+                                      mask=state.pmask0)
+        mask0 = self._thinned_mask(pyr, state.pmask0)
+        if level < self.spec.j_max and finest_level(mask0, spec) == level:
+            # A survivor born at the lattice's finest level: its adjacent
+            # zone reaches one level finer.
+            level += 1
+            _to_level(state, level)
+            spec = self.spec.lattice(level)
+            pyr = CoeffPyramid(_relattice(pyr.data, level), spec, WAVELET)
+            mask0 = _relattice(mask0, level)
         mask0 = reconstruction_check(add_adjacent_zone(mask0, spec), spec, bank)
         points0 = masked_points(mask0)
         level0 = compute_levels(mask0, spec, points0)
@@ -336,17 +349,12 @@ class Simulation:
         plan = MaskPlan(mask2, spec, bank)
         iwt_full(pyr, mask2, bank, check=False, plan=plan)
         points2 = Points(plan.rows, plan.cols, plan.rows * spec.n + plan.cols)
-        listed = points0, points1, points2
-        fine = tuple(_to_finest(points, s, n) for points in listed)
-        # The splits are zero off mask2, the masks off their points and
-        # the levels off their masks' points.
-        state.eyx, state.eyz = (_widened(field, points2, fine[2], n)
-                                for field in pyr.data)
-        state.ey = _lattice(_split_sum(pyr, plan), fine[2], n)
-        state.mask0, state.mask1, state.mask2, state.level0, state.level1 = (
-            _widened(array, listed[i], fine[i], n) for array, i in (
-                (mask0, 0), (mask1, 1), (mask2, 2), (level0, 0), (level1, 1)))
-        return fine
+        # iwt_full left the splits at zero off mask2.
+        state.eyx, state.eyz = pyr.data
+        state.ey = _lattice(_split_sum(pyr, plan), points2, spec.n)
+        state.mask0, state.mask1, state.mask2 = mask0, mask1, mask2
+        state.level0, state.level1 = level0, level1
+        return points0, points1, points2
 
     def _thinned_mask(self, pair: CoeffPyramid, mask) -> np.ndarray:
         """Forward-transform the split pair on mask, in place, and return
@@ -367,9 +375,10 @@ class Simulation:
         """Advance H by dt, then Ey by dt, on the adapted grid.
 
         points are the listed points of the state's masks, as adapt_step
-        returns them; on an adaptive grid they are listed here when not
-        given.  An adaptive update runs on the lattice of the finest
-        point of pmask1 | mask2 (see the module docstring).
+        returns them, in the coordinates of the lattice the state's
+        arrays sample (on_finest_lattice gives them as (n, n) arrays),
+        on which the update runs; on an adaptive grid they are listed
+        here when not given.
         """
         state = self.state
         if points is None and not self.config.full_grid:
@@ -388,20 +397,13 @@ class Simulation:
             raise InstabilityError(state.k)
 
     def _update_fields(self, points):
-        state, bank = self.state, self.bank
-        length, n = self.length_m, self.spec.n
-        if points is None:
-            spec, s = self.spec, 1
-            p0, p1, p2 = (None,) * 3
-        else:
-            spec, s = self._working(
-                finest_level(state.pmask1 | state.mask2, self.spec))
-            p0, p1, p2 = points
-        # The p* list points on the finest lattice, the w* on spec's.
-        w0, w1, w2 = (_to_working(p, s, spec.n) for p in (p0, p1, p2))
-        mask1, mask2, level0, level1 = (
-            array[::s, ::s] for array in (state.mask1, state.mask2,
-                                          state.level0, state.level1))
+        state, bank, length = self.state, self.bank, self.length_m
+        spec = self.spec.lattice(_level(state.ey))
+        n, s = spec.n, self.spec.stride(spec.j_max)
+        p0, p1, p2 = (None,) * 3 if points is None else points
+        ea_x, eb_x, ea_z, eb_z, hb_x, hb_z = (
+            c[::s, ::s] for c in (self.ea_x, self.eb_x, self.ea_z,
+                                  self.eb_z, self.hb_x, self.hb_z))
 
         # The magnetic fields carry genuine values on the whole previous
         # Mask1 (update ring included); interpolating from that support
@@ -412,32 +414,30 @@ class Simulation:
         # only, so when mask1 lies inside pmask1, and on a full grid, the
         # values there are H's own and no regrid runs.
         if p1 is not None and not state.pmask1.reshape(-1)[p1.flat].all():
-            state.hx, state.hz = (
-                _lattice(_at(field, w1), p1, n)
-                for field in interpolate_missing(
-                    (state.hx[::s, ::s], state.hz[::s, ::s]),
-                    state.pmask1[::s, ::s], mask1, spec, bank, check=False))
+            state.hx, state.hz = interpolate_missing(
+                (state.hx, state.hz), state.pmask1, state.mask1, spec, bank,
+                check=False)
         # H is updated on mask1 and reads the derivatives of Ey there
         # only; their taps reach over mask2.
-        dz_ey = diff_z(state.ey[::s, ::s], mask2, level1, spec, bank, length,
-                       at=w1, points=w2)
-        dx_ey = diff_x(state.ey[::s, ::s], mask2, level1, spec, bank, length,
-                       at=w1, points=w2)
-        state.hx = _lattice(_at(self.ea_z, p1) * _at(state.hx, p1)
-                            + _at(self.hb_z, p1) * dz_ey, p1, n)
-        state.hz = _lattice(_at(self.ea_x, p1) * _at(state.hz, p1)
-                            - _at(self.hb_x, p1) * dx_ey, p1, n)
+        dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank,
+                       length, at=p1, points=p2)
+        dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank,
+                       length, at=p1, points=p2)
+        state.hx = _lattice(_at(ea_z, p1) * _at(state.hx, p1)
+                            + _at(hb_z, p1) * dz_ey, p1, n)
+        state.hz = _lattice(_at(ea_x, p1) * _at(state.hz, p1)
+                            - _at(hb_x, p1) * dx_ey, p1, n)
 
         # The splits came out of adapt_step valid on mask2, a superset
         # of mask0, so they need no separate interpolation pass here.
-        dz_hx = diff_z(state.hx[::s, ::s], mask1, level0, spec, bank, length,
-                       at=w0, points=w1)
-        dx_hz = diff_x(state.hz[::s, ::s], mask1, level0, spec, bank, length,
-                       at=w0, points=w1)
-        state.eyz = _lattice(_at(self.ea_z, p0) * _at(state.eyz, p0)
-                             + _at(self.eb_z, p0) * dz_hx, p0, n)
-        state.eyx = _lattice(_at(self.ea_x, p0) * _at(state.eyx, p0)
-                             - _at(self.eb_x, p0) * dx_hz, p0, n)
+        dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank,
+                       length, at=p0, points=p1)
+        dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank,
+                       length, at=p0, points=p1)
+        state.eyz = _lattice(_at(ea_z, p0) * _at(state.eyz, p0)
+                             + _at(eb_z, p0) * dz_hx, p0, n)
+        state.eyx = _lattice(_at(ea_x, p0) * _at(state.eyx, p0)
+                             - _at(eb_x, p0) * dx_hz, p0, n)
         self.apply_boundary(state)
         state.ey = _lattice(_at(state.eyx, p0) + _at(state.eyz, p0), p0, n)
 
@@ -452,7 +452,8 @@ class Simulation:
         wavelet interpolation from the active representation, which is
         how the adaptive solution is defined between mask points.
         """
-        return interpolate_missing(self.state.ey, self.state.mask0,
+        state = on_finest_lattice(self.state, self.spec)
+        return interpolate_missing(state.ey, state.mask0,
                                    self.spec.full_mask(), self.spec,
                                    self.bank, check=False)
 

@@ -121,14 +121,15 @@ class MaskPlan:
     """
 
     def __init__(self, mask, spec: GridSpec, bank: FilterBank):
-        rows, cols, _ = masked_points(mask)
-        birth = spec.birth[rows, cols]
-        order = np.argsort(birth, kind="stable")
-        self.rows, self.cols = rows, cols = rows[order], cols[order]
+        # Sorted as flat indices: fewer point-sized arrays at once.
+        birth = spec.birth.reshape(-1)
+        flat = np.flatnonzero(mask)
+        flat = flat[np.argsort(birth[flat], kind="stable")]
         # ends[j - j_min]: number of points born at level j or coarser.
-        ends = np.searchsorted(birth[order],
+        ends = np.searchsorted(birth[flat],
                                np.arange(spec.j_min, spec.j_max + 1),
                                side="right")
+        self.rows, self.cols = rows, cols = np.divmod(flat, spec.n)
         self.levels = []
         for level in range(spec.j_min, spec.j_max):
             h = spec.stride(level + 1)

@@ -321,8 +321,9 @@ def test_closures_and_levels_on_a_coarser_lattice_match_the_finest(case,
                           reconstruction_check(mask, coarse, bank),
                           spec, coarse)
     # The adjacent zone reaches one level finer than its points, so its
-    # mask holds the points of the lattice one level coarser (as the one
-    # adapt_step thresholds), or of the finest one.
+    # mask holds the points of the lattice one level coarser (adapt_step
+    # goes one level finer when a survivor is born at its lattice's
+    # finest level), or of the finest one.
     zoned = mask
     if coarse.j_max < spec.j_max:
         zoned = np.zeros_like(mask)

@@ -13,6 +13,7 @@ from awcmaxwell.config import SimulationConfig
 from awcmaxwell.derivatives import diff_x, diff_z
 from awcmaxwell.errors import ConfigError, InstabilityError
 from awcmaxwell.filters import build_filter_bank
+from awcmaxwell.harness import emit_snapshot, run_simulation
 from awcmaxwell.solver import (
     C0,
     ETA0,
@@ -20,6 +21,7 @@ from awcmaxwell.solver import (
     Simulation,
     cfl_max_dt,
     default_dt_factor,
+    on_finest_lattice,
 )
 from awcmaxwell.wavelets import interpolate_missing
 
@@ -143,7 +145,7 @@ def test_mask_chain_nested_and_coarse_contained():
     sim = Simulation(small_config(boundary="PML", pml_width_frac=0.25))
     for _ in range(6):
         sim.step()
-    st = sim.state
+    st = on_finest_lattice(sim.state, sim.spec)
     assert not np.any(st.mask0 & ~st.mask1)
     assert not np.any(st.mask1 & ~st.mask2)
     assert not np.any(sim.spec.coarse_mask() & ~st.mask0)
@@ -234,13 +236,13 @@ def test_dense_ey_extends_active_values():
     for _ in range(3):
         sim.step()
     dense = sim.dense_ey()
-    active = sim.state.mask0
+    state = on_finest_lattice(sim.state, sim.spec)
+    active = state.mask0
     # transform round trip, so active values survive to rounding only
-    np.testing.assert_allclose(dense[active], sim.state.ey[active],
-                               atol=1e-12)
+    np.testing.assert_allclose(dense[active], state.ey[active], atol=1e-12)
     assert np.isfinite(dense).all()
     # interpolation fills gaps smoothly: off-mask values stay bounded
-    assert np.abs(dense).max() <= np.abs(sim.state.ey).max() * 1.5 + 1e-12
+    assert np.abs(dense).max() <= np.abs(state.ey).max() * 1.5 + 1e-12
 
 
 def test_dense_ey_equals_field_on_full_mask():
@@ -274,8 +276,8 @@ def test_stable_run_stays_finite():
 
 
 def dense_update(sim, state):
-    """The field update on whole arrays: np.where over the masks and the
-    derivatives over the whole lattice, zero off their masks."""
+    """The field update on the whole (n, n) mesh: np.where over the masks
+    and the derivatives over the whole lattice, zero off their masks."""
     spec, bank, length = sim.spec, sim.bank, sim.length_m
     if not sim.config.full_grid:
         state.hx, state.hz = interpolate_missing(
@@ -299,21 +301,26 @@ def dense_update(sim, state):
 
 @pytest.mark.parametrize("full_grid", [False, True])
 def test_update_step_matches_dense_update_bitwise(full_grid):
-    sim = Simulation(small_config(boundary="PML", full_grid=full_grid))
+    # At jmax=8 the adaptive state is stored on the level-7 lattice.
+    sim = Simulation(small_config(jmax=8, boundary="PML",
+                                  full_grid=full_grid))
     for _ in range(4):
         sim.step()
         listed = sim.adapt_step()
-        want = dense_update(sim, copy.deepcopy(sim.state))
+        want = dense_update(sim, on_finest_lattice(copy.deepcopy(sim.state),
+                                                   sim.spec))
         # Once from the lists adapt_step returned, once listing the masks.
         for points in (listed, None):
             before = copy.deepcopy(sim.state)
             sim.update_step(points)
+            got = on_finest_lattice(sim.state, sim.spec)
             for name in ("ey", "eyx", "eyz", "hx", "hz"):
-                got = getattr(sim.state, name)
-                assert got.tobytes() == getattr(want, name).tobytes(), name
+                assert (getattr(got, name).tobytes()
+                        == getattr(want, name).tobytes()), name
             if points is listed:
                 sim.state = before
     if not full_grid:
+        assert lattice_level(sim.state) == 7
         assert sim.state.mask0.sum() < sim.state.mask2.sum() < sim.spec.n**2
 
 
@@ -340,36 +347,78 @@ def state_digest(state):
     return digest.hexdigest()
 
 
-def step_digests(config, steps):
+def lattice_level(state):
+    """Level of the lattice the state's arrays are stored on."""
+    return (state.ey.shape[-1] - 1).bit_length() - 1
+
+
+def widened_digests(config, steps):
+    """Per step, the digest of the state spread over the (n, n) mesh and
+    the level of the lattice it is stored on."""
     sim = Simulation(config)
-    digests = []
+    digests, levels = [], []
     for _ in range(steps):
         sim.step()
-        digests.append(state_digest(sim.state))
-    return digests
+        digests.append(state_digest(on_finest_lattice(sim.state, sim.spec)))
+        levels.append(lattice_level(sim.state))
+    return digests, levels
 
 
 @pytest.mark.parametrize("jmax, steps", [(7, 150), (9, 12)])
 def test_working_lattice_steps_match_the_whole_mesh_bitwise(monkeypatch,
                                                             jmax, steps):
-    # The calibration geometry through the collapse to the coarse lattice
-    # (step 135), and the default scale.  The reference runs every phase
-    # and every closure level on the finest lattice.
+    # The calibration geometry through a survivor born at the lattice's
+    # finest level (step 114) and the collapse to the coarse lattice
+    # (step 135), and the default scale.  The reference keeps the state
+    # on the whole mesh and runs every phase and every closure level there.
     config = small_config(jmax=jmax, jmin=3, boundary="PML",
                           pml_width_frac=0.25, steps=steps)
-    levels = []
-
-    def spied(mask, spec):
-        levels.append(grid.finest_level(mask, spec))
-        return levels[-1]
-
-    monkeypatch.setattr(solver, "finest_level", spied)
-    got = step_digests(config, steps)
-    assert min(levels) < jmax - 1
+    worked = []  # the lattice levels adapt_step thresholds and zones on
+    threshold, zone = solver.threshold_coeffs, solver.add_adjacent_zone
+    monkeypatch.setattr(solver, "threshold_coeffs", lambda pyr, *args, **kw: (
+        worked.append(pyr.spec.j_max) or threshold(pyr, *args, **kw)))
+    monkeypatch.setattr(solver, "add_adjacent_zone", lambda mask, spec: (
+        worked.append(spec.j_max) or zone(mask, spec)))
+    got, stored = widened_digests(config, steps)
+    moves = list(zip(stored, stored[1:]))
+    if jmax == 9:
+        assert stored[1:] == [7] * (steps - 1)
+        assert 8 not in worked
+    else:
+        assert any(after > before for before, after in moves)
+        assert any(after < before for before, after in moves)
 
     def whole_mesh(mask, spec):
         return spec.j_max
 
     monkeypatch.setattr(solver, "finest_level", whole_mesh)
     monkeypatch.setattr(grid, "finest_level", whole_mesh)
-    assert got == step_digests(config, steps)
+    want, whole = widened_digests(config, steps)
+    assert whole == [jmax] * steps
+    assert got == want
+
+
+def test_boundaries_see_a_lattice_state_on_the_whole_mesh(tmp_path):
+    # The default scale at k=12, stored on the level-7 lattice.
+    config = small_config(jmax=9, boundary="PML", pml_width_frac=0.25,
+                          steps=12, snapshot_every=100)
+    result = run_simulation(config, out_dir=tmp_path / "run")
+    sim = Simulation(config)
+    sim.state = result.final_state
+    assert lattice_level(sim.state) == 7
+    wide = on_finest_lattice(sim.state, sim.spec)
+    for field in fields(wide):
+        value = getattr(wide, field.name)
+        if isinstance(value, np.ndarray):
+            assert value.shape == (sim.spec.n, sim.spec.n), field.name
+    emit_snapshot(wide, sim.spec, config, tmp_path)
+    for name in ("field_k12.csv", "mask_k12.pgm"):
+        assert ((tmp_path / name).read_bytes()
+                == (tmp_path / "run" / name).read_bytes()), name
+    want = interpolate_missing(wide.ey, wide.mask0, sim.spec.full_mask(),
+                               sim.spec, sim.bank)
+    assert sim.dense_ey().tobytes() == want.tobytes()
+    # The counts of the whole-mesh state.
+    assert [(r.cardinality, r.card1, r.card2) for r in result.records] == (
+        [(1977, 4153, 6625)] * 6 + [(1873, 4013, 6449)]
+        + [(1801, 3917, 6369)] * 3 + [(1905, 4073, 6473)] * 2)
