@@ -108,10 +108,6 @@ class GridSpec:
         return f"GridSpec(j_min={self.j_min}, j_max={self.j_max})"
 
 
-def cardinality(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))
-
-
 def finest_level(mask: np.ndarray, spec: GridSpec) -> int:
     """Finest birth level of a masked point; j_min when the mask holds
     only coarse points or none.  Walks down from j_max, testing the

@@ -9,8 +9,11 @@ compression rate cp of a step is the active-point count divided by the
 full finest-lattice count (2^jmax + 1)^2.
 
 Field CSVs print values with repr so a re-run reproduces them byte for
-byte; wall-clock times are measured with a monotonic clock around the
-adapt+update pair only, never around I/O.
+byte; a mesh row that holds no value (Ey, Hx and Hz all +0.0) is cut
+from one text shared by the whole file, so a snapshot costs in
+proportion to the rows the active grid reaches.  Wall-clock times are
+measured with a monotonic clock around the adapt+update pair only, never
+around I/O.
 """
 
 import time
@@ -84,15 +87,28 @@ def write_field_csv(path, state: FieldState, spec: GridSpec,
     outside the active grid (Ey off mask0, Hx and Hz off mask1); the
     adaptive solution between active points is the wavelet interpolation
     that Simulation.dense_ey computes, not these zeros.  Each value is
-    written with repr, one lattice row at a time.
+    written with repr, one lattice row at a time.  A row whose three
+    fields are all +0.0 differs from every other such row only in its
+    row index and x, so it is one text, built once from the z
+    coordinates, with those two filled in.  -0.0 counts as a value:
+    its repr is "-0.0".
     """
     path = Path(path)
     delta_um = domain_length_um / (spec.n - 1)
     cols = range(spec.n)
     z_um = [_fmt(n * delta_um) for n in cols]
+    valued = np.zeros(spec.n, dtype=bool)
+    for field in (state.ey, state.hx, state.hz):
+        valued |= ((field != 0) | np.signbit(field)).any(axis=1)
+    blank = "".join([f"<m>,{n},<x>,{z},0.0,0.0,0.0\n"
+                     for n, z in zip(cols, z_um)])
     with open(path, "w") as fh:
         fh.write(FIELD_HEADER + "\n")
         for m in cols:
+            if not valued[m]:
+                fh.write(blank.replace("<m>", str(m)).replace(
+                    "<x>", _fmt(m * delta_um)))
+                continue
             lead = f"{m},"
             x = f",{_fmt(m * delta_um)},"
             fh.write("".join([
@@ -103,17 +119,25 @@ def write_field_csv(path, state: FieldState, spec: GridSpec,
     return path
 
 
+def _pgm_lines(tokens) -> str:
+    """One image row of tokens, 15 to a line to keep lines below the
+    70-character limit of the format."""
+    return "".join([" ".join(tokens[start:start + 15]) + "\n"
+                    for start in range(0, len(tokens), 15)])
+
+
 def write_mask_pgm(path, mask: np.ndarray) -> Path:
-    """Write a boolean mask as a P2 graymap, 255 = active point."""
+    """Write a boolean mask as a P2 graymap, 255 = active point.
+
+    Every row without an active point is the same text, built once.
+    """
     path = Path(path)
-    values = np.where(mask, 255, 0)
+    blank = _pgm_lines(["0"] * mask.shape[1])
     with open(path, "w") as fh:
         fh.write(f"P2\n{mask.shape[1]} {mask.shape[0]}\n255\n")
-        for row in values:
-            tokens = [str(v) for v in row]
-            # Keep lines below the 70-character limit of the format.
-            for start in range(0, len(tokens), 15):
-                fh.write(" ".join(tokens[start:start + 15]) + "\n")
+        for row in mask:
+            fh.write(_pgm_lines(["255" if v else "0" for v in row.tolist()])
+                     if row.any() else blank)
     return path
 
 
@@ -142,7 +166,7 @@ def emit_snapshot(state: FieldState, spec: GridSpec,
     under the step number, ready for the manifest trailer.
     """
     out_dir = Path(out_dir)
-    state = on_finest_lattice(state, spec)
+    state = on_finest_lattice(state, spec, ("ey", "hx", "hz", "mask0"))
     field_path = write_field_csv(out_dir / f"field_k{state.k}.csv", state,
                                  spec, config.domain_length_um)
     mask_path = write_mask_pgm(out_dir / f"mask_k{state.k}.pgm", state.mask0)

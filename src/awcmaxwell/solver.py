@@ -167,11 +167,13 @@ def _to_level(state: FieldState, level: int):
         setattr(state, name, _relattice(getattr(state, name), level))
 
 
-def on_finest_lattice(state: FieldState, spec: GridSpec) -> FieldState:
-    """A copy of the state with every array on spec's finest lattice,
-    (n, n); arrays already there are shared, not copied."""
+def on_finest_lattice(state: FieldState, spec: GridSpec,
+                      names=_ARRAYS) -> FieldState:
+    """A copy of the state with the named arrays, by default every one,
+    on spec's finest lattice, (n, n); arrays already there are shared,
+    not copied, and the others are left on the state's lattice."""
     return replace(state, **{name: _relattice(getattr(state, name),
-                                              spec.j_max) for name in _ARRAYS})
+                                              spec.j_max) for name in names})
 
 
 def _require_subset(inner, outer, what):
@@ -452,7 +454,7 @@ class Simulation:
         wavelet interpolation from the active representation, which is
         how the adaptive solution is defined between mask points.
         """
-        state = on_finest_lattice(self.state, self.spec)
+        state = on_finest_lattice(self.state, self.spec, ("ey", "mask0"))
         return interpolate_missing(state.ey, state.mask0,
                                    self.spec.full_mask(), self.spec,
                                    self.bank, check=False)

@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from awcmaxwell.harness import (
     MANIFEST_HEADER,
     StepRecord,
     _write_manifest,
+    emit_snapshot,
     proportionality_report,
     read_manifest,
     read_mask_pgm,
@@ -24,6 +26,7 @@ from awcmaxwell.harness import (
     write_mask_pgm,
 )
 from awcmaxwell.grid import GridSpec
+from awcmaxwell.solver import Simulation, on_finest_lattice
 
 SIGMA_PAPERED = 1.0 / (4.0 * math.sqrt(2.0))
 
@@ -67,6 +70,16 @@ def test_field_csv_values_round_trip(tmp_path):
     assert float(center[4]) == 1.0  # pulse peak sits at the center
 
 
+def reference_field_csv(state, spec, domain_length_um):
+    """The field CSV formatted point by point with repr."""
+    delta = domain_length_um / (spec.n - 1)
+    return "".join([FIELD_HEADER + "\n"] + [
+        ",".join([str(m), str(n)] + [repr(float(v)) for v in (
+            m * delta, n * delta, state.ey[m, n], state.hx[m, n],
+            state.hz[m, n])]) + "\n"
+        for m in range(spec.n) for n in range(spec.n)])
+
+
 def test_field_csv_matches_per_value_repr(tmp_path):
     spec = GridSpec(1, 2)
     special = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 0.0, -1.5, 1.0 / 3.0]
@@ -75,13 +88,38 @@ def test_field_csv_matches_per_value_repr(tmp_path):
         spec.n, spec.n) for _ in range(3))
     state = SimpleNamespace(ey=ey, hx=hx, hz=hz)
     path = write_field_csv(tmp_path / "field.csv", state, spec, 6.0)
-    delta = 6.0 / (spec.n - 1)
-    want = [FIELD_HEADER] + [
-        ",".join([str(m), str(n)] + [repr(float(v)) for v in (
-            m * delta, n * delta, ey[m, n], hx[m, n], hz[m, n])])
-        for m in range(spec.n) for n in range(spec.n)]
-    assert path.read_text() == "\n".join(want) + "\n"
+    assert path.read_text() == reference_field_csv(state, spec, 6.0)
     assert "-0.0" in path.read_text() and "5e-324" in path.read_text()
+
+    # Rows that hold no value between rows that hold one, in one field.
+    spec = GridSpec(2, 4)
+    for name in ("ey", "hx", "hz"):
+        state = SimpleNamespace(**{f: np.zeros((spec.n, spec.n))
+                                   for f in ("ey", "hx", "hz")})
+        field = getattr(state, name)
+        field[1] = -0.0  # only -0.0
+        field[3, 0] = 2.5  # one value, first column
+        field[5, -1] = -7e-3  # one value, last column
+        field[7, 8] = 5e-324  # subnormals
+        field[9, 2:5] = [-5e-324, 2.2250738585072014e-308 / 3, -0.0]
+        field[11, 0] = -0.0
+        field[-1] = rng.standard_normal(spec.n)
+        path = write_field_csv(tmp_path / f"{name}.csv", state, spec, 6.0)
+        assert path.read_text() == reference_field_csv(state, spec, 6.0)
+
+
+@pytest.mark.parametrize("jmax", [4, 5, 6])
+@pytest.mark.parametrize("full_grid", [False, True])
+def test_field_csv_of_a_run_matches_per_value_repr(tmp_path, jmax,
+                                                   full_grid):
+    # Adaptive states are stored on a coarser lattice and spread over
+    # the mesh with zeros; full-grid states are (n, n) already.
+    sim = Simulation(tiny_config(jmax=jmax, full_grid=full_grid))
+    for _ in range(3):
+        sim.step()
+    state = on_finest_lattice(sim.state, sim.spec)
+    path = write_field_csv(tmp_path / "field.csv", state, sim.spec, 6.0)
+    assert path.read_text() == reference_field_csv(state, sim.spec, 6.0)
 
 
 def test_mask_pgm_round_trip(tmp_path):
@@ -91,6 +129,42 @@ def test_mask_pgm_round_trip(tmp_path):
     np.testing.assert_array_equal(read_mask_pgm(path), mask)
     # plain-format line length limit
     assert max(len(l) for l in path.read_text().splitlines()) < 70
+
+
+@pytest.mark.parametrize("width", [9, 17, 33, 129, 513])
+def test_mask_pgm_matches_plain_format(tmp_path, width):
+    rng = np.random.default_rng(width)
+    mask = np.zeros((7, width), dtype=bool)
+    mask[1, 0] = True  # single point, first column
+    mask[2, -1] = True  # single point, last column
+    mask[3, width // 2] = True
+    mask[4] = True  # full row
+    mask[5] = rng.random(width) < 0.3
+    want = [f"P2\n{width} 7\n255\n"]
+    for row in mask:
+        tokens = ["255" if v else "0" for v in row]
+        want += [" ".join(tokens[i:i + 15]) + "\n"
+                 for i in range(0, width, 15)]
+    path = write_mask_pgm(tmp_path / "m.pgm", mask)
+    assert path.read_text() == "".join(want)
+
+
+def test_snapshot_of_a_lattice_state_allocates_under_five_meshes(tmp_path):
+    # The default scale after 3 steps, stored on the level-7 lattice:
+    # the snapshot spreads only the fields and mask it writes over the
+    # (n, n) mesh, not all twelve arrays of the state.
+    config = tiny_config(jmax=9, pml_width_frac=0.25, steps=3)
+    sim = Simulation(config)
+    for _ in range(3):
+        sim.step()
+    assert sim.state.ey.shape == (2**7 + 1,) * 2
+    tracemalloc.start()
+    try:
+        emit_snapshot(sim.state, sim.spec, config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * sim.spec.n**2 * 8
 
 
 def test_read_mask_pgm_rejects_other_formats(tmp_path):
