@@ -27,22 +27,29 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
     at it holds the derivative at the listed points only, in their order.
     points, when given, lists the mask's points.
 
-    The masked branch copies the field at the mask's points into a zero
-    array with one extra zero row and column, which every tap past an
-    edge reads, and gives each point it evaluates its own tap spacing and
-    scale from its density level, so all levels go through one pass whose
-    cost follows the number of points.  Points whose level lies outside
-    [j_min, j_max] are left at zero.
+    A full mask whose points all sit at level j_max, on the whole mesh,
+    takes the uniform branch: the classical stencil on slices of one
+    zero-padded copy, with no index lists.  The masked branch copies the
+    field at the mask's points into a zero array with one extra zero row
+    and column, which every tap past an edge reads, and gives each point
+    it evaluates its own tap spacing and scale from its density level, so
+    all levels go through one pass whose cost follows the number of
+    points.  Points whose level lies outside [j_min, j_max] are left at
+    zero.
     """
     coeffs = bank.deriv_filter
     n = spec.n
 
     if not spec.coarsened and mask.all() and np.all(levels == spec.j_max):
         # Uniform classical stencil, vectorized along the whole axis: the
-        # taps of every point are slices of one zero-padded copy.  It
-        # rounds differently from the masked branch, so a full mask on
-        # a coarser lattice (GridSpec.lattice), which is not full on the
-        # finest one, takes the masked branch.
+        # taps of every point are slices of one zero-padded copy.  Each
+        # tap c (v[+i] - v[-i]) is formed in one reused buffer and added
+        # in place, so a call holds three meshes whatever the filter's
+        # length; the products and sums are those of
+        # acc += c * (v[+i] - v[-i]), bit for bit.  It rounds differently
+        # from the masked branch, so a full mask on a coarser lattice
+        # (GridSpec.lattice), which is not full on the finest one, takes
+        # the masked branch.
         pad = bank.deriv_halfwidth
 
         def along(start):
@@ -56,10 +63,13 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
         vp = np.zeros(shape)
         vp[along(pad)] = field
         acc = np.zeros((n, n))
+        term = np.empty((n, n))
         for i, c in enumerate(coeffs, start=1):
-            acc += c * (vp[along(pad + i)] - vp[along(pad - i)])
-        out = acc * (2.0**spec.j_max / domain_length)
-        return out if at is None else out.reshape(-1)[at.flat]
+            np.subtract(vp[along(pad + i)], vp[along(pad - i)], out=term)
+            term *= c
+            acc += term
+        acc *= 2.0**spec.j_max / domain_length
+        return acc if at is None else acc.reshape(-1)[at.flat]
 
     width = n + 1
     taps = masked_points(mask) if points is None else points

@@ -52,7 +52,7 @@ class GridSpec:
     n:
         Points per axis, 2^j_max + 1.
     birth:
-        (n, n) int array of birth levels, clipped below to j_min.
+        (n, n) int8 array of birth levels, clipped below to j_min.
     detail:
         (n, n) bool array, True where the point carries a detail coefficient.
     """
@@ -64,14 +64,16 @@ class GridSpec:
         self.j_max = j_max
         self.n = (1 << j_max) + 1
 
-        tz = np.empty(self.n, dtype=np.int64)
+        # int8: birth levels are only compared, and an (n, n) int64 array
+        # would weigh as much as a field.
+        tz = np.empty(self.n, dtype=np.int8)
         tz[0] = j_max
         for p in range(1, self.n):
             tz[p] = min((p & -p).bit_length() - 1, j_max)
         axis_level = j_max - tz
         self.axis_level = axis_level
         birth = np.maximum.outer(axis_level, axis_level)
-        self.birth = np.maximum(birth, j_min)
+        self.birth = np.maximum(birth, j_min, out=birth)
         self.detail = self.birth > j_min
         self.coarsened = False
         self._lattices = {j_max: self}

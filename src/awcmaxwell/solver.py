@@ -20,6 +20,14 @@ the masks is 0.0 by construction, so only the listed entries are
 computed.  In full-grid mode every point is active and the same
 arithmetic runs on the whole arrays.
 
+The start and every full-grid step run on the whole (2^j_max + 1)^2
+mesh, so they hold as few mesh-sized arrays as they can: the start's
+five masks are one read-only full mask and its two level arrays one
+read-only array, which a full-grid run keeps throughout and an adaptive
+step replaces, and the start, the uniform-stencil derivatives and the
+field update scale and sum into arrays they have just made, in place,
+with the operands and order of the plain expressions.
+
 An adaptive state is stored on the level-J lattice of the finest point
 of its masks, J = finest_level(pmask1 | mask2), at least j_min + 1: its
 arrays are (2^J + 1)-square, J is read from their shape, and the points
@@ -111,12 +119,6 @@ class FieldState:
     t: float = 0.0
 
 
-def _split_sum(pair: CoeffPyramid, plan: MaskPlan) -> np.ndarray:
-    """Sum of a stacked pair at the plan's points, in the plan's order."""
-    first, second = pair.data[:, plan.rows, plan.cols]
-    return first + second
-
-
 def _at(array, points: Points | None):
     """A lattice array, or a coefficient column (n, 1) or row (1, n), at
     the listed points; the whole array when points is None."""
@@ -137,6 +139,16 @@ def _lattice(values, points: Points | None, n: int):
     out = np.zeros(n * n, dtype=np.result_type(values))
     out[points.flat] = values
     return out.reshape(n, n)
+
+
+def _advance(a, field, combine, b, derivative, points: Points | None,
+             n: int):
+    """combine(a * field, b * derivative) at the listed points (every
+    point when None), on the lattice.  The derivative, a fresh array, is
+    scaled in place; the products and the sum round as written."""
+    derivative *= _at(b, points)
+    out = _at(a, points) * _at(field, points)
+    return _lattice(combine(out, derivative, out=out), points, n)
 
 
 def _level(array) -> int:
@@ -257,13 +269,27 @@ class Simulation:
         coords = np.linspace(0.0, self.config.domain_length_um, n)
         cx = self.config.center_frac[0] * self.config.domain_length_um
         cz = self.config.center_frac[1] * self.config.domain_length_um
+        # exp(-r2 / (2 sigma^2)), each step in place in r2.
         r2 = (coords[:, None] - cx) ** 2 + (coords[None, :] - cz) ** 2
-        return np.exp(-r2 / (2.0 * self.config.sigma_um**2))
+        np.negative(r2, out=r2)
+        r2 /= 2.0 * self.config.sigma_um**2
+        return np.exp(r2, out=r2)
 
     def _initialize(self, initial_ey, initial_h) -> FieldState:
+        """The k=0 state on the whole mesh: every point active at level
+        j_max.
+
+        It holds five fields, one full mask and one level array: the five
+        masks share the mask, and level0 and level1 the level array, both
+        read-only, since a step replaces a state's masks and levels and
+        never writes into them.  The levels stay int64, as _diff shifts
+        by j_max - level.  The Euler half-step is scaled in place, and
+        eyz is the initial field's own buffer, halved.
+        """
         n = self.spec.n
         full = self.spec.full_mask()
         levels = np.full((n, n), self.spec.j_max, dtype=np.int64)
+        full.flags.writeable = levels.flags.writeable = False
         ey = self._initial_ey(initial_ey)
         if initial_h is not None:
             hx = np.array(initial_h[0], dtype=float)
@@ -274,23 +300,25 @@ class Simulation:
             # Synthetic t = -dt/2 fields: the first leapfrog advance then
             # lands exactly on the Euler half-step values +-(dt/2)/mu0 d(Ey).
             half = 0.5 * self.dt / MU0
-            hx = -half * diff_z(ey, full, levels, self.spec, self.bank,
-                                self.length_m)
-            hz = half * diff_x(ey, full, levels, self.spec, self.bank,
-                               self.length_m)
+            hx = diff_z(ey, full, levels, self.spec, self.bank, self.length_m)
+            hx *= -half
+            hz = diff_x(ey, full, levels, self.spec, self.bank, self.length_m)
+            hz *= half
+        eyx = 0.5 * ey
+        ey *= 0.5
         state = FieldState(
             ey=ey,
-            eyx=0.5 * ey,
-            eyz=0.5 * ey,
+            eyx=eyx,
+            eyz=ey,
             hx=hx,
             hz=hz,
-            pmask0=full.copy(),
-            pmask1=full.copy(),
-            mask0=full.copy(),
-            mask1=full.copy(),
-            mask2=full.copy(),
-            level0=levels.copy(),
-            level1=levels.copy(),
+            pmask0=full,
+            pmask1=full,
+            mask0=full,
+            mask1=full,
+            mask2=full,
+            level0=levels,
+            level1=levels,
         )
         self.apply_boundary(state)
         state.ey = state.eyx + state.eyz
@@ -351,9 +379,9 @@ class Simulation:
         plan = MaskPlan(mask2, spec, bank)
         iwt_full(pyr, mask2, bank, check=False, plan=plan)
         points2 = Points(plan.rows, plan.cols, plan.rows * spec.n + plan.cols)
-        # iwt_full left the splits at zero off mask2.
+        # iwt_full left the splits at +0.0 off mask2, so Ey is too.
         state.eyx, state.eyz = pyr.data
-        state.ey = _lattice(_split_sum(pyr, plan), points2, spec.n)
+        state.ey = np.add(*pyr.data)
         state.mask0, state.mask1, state.mask2 = mask0, mask1, mask2
         state.level0, state.level1 = level0, level1
         return points0, points1, points2
@@ -368,9 +396,10 @@ class Simulation:
         """
         plan = MaskPlan(mask, pair.spec, self.bank)
         fwt_full(pair, mask, self.bank, check=False, plan=plan)
-        # Off the mask both transformed splits are zero, and so is their sum.
+        # Off the mask both transformed splits are +0.0, and so is their
+        # sum.
         total = CoeffPyramid(pair.data[0], pair.spec, WAVELET, where=False)
-        total.data[plan.rows, plan.cols] = _split_sum(pair, plan)
+        np.add(*pair.data, out=total.data)
         return threshold_coeffs(total, self.config.zeta, mask=mask)[1]
 
     def update_step(self, points: tuple[Points, Points, Points] | None = None):
@@ -425,10 +454,8 @@ class Simulation:
                        length, at=p1, points=p2)
         dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank,
                        length, at=p1, points=p2)
-        state.hx = _lattice(_at(ea_z, p1) * _at(state.hx, p1)
-                            + _at(hb_z, p1) * dz_ey, p1, n)
-        state.hz = _lattice(_at(ea_x, p1) * _at(state.hz, p1)
-                            - _at(hb_x, p1) * dx_ey, p1, n)
+        state.hx = _advance(ea_z, state.hx, np.add, hb_z, dz_ey, p1, n)
+        state.hz = _advance(ea_x, state.hz, np.subtract, hb_x, dx_ey, p1, n)
 
         # The splits came out of adapt_step valid on mask2, a superset
         # of mask0, so they need no separate interpolation pass here.
@@ -436,10 +463,8 @@ class Simulation:
                        length, at=p0, points=p1)
         dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank,
                        length, at=p0, points=p1)
-        state.eyz = _lattice(_at(ea_z, p0) * _at(state.eyz, p0)
-                             + _at(eb_z, p0) * dz_hx, p0, n)
-        state.eyx = _lattice(_at(ea_x, p0) * _at(state.eyx, p0)
-                             - _at(eb_x, p0) * dx_hz, p0, n)
+        state.eyz = _advance(ea_z, state.eyz, np.add, eb_z, dz_hx, p0, n)
+        state.eyx = _advance(ea_x, state.eyx, np.subtract, eb_x, dx_hz, p0, n)
         self.apply_boundary(state)
         state.ey = _lattice(_at(state.eyx, p0) + _at(state.eyz, p0), p0, n)
 

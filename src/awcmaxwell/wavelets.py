@@ -111,36 +111,46 @@ class CoeffPyramid:
 class MaskPlan:
     """The active points of one mask, split by transform level and kind.
 
-    rows and cols list every masked point, coarsest birth level first.
-    levels[level - j_min] holds, as (rows, cols) finest-lattice index
-    arrays, the d1, d2 and d3 points born at level + 1 (odd-even,
-    even-odd and odd-odd on that lattice) and the lifted even-even
-    points (_lifted_evens); every other even-even point has an exactly
-    zero lift, since a masked d3 point's column taps are masked d1
-    points.  A plan is rebuilt whenever the mask changes.
+    rows and cols list every masked point, coarsest birth level first;
+    within a level come the d1, then the d2, then the d3 points, each
+    kind in row-major order.  levels[level - j_min] holds, as (rows,
+    cols) finest-lattice index arrays, the d1, d2 and d3 points born at
+    level + 1 (odd-even, even-odd and odd-odd on that lattice), which are
+    views of rows and cols, and the lifted even-even points
+    (_lifted_evens); every other even-even point has an exactly zero
+    lift, since a masked d3 point's column taps are masked d1 points.
+    Each kind is listed from a strided view of the mask, as finest_level
+    and reconstruction_check read it, so building a plan sorts nothing
+    and lists no point twice.  A plan is rebuilt whenever the mask
+    changes.
     """
 
     def __init__(self, mask, spec: GridSpec, bank: FilterBank):
-        # Sorted as flat indices: fewer point-sized arrays at once.
-        birth = spec.birth.reshape(-1)
-        flat = np.flatnonzero(mask)
-        flat = flat[np.argsort(birth[flat], kind="stable")]
-        # ends[j - j_min]: number of points born at level j or coarser.
-        ends = np.searchsorted(birth[flat],
-                               np.arange(spec.j_min, spec.j_max + 1),
-                               side="right")
-        self.rows, self.cols = rows, cols = np.divmod(flat, spec.n)
+        self.rows = np.empty(np.count_nonzero(mask), dtype=np.intp)
+        self.cols = np.empty_like(self.rows)
+        end = self._list(mask, spec.stride(spec.j_min), 0, 0, 0)
         self.levels = []
         for level in range(spec.j_min, spec.j_max):
             h = spec.stride(level + 1)
-            lo, hi = ends[level - spec.j_min], ends[level + 1 - spec.j_min]
-            r, c = rows[lo:hi], cols[lo:hi]
-            odd_r, odd_c = (r & h) > 0, (c & h) > 0
-            d1, d3 = odd_r & ~odd_c, odd_r & odd_c
-            d1, d2, d3 = (r[d1], c[d1]), (r[~odd_r], c[~odd_r]), (r[d3], c[d3])
+            kinds = []
+            for row, col in ((h, 0), (0, h), (h, h)):
+                start, end = end, self._list(mask, 2 * h, row, col, end)
+                kinds.append((self.rows[start:end], self.cols[start:end]))
+            d1, d2, d3 = kinds
             even = (_lifted_evens(mask, h, bank) if d1[0].size or d2[0].size
-                    else (r[:0], c[:0]))
+                    else (self.rows[:0], self.cols[:0]))
             self.levels.append((d1, d2, d3, even))
+
+    def _list(self, mask, step: int, row: int, col: int, start: int) -> int:
+        """Write the points of mask[row::step, col::step] into rows and
+        cols from start on, in row-major order; return where they end."""
+        found = np.nonzero(mask[row::step, col::step])
+        end = start + found[0].size
+        for out, index, offset in zip((self.rows, self.cols), found,
+                                      (row, col)):
+            np.multiply(index, step, out=out[start:end])
+            out[start:end] += offset
+        return end
 
 
 def _lifted_evens(mask, h: int, bank: FilterBank):

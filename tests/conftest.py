@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,14 @@ def gaussian_field(n: int, sigma_frac: float, center=(0.5, 0.5)) -> np.ndarray:
     x = np.linspace(0.0, 1.0, n)
     dx2 = (x[:, None] - center[0]) ** 2 + (x[None, :] - center[1]) ** 2
     return np.exp(-dx2 / (2.0 * sigma_frac**2))
+
+
+def traced_peak(call):
+    """(call(), the peak of the memory tracemalloc traced while it ran,
+    in bytes)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -10,6 +10,7 @@ from awcmaxwell.grid import (
     GridSpec,
     compute_levels,
     extend_for_derivatives,
+    masked_points,
     reconstruction_check,
 )
 
@@ -55,6 +56,36 @@ def test_full_mask_matches_loop_oracle(order):
         got = fn(field, mask, levels, spec, bank, 2.0)
         want = oracle_diff(field, mask, levels, spec, bank, 2.0, axis)
         np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def uniform_stencil(field, spec, bank, length, axis):
+    """The uniform branch's sum written as one expression per tap,
+    acc += c * (v[+i] - v[-i]), then scaled once: the rounding the
+    in-place form must keep.  Along z it runs on the transpose."""
+    pad, n = bank.deriv_halfwidth, spec.n
+    vp = np.zeros((n + 2 * pad, n))
+    vp[pad:pad + n] = field if axis == 0 else field.T
+    acc = np.zeros((n, n))
+    for i, c in enumerate(bank.deriv_filter, start=1):
+        acc += c * (vp[pad + i:pad + i + n] - vp[pad - i:pad - i + n])
+    out = acc * (2.0**spec.j_max / length)
+    return out if axis == 0 else out.T
+
+
+@pytest.mark.parametrize("j_max", [5, 6, 7])
+def test_uniform_stencil_matches_the_per_tap_expression_bitwise(any_bank,
+                                                                 j_max):
+    spec = GridSpec(3, j_max)
+    rng = np.random.default_rng(j_max)
+    field = rng.standard_normal((spec.n, spec.n))
+    mask, levels = spec.full_mask(), full_levels(spec)
+    at = masked_points(rng.random((spec.n, spec.n)) < 0.3)
+    for axis, fn in ((0, diff_x), (1, diff_z)):
+        want = uniform_stencil(field, spec, any_bank, 3.7, axis)
+        got = fn(field, mask, levels, spec, any_bank, 3.7)
+        assert got.tobytes() == want.tobytes()
+        got = fn(field, mask, levels, spec, any_bank, 3.7, at=at)
+        assert got.tobytes() == want[at.rows, at.cols].tobytes()
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -2,12 +2,12 @@
 
 import argparse
 import math
-import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from awcmaxwell import cli
 from awcmaxwell.config import CONFIG_KEYS, SimulationConfig, parse_config
@@ -158,12 +158,8 @@ def test_snapshot_of_a_lattice_state_allocates_under_five_meshes(tmp_path):
     for _ in range(3):
         sim.step()
     assert sim.state.ey.shape == (2**7 + 1,) * 2
-    tracemalloc.start()
-    try:
-        emit_snapshot(sim.state, sim.spec, config, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: emit_snapshot(sim.state, sim.spec, config, tmp_path))
     assert peak < 5 * sim.spec.n**2 * 8
 
 

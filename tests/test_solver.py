@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from awcmaxwell import grid, solver
 from awcmaxwell.config import SimulationConfig
@@ -121,6 +122,64 @@ def test_zero_ic_mask_collapses_to_coarse():
     sim.step()
     np.testing.assert_array_equal(sim.state.mask0, sim.spec.coarse_mask())
     assert int(sim.state.mask0.sum()) == (2**3 + 1) ** 2
+
+
+# One (n, n) float64 array of the default configuration (jmax=9).
+MESH = (2**9 + 1) ** 2 * 8
+START_SHARED = ("pmask0", "pmask1", "mask0", "mask1", "mask2", "level0",
+                "level1")
+
+
+def test_start_allocates_under_seven_meshes():
+    # The start keeps five fields and one level array; its masks share
+    # one boolean array and the Euler half-step is formed in place.
+    sim, peak = traced_peak(lambda: Simulation(SimulationConfig()))
+    assert sim.spec.n**2 * 8 == MESH
+    assert peak < 7 * MESH
+
+
+def test_start_and_whole_lattice_first_step_allocate_under_14_meshes():
+    # Step 1 transforms and plans the whole lattice: on top of the
+    # start's six meshes, the stacked splits (two), their thresholded sum
+    # (one), the plan's two lists (two) and the threshold's temporaries
+    # (about one), with two to spare.
+    def first_step():
+        sim = Simulation(SimulationConfig())
+        sim.step()
+        return sim
+
+    sim, peak = traced_peak(first_step)
+    assert sim.state.pmask0.shape == (sim.spec.n,) * 2
+    assert sim.state.pmask0.all()
+    assert peak < 14 * MESH
+
+
+def test_start_shares_one_read_only_mask_and_level_array():
+    state = Simulation(small_config()).state
+    assert all(getattr(state, name) is state.mask0
+               for name in START_SHARED[:5])
+    assert state.level1 is state.level0
+    for name in START_SHARED:
+        with pytest.raises(ValueError):
+            getattr(state, name)[0, 0] = 0
+
+
+@pytest.mark.parametrize("full_grid", [False, True])
+def test_runs_from_the_read_only_start_match_writable_copies(full_grid):
+    config = small_config(boundary="PML", full_grid=full_grid)
+    shared, apart = Simulation(config), Simulation(config)
+    for name in START_SHARED:
+        setattr(apart.state, name, getattr(apart.state, name).copy())
+    mask, levels = shared.state.mask0, shared.state.level0
+    for _ in range(4):
+        shared.step()
+        apart.step()
+        assert state_digest(shared.state) == state_digest(apart.state)
+    if full_grid:
+        # A full-grid run keeps the start's mask and levels for good.
+        state = shared.state
+        assert all(getattr(state, name) is mask for name in START_SHARED[:5])
+        assert state.level0 is state.level1 is levels
 
 
 # ------------------------------------------------------------ stepping

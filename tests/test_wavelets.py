@@ -21,6 +21,7 @@ from awcmaxwell.wavelets import (
     PHYSICAL,
     WAVELET,
     CoeffPyramid,
+    MaskPlan,
     fwt_full,
     fwt_step,
     interpolate_missing,
@@ -426,3 +427,88 @@ def test_interpolate_missing_identity_on_same_mask():
     full = spec.full_mask()
     out = interpolate_missing(field, full, full, spec, bank)
     np.testing.assert_array_equal(out, field)
+
+
+# ---------------------------------------------------------------- plan
+
+
+def reference_plan(mask, spec, bank):
+    """The masked points sorted by birth level, and per transform level
+    the sets of d1, d2 and d3 points and of lifted evens: the points born
+    at level + 1 split by their parity on that lattice, and the masked
+    even-even points with a masked d1 point along x or d2 point along z
+    within update reach."""
+    birth = spec.birth.reshape(-1)
+    flat = np.flatnonzero(mask)
+    flat = flat[np.argsort(birth[flat], kind="stable")]
+    rows, cols = np.divmod(flat, spec.n)
+    reach = [2 * int(l) - 1 for l in bank.predict_offsets]
+    levels = []
+    for level in range(spec.j_min, spec.j_max):
+        h, n = spec.stride(level + 1), spec.n
+        born = birth[flat] == level + 1
+        r, c = rows[born], cols[born]
+        odd_r, odd_c = (r & h) > 0, (c & h) > 0
+        kinds = [set(zip(r[k].tolist(), c[k].tolist()))
+                 for k in (odd_r & ~odd_c, ~odd_r, odd_r & odd_c)]
+        evens = {(p, q) for p in range(0, n, 2 * h)
+                 for q in range(0, n, 2 * h) if mask[p, q] and any(
+                     (0 <= p + u * h < n and mask[p + u * h, q])
+                     or (0 <= q + u * h < n and mask[p, q + u * h])
+                     for u in reach)}
+        levels.append(kinds + [evens])
+    return rows, cols, levels
+
+
+def plan_masks(spec, bank):
+    """Random closed masks, the full mask, the bare coarse lattice and
+    masks of the coarse lattice plus one detail point of each kind, at
+    the finest and at a middle level."""
+    rng = np.random.default_rng(spec.n)
+    coarse = spec.coarse_mask()
+    out = {"full": spec.full_mask(), "coarse": coarse}
+    for density in (0.02, 0.1, 0.4):
+        out[f"closed {density}"] = reconstruction_check(
+            coarse | (rng.random((spec.n, spec.n)) < density), spec, bank)
+    for b in {spec.j_max, (spec.j_min + spec.j_max + 1) // 2}:
+        h = spec.stride(b)
+        for kind, (r, c) in zip(("d1", "d2", "d3"),
+                                ((h, 2 * h), (2 * h, h), (h, h))):
+            single = coarse.copy()
+            single[r, c] = True
+            out[f"{kind} at {b}"] = single
+    return out
+
+
+@pytest.mark.parametrize("lattice", [None, 1, 2])
+@pytest.mark.parametrize("j_max", [4, 5, 6, 7])
+def test_mask_plan_lists_every_point_once_by_level_and_kind(bank4, j_max,
+                                                             lattice):
+    # On the whole mesh, and on the lattice `lattice` levels coarser.
+    spec = GridSpec(1, j_max)
+    if lattice is not None:
+        spec = spec.lattice(j_max - lattice)
+    for name, mask in plan_masks(spec, bank4).items():
+        plan = MaskPlan(mask, spec, bank4)
+        rows, cols, levels = reference_plan(mask, spec, bank4)
+        # Every masked point once, coarsest birth first.
+        assert plan.rows.size == plan.cols.size == rows.size, name
+        assert (set(zip(plan.rows.tolist(), plan.cols.tolist()))
+                == set(zip(rows.tolist(), cols.tolist()))), name
+        born = spec.birth[plan.rows, plan.cols]
+        assert np.all(born[1:] >= born[:-1]), name
+        # The levels' kinds are, in turn, rows and cols after the
+        # coarse points.
+        listed = [k for d1, d2, d3, _ in plan.levels for k in (d1, d2, d3)]
+        coarse = rows.size - sum(k[0].size for k in listed)
+        for i, axis in enumerate((plan.rows, plan.cols)):
+            assert np.array_equal(
+                np.concatenate([axis[:coarse]] + [k[i] for k in listed]),
+                axis), name
+        for level, (got, want) in enumerate(zip(plan.levels, levels),
+                                            spec.j_min):
+            for kind, (r, c), points in zip(("d1", "d2", "d3", "even"),
+                                            got, want):
+                pairs = set(zip(r.tolist(), c.tolist()))
+                assert len(pairs) == r.size, (name, level, kind)
+                assert pairs == points, (name, level, kind)
