@@ -78,6 +78,8 @@ class SimulationConfig:
             bad("snapshot_every", "must be at least 1")
         if self.ic not in ("gaussian", "zero"):
             bad("ic", "must be gaussian or zero")
+        if len(self.center_frac) != 2:
+            bad("center_frac", "must have two entries, x and z")
         if not all(0 < c < 1 for c in self.center_frac):
             bad("center_frac", "must place the pulse inside the domain")
         return self

@@ -8,30 +8,28 @@ activates every tap that matters beforehand, so zero reads only occur
 deep in the far field where the field itself is negligible.
 
 A caller that needs the derivative at some of the masked points only
-lists them (grid.Points) and gets their values alone, and may pass the
-mask's own list when it already holds it.
+lists them (grid.Points) and gets their values alone.
 """
 
 import numpy as np
 
 from .filters import FilterBank
-from .grid import GridSpec, Points, masked_points
+from .grid import GridSpec, Points, Taps, masked_points
 
 
 def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
-          domain_length: float, axis: int, at: Points | None = None,
-          points: Points | None = None) -> np.ndarray:
+          domain_length: float, axis: int,
+          at: Points | None = None) -> np.ndarray:
     """Derivative along axis at the masked points.
 
     Without at the result is an (n, n) array, zero off the mask; with
     at it holds the derivative at the listed points only, in their order.
-    points, when given, lists the mask's points.
 
     A full mask whose points all sit at level j_max, on the whole mesh,
     takes the uniform branch: the classical stencil on slices of one
     zero-padded copy, with no index lists.  The masked branch copies the
-    field at the mask's points into a zero array with one extra zero row
-    and column, which every tap past an edge reads, and gives each point
+    field's masked values into the padded layout (grid.Taps), whose extra
+    zero row and column every tap past an edge reads, and gives each point
     it evaluates its own tap spacing and scale from its density level, so
     all levels go through one pass whose cost follows the number of
     points.  Points whose level lies outside [j_min, j_max] are left at
@@ -71,29 +69,19 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
         acc *= 2.0**spec.j_max / domain_length
         return acc if at is None else acc.reshape(-1)[at.flat]
 
-    width = n + 1
-    taps = masked_points(mask) if points is None else points
-    values = np.zeros(width * width)
-    values[taps.padded()] = np.asarray(field, dtype=float)[taps.rows,
-                                                            taps.cols]
-    rows, cols, flat = taps if at is None else at
+    values = np.zeros((n + 1, n + 1))
+    np.copyto(values[:-1, :-1], field, where=mask)
+    rows, cols, flat = masked_points(mask) if at is None else at
     level = levels[rows, cols]
     known = (level >= spec.j_min) & (level <= spec.j_max)
     rows, cols, level = rows[known], cols[known], level[known]
     step = np.left_shift(1, spec.j_max - level)
-    # edge[p + reach] is p on the lattice and n (the zero halo) past it.
-    reach = len(coeffs) * spec.stride(spec.j_min)
-    edge = np.full(n + 2 * reach, n)
-    edge[reach:reach + n] = np.arange(n)
-    if axis == 0:
-        moving, fixed, unit = rows + reach, cols, width
-    else:
-        moving, fixed, unit = cols + reach, rows * width, 1
-    acc = np.zeros(rows.size)
-    for i, c in enumerate(coeffs, start=1):
-        for sign in (1, -1):
-            acc += sign * c * values[edge[moving + sign * i * step] * unit
-                                     + fixed]
+    taps = Taps(spec, rows, cols,
+                bank.deriv_halfwidth * spec.stride(spec.j_min))
+    acc = taps.sum(values.reshape(-1), axis,
+                   (sign * i * step for i in range(1, len(coeffs) + 1)
+                    for sign in (1, -1)),
+                   [sign * c for c in coeffs for sign in (1, -1)])
     derivative = acc * (np.ldexp(1.0, level) / domain_length)
     if at is not None:
         out = np.zeros(known.size)
@@ -105,18 +93,14 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
 
 
 def diff_x(field, mask, levels, spec: GridSpec, bank: FilterBank,
-           domain_length: float, at: Points | None = None,
-           points: Points | None = None) -> np.ndarray:
+           domain_length: float, at: Points | None = None) -> np.ndarray:
     """d(field)/dx (first array axis) at masked points, zero elsewhere;
-    at and points as in _diff."""
-    return _diff(field, mask, levels, spec, bank, domain_length, 0, at,
-                 points)
+    at as in _diff."""
+    return _diff(field, mask, levels, spec, bank, domain_length, 0, at)
 
 
 def diff_z(field, mask, levels, spec: GridSpec, bank: FilterBank,
-           domain_length: float, at: Points | None = None,
-           points: Points | None = None) -> np.ndarray:
+           domain_length: float, at: Points | None = None) -> np.ndarray:
     """d(field)/dz (second array axis) at masked points, zero elsewhere;
-    at and points as in _diff."""
-    return _diff(field, mask, levels, spec, bank, domain_length, 1, at,
-                 points)
+    at as in _diff."""
+    return _diff(field, mask, levels, spec, bank, domain_length, 1, at)

@@ -20,6 +20,13 @@ taps, derivatives, the field update) runs on such a list, so its cost
 follows the number of masked points rather than the size of the lattice;
 a caller that already holds the list of a mask passes it on.
 
+Stencils read fields in the padded layout: an (n, n) field stored as
+(n + 1, n + 1) with its extra row and column held at zero, k fields one
+after another.  Taps moves listed points along an axis in that layout; a
+tap past either edge lands on the extra row or column, so it reads zero
+and a write there is cropped away.  The wavelet transforms, the
+derivatives and the derivative closure all take their taps from it.
+
 A mask whose points all lie on the level-J lattice can be worked on with
 the grid of that lattice alone, GridSpec.lattice(J), as its entries at
 stride(J).  Birth and density levels are absolute, so the points keep
@@ -34,6 +41,7 @@ so it stays on the lattice when no point is born at J.  finest_level
 finds the level J of a mask.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +85,7 @@ class GridSpec:
         self.detail = self.birth > j_min
         self.coarsened = False
         self._lattices = {j_max: self}
+        self._edges = {}
 
     def stride(self, j: int) -> int:
         """Finest-index spacing of the level-j lattice."""
@@ -98,6 +107,17 @@ class GridSpec:
             grid.coarsened = True
             self._lattices[j] = grid
         return self._lattices[j]
+
+    def edges(self, reach: int):
+        """The row and column parts of padded flat positions, built once
+        per reach: entry p + reach is p * (n + 1) and p for a lattice
+        index p, and n * (n + 1) and n, the extra row and column, for p
+        up to reach past either edge."""
+        if reach not in self._edges:
+            edge = np.full(self.n + 2 * reach, self.n)
+            edge[reach:reach + self.n] = np.arange(self.n)
+            self._edges[reach] = (edge * (self.n + 1), edge)
+        return self._edges[reach]
 
     def full_mask(self) -> np.ndarray:
         return np.ones((self.n, self.n), dtype=bool)
@@ -129,11 +149,6 @@ class Points(NamedTuple):
     cols: np.ndarray
     flat: np.ndarray
 
-    def padded(self) -> np.ndarray:
-        """Flat indices of the points in a copy of the lattice stored with
-        one extra row and column: row * (n + 1) + col."""
-        return self.flat + self.rows
-
 
 def masked_points(mask: np.ndarray) -> Points:
     """The masked points in row-major order, as np.nonzero lists them;
@@ -141,6 +156,59 @@ def masked_points(mask: np.ndarray) -> Points:
     flat = np.flatnonzero(mask)
     rows, cols = np.divmod(flat, mask.shape[1])
     return Points(rows, cols, flat)
+
+
+class Taps:
+    """Listed points in the padded layout of 1 or k stacked fields.
+
+    at holds their flat positions, field by field, and moved(axis, shift)
+    holds them moved along axis by shift (a number or one per point, at
+    most reach), as a (k, len(rows)) array, or a 1-D one for one field.
+    Positions are flat, each field offset by (n + 1)^2: a flat gather or
+    scatter is several times faster than one on a stack, and a single
+    field's 1-D positions add faster than a broadcast (1, len(rows)).  An
+    axis's index arrays are built on its first use, so a derivative,
+    which moves along one axis, holds none for the other.
+    """
+
+    def __init__(self, spec: GridSpec, rows, cols, reach: int, fields=1):
+        self._width = spec.n + 1
+        self._field = (np.arange(0, fields * self._width**2,
+                                 self._width**2)[:, None] if fields > 1 else 0)
+        self._edges = spec.edges(reach)
+        self._reach = reach
+        self._points = rows, cols
+        self._lines = [None, None]
+
+    def _line(self, axis: int):
+        """The axis's edge table, the points' indices into it and the
+        rest of their flat positions."""
+        if self._lines[axis] is None:
+            rows, cols = self._points
+            moving, rest = ((rows, cols + self._field) if axis == 0
+                            else (cols, rows * self._width + self._field))
+            self._lines[axis] = self._edges[axis], moving + self._reach, rest
+        return self._lines[axis]
+
+    @cached_property
+    def at(self) -> np.ndarray:
+        return (self._line(1)[2] + self._points[1]).reshape(-1)
+
+    def moved(self, axis: int, shift) -> np.ndarray:
+        edge, index, rest = self._line(axis)
+        return edge[index + shift] + rest
+
+    def sum(self, values, axis: int, shifts, weights) -> np.ndarray:
+        """Sum of weight * values[moved(axis, shift)] over the taps, from
+        zero in tap order; values is the flat padded store, and shifts may
+        be a generator, holding one tap's shift at a time.  The loop
+        repeats moved's expression: a call per tap made the transforms
+        about 3% slower."""
+        edge, index, rest = self._line(axis)
+        out = np.zeros(rest.shape)
+        for shift, weight in zip(shifts, weights):
+            out += weight * values[edge[index + shift] + rest]
+        return out.reshape(-1)
 
 
 def _box_dilate(a, radius):
@@ -373,17 +441,12 @@ def extend_for_derivatives(
     level = levels[rows, cols]
     known = (level >= spec.j_min) & (level <= spec.j_max)
     step = np.left_shift(1, spec.j_max - level[known])
-    # The taps go to a copy of the lattice with a margin as wide as the
-    # farthest reach, so none needs an edge test; the margin is dropped.
-    n, margin = spec.n, bank.deriv_halfwidth * spec.stride(spec.j_min)
-    width = n + 2 * margin
-    taps = np.zeros((width, width), dtype=bool)
-    at = (rows[known] + margin) * width + cols[known] + margin
-    flat = taps.reshape(-1)
+    taps = Taps(spec, rows[known], cols[known],
+                bank.deriv_halfwidth * spec.stride(spec.j_min))
+    hit = np.zeros((spec.n + 1, spec.n + 1), dtype=bool)
+    flat = hit.reshape(-1)
     for i in range(1, bank.deriv_halfwidth + 1):
-        for unit in (width, 1):
-            shift = i * unit * step
-            flat[at + shift] = True
-            flat[at - shift] = True
-    out = mask | taps[margin:margin + n, margin:margin + n]
-    return reconstruction_check(out, spec, bank)
+        for shift in (i * step, -i * step):
+            for axis in (0, 1):
+                flat[taps.moved(axis, shift)] = True
+    return reconstruction_check(mask | hit[:-1, :-1], spec, bank)

@@ -12,7 +12,7 @@ Grids, levels and stencils come from the grid/wavelets/derivatives
 modules; this module owns the physics, the step-size control, and the
 boundary treatment.
 
-On an adaptive grid a step lists the points of each of its masks once
+On an adaptive grid a step lists the points of mask0 and mask1 once
 (grid.Points) and works on those lists: the levels, the derivative
 closure, the derivatives, the field update, Ey = Eyx + Eyz and the
 finite check cost in proportion to the active points.  Every entry off
@@ -64,7 +64,6 @@ from .grid import (
 from .wavelets import (
     WAVELET,
     CoeffPyramid,
-    MaskPlan,
     fwt_full,
     interpolate_missing,
     iwt_full,
@@ -326,7 +325,7 @@ class Simulation:
 
     # ------------------------------------------------------------ stepping
 
-    def adapt_step(self) -> tuple[Points, Points, Points] | None:
+    def adapt_step(self) -> tuple[Points, Points] | None:
         """Re-fit the grid to the current Ey (no-op in full-grid mode).
 
         The transform of the summed field decides only grid membership:
@@ -339,7 +338,7 @@ class Simulation:
         field content every step and the deviation from the full-grid
         reference then grows far past the threshold scale.
 
-        Returns the listed points of the new mask0, mask1 and mask2 for
+        Returns the listed points of the new mask0 and mask1 for
         update_step, in the coordinates of the lattice the state leaves
         on, or None in full-grid mode; on_finest_lattice gives the state
         as (n, n) arrays.
@@ -376,15 +375,13 @@ class Simulation:
         mask2 = extend_for_derivatives(mask1, spec, level1, bank, points1)
         _require_subset(mask0, mask1, "mask0 not within mask1")
         _require_subset(mask1, mask2, "mask1 not within mask2")
-        plan = MaskPlan(mask2, spec, bank)
-        iwt_full(pyr, mask2, bank, check=False, plan=plan)
-        points2 = Points(plan.rows, plan.cols, plan.rows * spec.n + plan.cols)
+        iwt_full(pyr, mask2, bank, check=False)
         # iwt_full left the splits at +0.0 off mask2, so Ey is too.
         state.eyx, state.eyz = pyr.data
         state.ey = np.add(*pyr.data)
         state.mask0, state.mask1, state.mask2 = mask0, mask1, mask2
         state.level0, state.level1 = level0, level1
-        return points0, points1, points2
+        return points0, points1
 
     def _thinned_mask(self, pair: CoeffPyramid, mask) -> np.ndarray:
         """Forward-transform the split pair on mask, in place, and return
@@ -394,34 +391,32 @@ class Simulation:
         the closure operations, which guarantee stencil completeness, so
         the per-call validation is skipped.
         """
-        plan = MaskPlan(mask, pair.spec, self.bank)
-        fwt_full(pair, mask, self.bank, check=False, plan=plan)
+        fwt_full(pair, mask, self.bank, check=False)
         # Off the mask both transformed splits are +0.0, and so is their
         # sum.
         total = CoeffPyramid(pair.data[0], pair.spec, WAVELET, where=False)
         np.add(*pair.data, out=total.data)
         return threshold_coeffs(total, self.config.zeta, mask=mask)[1]
 
-    def update_step(self, points: tuple[Points, Points, Points] | None = None):
+    def update_step(self, points: tuple[Points, Points] | None = None):
         """Advance H by dt, then Ey by dt, on the adapted grid.
 
-        points are the listed points of the state's masks, as adapt_step
-        returns them, in the coordinates of the lattice the state's
-        arrays sample (on_finest_lattice gives them as (n, n) arrays),
-        on which the update runs; on an adaptive grid they are listed
-        here when not given.
+        points are the listed points of the state's mask0 and mask1,
+        as adapt_step returns them, in the coordinates of the lattice the
+        state's arrays sample (on_finest_lattice gives them as (n, n)
+        arrays), on which the update runs; on an adaptive grid they are
+        listed here when not given.
         """
         state = self.state
         if points is None and not self.config.full_grid:
-            points = tuple(masked_points(mask) for mask in (
-                state.mask0, state.mask1, state.mask2))
+            points = masked_points(state.mask0), masked_points(state.mask1)
         with np.errstate(over="ignore", invalid="ignore"):
             # Blow-ups surface through the finite check below, not as
             # per-operation warnings.
             self._update_fields(points)
         state.k += 1
         state.t += self.dt
-        at0, at1 = (None, None) if points is None else points[:2]
+        at0, at1 = (None, None) if points is None else points
         if not (np.isfinite(_at(state.ey, at0)).all()
                 and np.isfinite(_at(state.hx, at1)).all()
                 and np.isfinite(_at(state.hz, at1)).all()):
@@ -431,7 +426,7 @@ class Simulation:
         state, bank, length = self.state, self.bank, self.length_m
         spec = self.spec.lattice(_level(state.ey))
         n, s = spec.n, self.spec.stride(spec.j_max)
-        p0, p1, p2 = (None,) * 3 if points is None else points
+        p0, p1 = (None, None) if points is None else points
         ea_x, eb_x, ea_z, eb_z, hb_x, hb_z = (
             c[::s, ::s] for c in (self.ea_x, self.eb_x, self.ea_z,
                                   self.eb_z, self.hb_x, self.hb_z))
@@ -451,18 +446,18 @@ class Simulation:
         # H is updated on mask1 and reads the derivatives of Ey there
         # only; their taps reach over mask2.
         dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank,
-                       length, at=p1, points=p2)
+                       length, at=p1)
         dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank,
-                       length, at=p1, points=p2)
+                       length, at=p1)
         state.hx = _advance(ea_z, state.hx, np.add, hb_z, dz_ey, p1, n)
         state.hz = _advance(ea_x, state.hz, np.subtract, hb_x, dx_ey, p1, n)
 
         # The splits came out of adapt_step valid on mask2, a superset
         # of mask0, so they need no separate interpolation pass here.
         dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank,
-                       length, at=p0, points=p1)
+                       length, at=p0)
         dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank,
-                       length, at=p0, points=p1)
+                       length, at=p0)
         state.eyz = _advance(ea_z, state.eyz, np.add, eb_z, dz_hx, p0, n)
         state.eyx = _advance(ea_x, state.eyx, np.subtract, eb_x, dx_hz, p0, n)
         self.apply_boundary(state)

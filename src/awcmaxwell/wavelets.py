@@ -11,8 +11,9 @@ comparable across levels, which lets a single threshold act uniformly.
 
 Any stencil tap that falls outside the array or outside the active mask
 reads zero.  The background of the array is kept at exactly zero so
-gathers never need per-point guards, and the array is stored with one
-extra zero row and column that every tap past an edge reads.
+gathers never need per-point guards, and the array is stored in the
+padded layout of the grid module, whose extra zero row and column every
+tap past an edge reads (grid.Taps).
 
 Each level is lifted in one-axis passes, the tensor-product form of 1-D
 lifting (Sweldens, SIAM J. Math. Anal. 29, 1998): the odd-odd detail
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .filters import FilterBank
-from .grid import GridSpec, class_moves, masked_points, require_closed
+from .grid import GridSpec, Taps, class_moves, require_closed
 
 PHYSICAL = "physical"
 WAVELET = "wavelet"
@@ -63,14 +64,7 @@ class CoeffPyramid:
     data is a view of ``padded``, which has one more row and column, held
     at zero, for the taps that fall past an edge.  The constructor copies
     data; where, True, False or an (n, n) mask, selects the entries taken
-    from it, and the others start at zero.  A mask's points are listed
-    and copied alone, so the copy costs in proportion to their number.
-
-    support is a mask off which every entry is zero, or None when no
-    such mask is known.  where=mask sets it to mask (held, not copied)
-    and a transform on a mask to that mask, which lets the transform
-    skip zeroing entries that already are zero.  Code that writes
-    entries off it through data or padded must set it to None.
+    from it, as in np.copyto, and the others start at zero.
     """
 
     def __init__(self, data, spec: GridSpec, state: str = PHYSICAL, *,
@@ -86,15 +80,8 @@ class CoeffPyramid:
         if state not in (PHYSICAL, WAVELET):
             raise ValueError(f"unknown pyramid state {state!r}")
         self.padded = np.zeros(lead + (n + 1, n + 1))
-        stored = self.padded.reshape(-1, (n + 1) ** 2)
-        if where is True:
-            for dst, field in zip(stored, fields):
-                dst.reshape(n + 1, n + 1)[:-1, :-1] = field
-        elif where is not False:
-            listed = masked_points(where)
-            for dst, field in zip(stored, fields):
-                dst[listed.padded()] = field[listed.rows, listed.cols]
-        self.support = where if isinstance(where, np.ndarray) else None
+        for dst, field in zip(self.padded.reshape(-1, n + 1, n + 1), fields):
+            np.copyto(dst[:-1, :-1], field, where=where)
         self.spec = spec
         self.state = state
 
@@ -168,43 +155,22 @@ def _lifted_evens(mask, h: int, bank: FilterBank):
     return tuple(i * s for i in np.nonzero(near))
 
 
-class _Taps:
-    """Flat positions (at) of some points in a pyramid's padded storage,
-    in every stacked field, and the weighted sums of the values at their
-    taps along x, sx(), and z, sz().  A flat position is a row part plus
-    a column part; taps past an edge land on the zero row or column."""
+class _Taps(Taps):
+    """Taps of some points of a pyramid, in every stacked field, with one
+    level's stencil: the weighted sums of the stored values at their taps
+    along x, sx(), and z, sz()."""
 
     def __init__(self, pyramid: CoeffPyramid, points, offsets, weights):
-        n, width = pyramid.spec.n, pyramid.spec.n + 1
-        fields = np.arange(pyramid.padded.size // width**2)[:, None]
-        reach = int(np.abs(offsets).max())
-        # lattice[p + reach] is p on the lattice and n, the zero row or
-        # column, past either edge.  row_edge holds the row parts of
-        # those rows, one run of len(lattice) per stacked field.
-        lattice = np.full(n + 2 * reach, n)
-        lattice[reach:reach + n] = np.arange(n)
-        self._row_edge = (lattice * width + fields * width**2).reshape(-1)
-        self._col_edge = lattice
-        rows, cols = points
-        self._row_key = (fields * lattice.size + rows).reshape(-1)
-        self._shifts = [reach + int(t) for t in offsets]
-        self._weights = weights
+        super().__init__(pyramid.spec, *points, int(np.abs(offsets).max()),
+                         pyramid.data.size // pyramid.spec.n**2)
         self._v = pyramid.padded.reshape(-1)
-        self.row = self._row_edge[self._row_key + reach]
-        self.col = np.tile(cols, fields.size)
-        self.at = self.row + self.col
+        self._stencil = offsets, weights
 
     def sx(self):
-        out = np.zeros(self.at.size)
-        for s, w in zip(self._shifts, self._weights):
-            out += w * self._v[self._row_edge[self._row_key + s] + self.col]
-        return out
+        return self.sum(self._v, 0, *self._stencil)
 
     def sz(self):
-        out = np.zeros(self.at.size)
-        for s, w in zip(self._shifts, self._weights):
-            out += w * self._v[self.row + self._col_edge[self.col + s]]
-        return out
+        return self.sum(self._v, 1, *self._stencil)
 
 
 def _level(pyramid, level, mask, bank, plan, what):
@@ -259,17 +225,8 @@ def _update(pyramid, points, stencil, lift):
 
 
 def _restrict(pyramid: CoeffPyramid, mask):
-    """Zero every entry off the mask, in place.  Only entries of the
-    pyramid's support (every entry when it is None) may be nonzero, so
-    only those off the mask are written; the support becomes mask."""
-    if pyramid.support is not mask:
-        stale = ~mask if pyramid.support is None else pyramid.support & ~mask
-        if stale.any():
-            at = np.flatnonzero(stale)
-            at += at // pyramid.spec.n  # the index in padded storage
-            for field in pyramid.padded.reshape(-1, (pyramid.spec.n + 1) ** 2):
-                field[at] = 0.0
-    pyramid.support = mask
+    """Zero every entry off the mask, in place."""
+    np.copyto(pyramid.data, 0.0, where=~mask)
 
 
 def fwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
@@ -391,18 +348,15 @@ def interpolate_missing(field_values, old_mask, new_mask, spec: GridSpec,
     back onto the overlap so points present in both masks are untouched.
     field_values may also be a stack or a sequence of fields, shape
     (k, n, n), which share the two transforms and their plans.  check has
-    the same meaning as in fwt_full and covers both masks.  Values are
-    copied at the listed points of the masks only.
+    the same meaning as in fwt_full and covers both masks.
     """
-    if not (new_mask & ~old_mask).any():
-        # Copy-back would restore every point of new_mask anyway.
-        return CoeffPyramid(field_values, spec, where=new_mask).data
     pyramid = CoeffPyramid.from_field(field_values, spec, mask=old_mask)
     fwt_full(pyramid, old_mask, bank, check=check)
     iwt_full(pyramid, new_mask, bank, check=check)
     # iwt_full left every entry off new_mask at zero.
-    kept = masked_points(old_mask & new_mask)
     _, fields = _fields(field_values)
-    for out, field in zip(pyramid.padded.reshape(len(fields), -1), fields):
-        out[kept.padded()] = field[kept.rows, kept.cols]
+    kept = old_mask & new_mask
+    for out, field in zip(pyramid.padded.reshape(-1, spec.n + 1, spec.n + 1),
+                          fields):
+        np.copyto(out[:-1, :-1], field, where=kept)
     return pyramid.data

@@ -120,6 +120,12 @@ def test_jmax_cap():
         parse_config("jmax = 13")
 
 
+@pytest.mark.parametrize("centre", [(0.5,), (0.5, 0.5, 0.9), ()])
+def test_center_frac_needs_two_entries(centre):
+    with pytest.raises(ConfigError, match="center_frac"):
+        SimulationConfig(center_frac=centre).validate()
+
+
 def test_config_keys_cover_file_surface():
     # Every public key round-trips through the parser.
     defaults = SimulationConfig()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import gaussian_field
+from conftest import gaussian_field, traced_peak
 
 from awcmaxwell.derivatives import diff_x, diff_z
 from awcmaxwell.filters import build_filter_bank
@@ -206,3 +206,22 @@ def test_unmasked_taps_read_zero():
     got = diff_x(field, mask, levels, spec, bank, float(spec.n - 1))
     # All taps unmasked: the antisymmetric sum of zeros is zero.
     assert got[8, 8] == 0.0
+
+
+def test_masked_derivative_memory_does_not_grow_with_taps():
+    # A mask one point short of full takes the masked branch over the
+    # whole mesh.  Each tap's shift is formed and dropped in turn, so
+    # order 4 (12 taps) holds less than one point-array more than order 2
+    # (4 taps); forming every shift at once would hold 8 more.
+    spec = GridSpec(3, 7)
+    mask = spec.full_mask()
+    mask[1, 1] = False
+    levels = compute_levels(mask, spec)
+    field = np.random.default_rng(0).standard_normal((spec.n, spec.n))
+    point_array = 8 * np.count_nonzero(mask)
+    for fn in (diff_x, diff_z):
+        peaks = [traced_peak(lambda: fn(field, mask, levels, spec,
+                                        build_filter_bank(order), 1.0))[1]
+                 for order in (2, 4)]
+        assert peaks[1] - peaks[0] < point_array, (
+            fn.__name__, [peak / point_array for peak in peaks])

@@ -29,6 +29,7 @@ from awcmaxwell.filters import build_filter_bank  # noqa: E402
 from awcmaxwell.grid import (  # noqa: E402
     GridSpec,
     Points,
+    Taps,
     add_adjacent_zone,
     compute_levels,
     extend_for_derivatives,
@@ -238,6 +239,54 @@ def test_interpolate_missing_pair_matches_single_calls_bitwise(case, data):
         assert (got[~new] == 0.0).all()
 
 
+@st.composite
+def tap_cases(draw):
+    """Lattice, reach (seven coarsest strides), random points with edge
+    rows and columns among them, and 1 or 2 stacked fields."""
+    j_max = draw(st.integers(2, 6))
+    spec = GridSpec(draw(st.integers(1, j_max - 1)), j_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = rng.integers(0, spec.n, (2, draw(st.integers(0, 40))))
+    rows[::3] = rng.choice([0, spec.n - 1], rows[::3].size)
+    cols[1::3] = rng.choice([0, spec.n - 1], cols[1::3].size)
+    values = rng.standard_normal((draw(st.sampled_from([1, 2])), spec.n,
+                                  spec.n))
+    return spec, 7 * spec.stride(spec.j_min), rows, cols, values, rng
+
+
+@PROPERTY
+@given(tap_cases(), st.booleans(), st.integers(1, 4))
+def test_taps_match_zero_extension_oracles(case, per_point, count):
+    spec, reach, rows, cols, values, rng = case
+    k, n = values.shape[0], spec.n
+    taps = Taps(spec, rows, cols, reach, k)
+    padded = np.zeros((k, n + 1, n + 1))
+    padded[:, :-1, :-1] = values
+    stored = padded.reshape(-1)
+    assert stored[taps.at].tobytes() == values[:, rows, cols].tobytes()
+    wide = np.pad(values, ((0, 0), (reach, reach), (reach, reach)))
+    weights = rng.standard_normal(count)
+    for axis in (0, 1):
+        shifts = [rng.integers(-reach, reach + 1, rows.size) if per_point
+                  else int(rng.integers(-reach, reach + 1)) for _ in weights]
+        moves = [(shift, 0) if axis == 0 else (0, shift) for shift in shifts]
+        want = np.zeros((k, rows.size))
+        for (dr, dc), weight in zip(moves, weights):
+            want += weight * wide[:, rows + reach + dr, cols + reach + dc]
+        got = taps.sum(stored, axis, iter(shifts), weights)
+        assert got.tobytes() == want.tobytes()
+        # A scatter past an edge lands on the padding, which is cropped.
+        for shift, (dr, dc) in zip(shifts, moves):
+            hit = np.zeros((k, n + 1, n + 1), dtype=bool)
+            hit.reshape(-1)[taps.moved(axis, shift)] = True
+            r, c = np.broadcast_arrays(rows + dr, cols + dc)
+            inside = (r >= 0) & (r < n) & (c >= 0) & (c < n)
+            expect = np.zeros((k, n, n), dtype=bool)
+            expect[:, r[inside], c[inside]] = True
+            np.testing.assert_array_equal(hit[:, :-1, :-1], expect)
+    assert spec.edges(reach) is spec.edges(reach)
+
+
 @PROPERTY
 @given(closed_cases(max_j=4))
 def test_masked_derivatives_match_loop_oracle_on_random_masks(case):
@@ -248,11 +297,10 @@ def test_masked_derivatives_match_loop_oracle_on_random_masks(case):
         want = oracle_diff(fields[0], mask, levels, spec, bank, 2.0, axis)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         # At listed points (every other masked point, and one off the
-        # mask), with the mask's own list given, the same values.
+        # mask), the same values.
         listed = masked_points(mask)
         at = Points(*(np.append(part[::2], 0) for part in listed))
-        values = fn(fields[0], mask, levels, spec, bank, 2.0, at=at,
-                    points=listed)
+        values = fn(fields[0], mask, levels, spec, bank, 2.0, at=at)
         assert values.tobytes() == got[at.rows, at.cols].tobytes()
 
 
@@ -413,7 +461,6 @@ def test_derivatives_on_a_coarser_lattice_match_the_finest(case, seed):
         listed = masked_points(closed)
         fine_listed = Points(listed.rows * s, listed.cols * s,
                              (listed.rows * spec.n + listed.cols) * s)
-        got = fn(field, closed, levels, coarse, bank, 2.0, at=listed,
-                 points=listed)
-        want = fn(*fine_args, bank, 2.0, at=fine_listed, points=fine_listed)
+        got = fn(field, closed, levels, coarse, bank, 2.0, at=listed)
+        want = fn(*fine_args, bank, 2.0, at=fine_listed)
         assert got.tobytes() == want.tobytes()
