@@ -14,7 +14,7 @@ lists them (grid.Points) and gets their values alone.
 import numpy as np
 
 from .filters import FilterBank
-from .grid import GridSpec, Points, Taps, masked_points
+from .grid import GridSpec, Points, derivative_taps, masked_points
 
 
 def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
@@ -30,10 +30,10 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
     zero-padded copy, with no index lists.  The masked branch copies the
     field's masked values into the padded layout (grid.Taps), whose extra
     zero row and column every tap past an edge reads, and gives each point
-    it evaluates its own tap spacing and scale from its density level, so
-    all levels go through one pass whose cost follows the number of
-    points.  Points whose level lies outside [j_min, j_max] are left at
-    zero.
+    it evaluates its own tap spacing (grid.derivative_taps) and scale from
+    its density level, so all levels go through one pass whose cost
+    follows the number of points.  Points whose level lies outside
+    [j_min, j_max] are left at zero.
     """
     coeffs = bank.deriv_filter
     n = spec.n
@@ -71,16 +71,9 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
 
     values = np.zeros((n + 1, n + 1))
     np.copyto(values[:-1, :-1], field, where=mask)
-    rows, cols, flat = masked_points(mask) if at is None else at
-    level = levels[rows, cols]
-    known = (level >= spec.j_min) & (level <= spec.j_max)
-    rows, cols, level = rows[known], cols[known], level[known]
-    step = np.left_shift(1, spec.j_max - level)
-    taps = Taps(spec, rows, cols,
-                bank.deriv_halfwidth * spec.stride(spec.j_min))
-    acc = taps.sum(values.reshape(-1), axis,
-                   (sign * i * step for i in range(1, len(coeffs) + 1)
-                    for sign in (1, -1)),
+    points = masked_points(mask) if at is None else at
+    known, level, taps, shifts = derivative_taps(points, levels, spec, bank)
+    acc = taps.sum(values.reshape(-1), axis, shifts,
                    [sign * c for c in coeffs for sign in (1, -1)])
     derivative = acc * (np.ldexp(1.0, level) / domain_length)
     if at is not None:
@@ -88,7 +81,7 @@ def _diff(field, mask, levels, spec: GridSpec, bank: FilterBank,
         out[known] = derivative
         return out
     out = np.zeros(n * n)
-    out[flat[known]] = derivative
+    out[points.flat[known]] = derivative
     return out.reshape(n, n)
 
 

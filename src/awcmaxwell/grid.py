@@ -211,6 +211,24 @@ class Taps:
         return out.reshape(-1)
 
 
+def derivative_taps(points: Points, levels, spec: GridSpec, bank: FilterBank):
+    """(known, level, taps, shifts) of the listed points' derivative
+    stencils: a point of density level j taps +-i 2^(j_max - j) along
+    either axis, i = 1..deriv_halfwidth, and one whose level lies outside
+    [j_min, j_max] taps nothing.  known marks the points that tap; level,
+    taps and shifts cover those alone, shifts yielding the signed shifts
+    in tap order, +i then -i for i = 1, 2, ..., one array at a time."""
+    rows, cols, _ = points
+    level = levels[rows, cols]
+    known = (level >= spec.j_min) & (level <= spec.j_max)
+    level = level[known]
+    step = np.left_shift(1, spec.j_max - level)
+    taps = Taps(spec, rows[known], cols[known],
+                bank.deriv_halfwidth * spec.stride(spec.j_min))
+    return known, level, taps, (sign * i * step for i in range(
+        1, bank.deriv_halfwidth + 1) for sign in (1, -1))
+
+
 def _box_dilate(a, radius):
     """Union of a with its translates up to radius along both axes."""
     rows = a.copy()
@@ -427,26 +445,19 @@ def extend_for_derivatives(
 ) -> np.ndarray:
     """Add the derivative stencil taps of every masked point, then re-close.
 
-    A point at density level j0 taps i = 1..len(deriv_filter) steps of size
-    2^(j_max - j0) along both axes; taps beyond the array edge are dropped
-    (they read zero), and so are the taps of a point whose level lies
-    outside [j_min, j_max].  A reconstruction check runs afterwards so
-    inverse transforms stay well defined on the grown mask.
+    The taps are derivative_taps' along both axes; taps beyond the array
+    edge are dropped (they read zero).  A reconstruction check runs
+    afterwards so inverse transforms stay well defined on the grown mask.
 
     The taps come from the coordinates and levels of the masked points
     (points, when given, lists them), so their cost follows the number of
     masked points.
     """
-    rows, cols, _ = masked_points(mask) if points is None else points
-    level = levels[rows, cols]
-    known = (level >= spec.j_min) & (level <= spec.j_max)
-    step = np.left_shift(1, spec.j_max - level[known])
-    taps = Taps(spec, rows[known], cols[known],
-                bank.deriv_halfwidth * spec.stride(spec.j_min))
+    points = masked_points(mask) if points is None else points
+    _, _, taps, shifts = derivative_taps(points, levels, spec, bank)
     hit = np.zeros((spec.n + 1, spec.n + 1), dtype=bool)
     flat = hit.reshape(-1)
-    for i in range(1, bank.deriv_halfwidth + 1):
-        for shift in (i * step, -i * step):
-            for axis in (0, 1):
-                flat[taps.moved(axis, shift)] = True
+    for shift in shifts:
+        for axis in (0, 1):
+            flat[taps.moved(axis, shift)] = True
     return reconstruction_check(mask | hit[:-1, :-1], spec, bank)

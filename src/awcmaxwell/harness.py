@@ -25,7 +25,7 @@ import numpy as np
 from .config import CONFIG_KEYS, SimulationConfig
 from .errors import ConfigError
 from .grid import GridSpec
-from .solver import FieldState, Simulation, on_finest_lattice
+from .solver import FieldState, Simulation, relattice
 
 MANIFEST_HEADER = "k,t,cardinality,card1,card2,cp,wall_ms"
 ERROR_HEADER = "k,t,max_full,rel_err"
@@ -79,26 +79,26 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_field_csv(path, state: FieldState, spec: GridSpec,
+def write_field_csv(path, fields, spec: GridSpec,
                     domain_length_um: float) -> Path:
     """Write every finest-lattice point as row,col,x_um,z_um,Ey,Hx,Hz.
 
-    The values are the state's own arrays, which hold 0.0 at every point
-    outside the active grid (Ey off mask0, Hx and Hz off mask1); the
-    adaptive solution between active points is the wavelet interpolation
-    that Simulation.dense_ey computes, not these zeros.  Each value is
-    written with repr, one lattice row at a time.  A row whose three
-    fields are all +0.0 differs from every other such row only in its
-    row index and x, so it is one text, built once from the z
-    coordinates, with those two filled in.  -0.0 counts as a value:
-    its repr is "-0.0".
+    fields are the (n, n) Ey, Hx and Hz.  A state's own arrays hold 0.0
+    at every point outside the active grid (Ey off mask0, Hx and Hz off
+    mask1); the adaptive solution between active points is the wavelet
+    interpolation that Simulation.dense_ey computes, not these zeros.
+    Each value is written with repr, one lattice row at a time.  A row
+    whose three fields are all +0.0 differs from every other such row
+    only in its row index and x, so it is one text, built once from the
+    z coordinates, with those two filled in.  -0.0 counts as a value: its
+    repr is "-0.0".
     """
     path = Path(path)
     delta_um = domain_length_um / (spec.n - 1)
     cols = range(spec.n)
     z_um = [_fmt(n * delta_um) for n in cols]
     valued = np.zeros(spec.n, dtype=bool)
-    for field in (state.ey, state.hx, state.hz):
+    for field in fields:
         valued |= ((field != 0) | np.signbit(field)).any(axis=1)
     blank = "".join([f"<m>,{n},<x>,{z},0.0,0.0,0.0\n"
                      for n, z in zip(cols, z_um)])
@@ -113,9 +113,8 @@ def write_field_csv(path, state: FieldState, spec: GridSpec,
             x = f",{_fmt(m * delta_um)},"
             fh.write("".join([
                 f"{lead}{n}{x}{z},{e!r},{a!r},{b!r}\n"
-                for n, z, e, a, b in zip(cols, z_um, state.ey[m].tolist(),
-                                         state.hx[m].tolist(),
-                                         state.hz[m].tolist())]))
+                for n, z, e, a, b in zip(cols, z_um, *(
+                    field[m].tolist() for field in fields))]))
     return path
 
 
@@ -162,14 +161,17 @@ def emit_snapshot(state: FieldState, spec: GridSpec,
                   index: dict | None = None) -> tuple:
     """Write the field CSV and mask image of the state on spec's mesh.
 
-    When an index dict is given the pair of file names is recorded
-    under the step number, ready for the manifest trailer.
+    Ey is formed on the state's lattice and, like Hx, Hz and mask0,
+    spread over the mesh once.  When an index dict is given the pair of
+    file names is recorded under the step number, ready for the manifest
+    trailer.
     """
     out_dir = Path(out_dir)
-    state = on_finest_lattice(state, spec, ("ey", "hx", "hz", "mask0"))
-    field_path = write_field_csv(out_dir / f"field_k{state.k}.csv", state,
+    *fields, mask0 = (relattice(array, spec.j_max) for array in (
+        state.ey, state.hx, state.hz, state.mask0))
+    field_path = write_field_csv(out_dir / f"field_k{state.k}.csv", fields,
                                  spec, config.domain_length_um)
-    mask_path = write_mask_pgm(out_dir / f"mask_k{state.k}.pgm", state.mask0)
+    mask_path = write_mask_pgm(out_dir / f"mask_k{state.k}.pgm", mask0)
     if index is not None:
         index[state.k] = (field_path.name, mask_path.name)
     return field_path, mask_path
@@ -263,11 +265,12 @@ def run_simulation(config: SimulationConfig, out_dir=None,
             cp=card / full_count, wall_ms=wall_ms))
         if twin is not None:
             twin.step()
-            peak = float(np.abs(twin.state.ey).max())
+            ey = twin.state.ey
+            peak = float(np.abs(ey).max())
             if peak < floor or peak == 0.0:
                 twin = None
             else:
-                rel = float(np.abs(sim.dense_ey() - twin.state.ey).max())
+                rel = float(np.abs(sim.dense_ey() - ey).max())
                 errors.append(ErrorRecord(k=twin.state.k, t=twin.state.t,
                                           max_full=peak, rel_err=rel / peak))
         if state.k % config.snapshot_every == 0 or state.k == config.steps:

@@ -2,11 +2,13 @@
 
 The y-polarized system couples Ey with Hx and Hz on a 2D x-z domain.
 Every step first adapts the grid to the current Ey (threshold the
-transform, grow safety and stencil closures, reconstruct), then
-advances the fields leapfrog-style: H lives at half-integer times, Ey
-at integer times.  Ey is carried as the split pair Eyx + Eyz so the
-absorbing layer can damp each sweep direction separately; outside the
-layer the pair behaves exactly like the plain field.
+transform, grow safety and stencil closures) and regrids every field
+onto it (adapt_step), then advances the fields leapfrog-style on that
+grid (update_step): H lives at half-integer times, Ey at integer times.
+Ey is carried as the split pair Eyx + Eyz so the absorbing layer can
+damp each sweep direction separately; outside the layer the pair
+behaves exactly like the plain field.  The state stores the pair, and
+Ey is their sum, formed where it is read.
 
 Grids, levels and stencils come from the grid/wavelets/derivatives
 modules; this module owns the physics, the step-size control, and the
@@ -14,32 +16,34 @@ boundary treatment.
 
 On an adaptive grid a step lists the points of mask0 and mask1 once
 (grid.Points) and works on those lists: the levels, the derivative
-closure, the derivatives, the field update, Ey = Eyx + Eyz and the
-finite check cost in proportion to the active points.  Every entry off
-the masks is 0.0 by construction, so only the listed entries are
-computed.  In full-grid mode every point is active and the same
-arithmetic runs on the whole arrays.
+closure, the derivatives, the field update and the finite check cost
+in proportion to the active points.  Every entry off the masks is 0.0
+by construction, so only the listed entries are computed.  In full-grid
+mode every point is active and the same arithmetic runs on the whole
+arrays.
 
 The start and every full-grid step run on the whole (2^j_max + 1)^2
 mesh, so they hold as few mesh-sized arrays as they can: the start's
-five masks are one read-only full mask and its two level arrays one
+three masks are one read-only full mask and its two level arrays one
 read-only array, which a full-grid run keeps throughout and an adaptive
 step replaces, and the start, the uniform-stencil derivatives and the
 field update scale and sum into arrays they have just made, in place,
 with the operands and order of the plain expressions.
 
 An adaptive state is stored on the level-J lattice of the finest point
-of its masks, J = finest_level(pmask1 | mask2), at least j_min + 1: its
+of the masks its last step read and made, J = finest_level(previous
+mask1 | mask2), at least j_min + 1: its
 arrays are (2^J + 1)-square, J is read from their shape, and the points
 adapt_step returns and update_step takes are in that lattice's
-coordinates.  adapt_step narrows the state to the finest level of
-pmask1, which holds every field, thresholds there, and goes one level
-finer only when a survivor is born at that level, since the adjacent
-zone reaches one level past a point; update_step runs where adapt_step
-leaves the state.  Every point reads the same taps with the same
-weights in the same order as on the whole mesh (see the grid module), so
-the results are bit for bit the whole mesh's.  on_finest_lattice
-spreads a state over the (2^j_max + 1)^2 mesh; full-grid mode stays there.
+coordinates.  adapt_step narrows the state to the finest level of the
+mask1 it finds, which holds every field, thresholds there, and goes one
+level finer only when a survivor is born at that level, since the
+adjacent zone reaches one level past a point; update_step runs where
+adapt_step leaves the state.  Every point reads the same taps with the
+same weights in the same order as on the whole mesh (see the grid
+module), so the results are bit for bit the whole mesh's.  relattice
+spreads one array over the (2^j_max + 1)^2 mesh and on_finest_lattice
+the whole state; full-grid mode stays there.
 """
 
 import math
@@ -90,25 +94,23 @@ def default_dt_factor(bank: FilterBank) -> float:
 
 @dataclass
 class FieldState:
-    """Fields plus the mask chain of the current step.
+    """The fields and the grid they live on.
 
-    Ey is sampled at t = k dt, the magnetic fields at t = (k - 1/2) dt
-    entering a step.  eyx/eyz sum to ey on mask0.  pmask0 and pmask1
-    are the previous step's final mask0/mask1: the supports on which
-    the electric splits and the magnetic fields carry valid values
-    when a new step begins.
+    The splits eyx/eyz are sampled at t = k dt, the magnetic fields at
+    t = (k - 1/2) dt.  Between steps the splits hold their values on
+    mask0 and H on mask1, so these are the supports a step regrids from;
+    adapt_step replaces the masks and levels and regrids the splits onto
+    mask2 and H onto the new mask1, and update_step advances the fields
+    on them.  ey is derived, never stored.
 
     The arrays sample one lattice (see the module docstring); fields are
     0.0 off their masks, levels 0.  on_finest_lattice gives them (n, n).
     """
 
-    ey: np.ndarray
     eyx: np.ndarray
     eyz: np.ndarray
     hx: np.ndarray
     hz: np.ndarray
-    pmask0: np.ndarray
-    pmask1: np.ndarray
     mask0: np.ndarray
     mask1: np.ndarray
     mask2: np.ndarray
@@ -116,6 +118,11 @@ class FieldState:
     level1: np.ndarray
     k: int = 0
     t: float = 0.0
+
+    @property
+    def ey(self) -> np.ndarray:
+        """Ey = eyx + eyz, a new array on the state's lattice."""
+        return self.eyx + self.eyz
 
 
 def _at(array, points: Points | None):
@@ -155,7 +162,7 @@ def _level(array) -> int:
     return (array.shape[-1] - 1).bit_length() - 1
 
 
-def _relattice(array, level: int):
+def relattice(array, level: int):
     """The array on the level-`level` lattice: a finer one's entries at
     its points, or a coarser one's spread out with 0 (False) between
     them; the array itself when it samples that lattice."""
@@ -175,16 +182,14 @@ _ARRAYS = tuple(f.name for f in fields(FieldState) if f.type is np.ndarray)
 def _to_level(state: FieldState, level: int):
     """Put every array of the state on the level-`level` lattice."""
     for name in _ARRAYS:
-        setattr(state, name, _relattice(getattr(state, name), level))
+        setattr(state, name, relattice(getattr(state, name), level))
 
 
-def on_finest_lattice(state: FieldState, spec: GridSpec,
-                      names=_ARRAYS) -> FieldState:
-    """A copy of the state with the named arrays, by default every one,
-    on spec's finest lattice, (n, n); arrays already there are shared,
-    not copied, and the others are left on the state's lattice."""
-    return replace(state, **{name: _relattice(getattr(state, name),
-                                              spec.j_max) for name in names})
+def on_finest_lattice(state: FieldState, spec: GridSpec) -> FieldState:
+    """A copy of the state with every array on spec's finest lattice,
+    (n, n); arrays already there are shared, not copied."""
+    return replace(state, **{name: relattice(getattr(state, name), spec.j_max)
+                             for name in _ARRAYS})
 
 
 def _require_subset(inner, outer, what):
@@ -278,7 +283,7 @@ class Simulation:
         """The k=0 state on the whole mesh: every point active at level
         j_max.
 
-        It holds five fields, one full mask and one level array: the five
+        It holds four fields, one full mask and one level array: the three
         masks share the mask, and level0 and level1 the level array, both
         read-only, since a step replaces a state's masks and levels and
         never writes into them.  The levels stay int64, as _diff shifts
@@ -306,37 +311,36 @@ class Simulation:
         eyx = 0.5 * ey
         ey *= 0.5
         state = FieldState(
-            ey=ey,
             eyx=eyx,
             eyz=ey,
             hx=hx,
             hz=hz,
-            pmask0=full,
-            pmask1=full,
             mask0=full,
             mask1=full,
             mask2=full,
             level0=levels,
             level1=levels,
         )
-        self.apply_boundary(state)
-        state.ey = state.eyx + state.eyz
-        return state
+        return self.apply_boundary(state)
 
     # ------------------------------------------------------------ stepping
 
     def adapt_step(self) -> tuple[Points, Points] | None:
-        """Re-fit the grid to the current Ey (no-op in full-grid mode).
+        """Re-fit the grid to the current Ey and regrid every field onto
+        it (no-op in full-grid mode).
 
-        The transform of the summed field decides only grid membership:
-        detail positions below the threshold leave the mask (unless the
-        safety zone or a stencil closure keeps them).  The electric
-        splits are carried through their own transforms and come back
-        on the new grid with their coefficients intact; only positions
-        dropped from the grid lose their content.  Zeroing retained
-        sub-threshold coefficients instead deletes just-below-threshold
-        field content every step and the deviation from the full-grid
-        reference then grows far past the threshold scale.
+        The state's masks on entry are the previous step's: the splits
+        hold their values on mask0 and H on mask1.  The transform of the
+        summed field decides only grid membership: detail positions below
+        the threshold leave the mask (unless the safety zone or a stencil
+        closure keeps them).  The electric splits are carried through
+        their own transforms and come back on the new mask2 with their
+        coefficients intact; only positions dropped from the grid lose
+        their content.  Zeroing retained sub-threshold coefficients
+        instead deletes just-below-threshold field content every step and
+        the deviation from the full-grid reference then grows far past the
+        threshold scale.  H is interpolated onto the new mask1 when that
+        leaves the previous one.
 
         Returns the listed points of the new mask0 and mask1 for
         update_step, in the coordinates of the lattice the state leaves
@@ -344,41 +348,49 @@ class Simulation:
         as (n, n) arrays.
         """
         state, bank = self.state, self.bank
-        state.pmask0 = state.mask0
-        state.pmask1 = state.mask1
         if self.config.full_grid:
             return None
-        # Every field lives on pmask1, which holds pmask0.
-        level = max(finest_level(state.pmask1,
-                                 self.spec.lattice(_level(state.ey))),
+        # Every field lives on mask1, which holds mask0.
+        level = max(finest_level(state.mask1,
+                                 self.spec.lattice(_level(state.eyx))),
                     self.spec.j_min + 1)
         _to_level(state, level)
         spec = self.spec.lattice(level)
         # Both splits go through one stacked transform per mask.
         pyr = CoeffPyramid.from_field((state.eyx, state.eyz), spec,
-                                      mask=state.pmask0)
-        mask0 = self._thinned_mask(pyr, state.pmask0)
+                                      mask=state.mask0)
+        mask0 = self._thinned_mask(pyr, state.mask0)
         if level < self.spec.j_max and finest_level(mask0, spec) == level:
             # A survivor born at the lattice's finest level: its adjacent
             # zone reaches one level finer.
             level += 1
             _to_level(state, level)
             spec = self.spec.lattice(level)
-            pyr = CoeffPyramid(_relattice(pyr.data, level), spec, WAVELET)
-            mask0 = _relattice(mask0, level)
+            pyr = CoeffPyramid(relattice(pyr.data, level), spec, WAVELET)
+            mask0 = relattice(mask0, level)
         mask0 = reconstruction_check(add_adjacent_zone(mask0, spec), spec, bank)
         points0 = masked_points(mask0)
         level0 = compute_levels(mask0, spec, points0)
         mask1 = extend_for_derivatives(mask0, spec, level0, bank, points0)
         points1 = masked_points(mask1)
+        # H carries genuine values on the whole previous mask1 (update ring
+        # included); interpolating from there instead of from the previous
+        # mask0 keeps them, and the error against the full-grid reference
+        # stays at the threshold scale instead of accumulating
+        # ring-prediction glitches every step.  Both fields share one
+        # stacked regrid.  The update reads H at mask1's points only, so
+        # when mask1 lies inside the previous one the values there are H's
+        # own and no regrid runs.
+        if not state.mask1.reshape(-1)[points1.flat].all():
+            state.hx, state.hz = interpolate_missing(
+                (state.hx, state.hz), state.mask1, mask1, spec, bank,
+                check=False)
         level1 = compute_levels(mask1, spec, points1)
         mask2 = extend_for_derivatives(mask1, spec, level1, bank, points1)
         _require_subset(mask0, mask1, "mask0 not within mask1")
         _require_subset(mask1, mask2, "mask1 not within mask2")
         iwt_full(pyr, mask2, bank, check=False)
-        # iwt_full left the splits at +0.0 off mask2, so Ey is too.
         state.eyx, state.eyz = pyr.data
-        state.ey = np.add(*pyr.data)
         state.mask0, state.mask1, state.mask2 = mask0, mask1, mask2
         state.level0, state.level1 = level0, level1
         return points0, points1
@@ -399,7 +411,7 @@ class Simulation:
         return threshold_coeffs(total, self.config.zeta, mask=mask)[1]
 
     def update_step(self, points: tuple[Points, Points] | None = None):
-        """Advance H by dt, then Ey by dt, on the adapted grid.
+        """Advance H by dt, then Ey by dt, on the grid adapt_step left.
 
         points are the listed points of the state's mask0 and mask1,
         as adapt_step returns them, in the coordinates of the lattice the
@@ -410,50 +422,39 @@ class Simulation:
         state = self.state
         if points is None and not self.config.full_grid:
             points = masked_points(state.mask0), masked_points(state.mask1)
+        at0, at1 = (None, None) if points is None else points
         with np.errstate(over="ignore", invalid="ignore"):
-            # Blow-ups surface through the finite check below, not as
+            # Blow-ups surface through the finite check, not as
             # per-operation warnings.
             self._update_fields(points)
+            finite = all(np.isfinite(values).all() for values in (
+                _at(state.eyx, at0) + _at(state.eyz, at0),
+                _at(state.hx, at1), _at(state.hz, at1)))
         state.k += 1
         state.t += self.dt
-        at0, at1 = (None, None) if points is None else points
-        if not (np.isfinite(_at(state.ey, at0)).all()
-                and np.isfinite(_at(state.hx, at1)).all()
-                and np.isfinite(_at(state.hz, at1)).all()):
+        if not finite:
             raise InstabilityError(state.k)
 
     def _update_fields(self, points):
         state, bank, length = self.state, self.bank, self.length_m
-        spec = self.spec.lattice(_level(state.ey))
+        spec = self.spec.lattice(_level(state.eyx))
         n, s = spec.n, self.spec.stride(spec.j_max)
         p0, p1 = (None, None) if points is None else points
         ea_x, eb_x, ea_z, eb_z, hb_x, hb_z = (
             c[::s, ::s] for c in (self.ea_x, self.eb_x, self.ea_z,
                                   self.eb_z, self.hb_x, self.hb_z))
 
-        # The magnetic fields carry genuine values on the whole previous
-        # Mask1 (update ring included); interpolating from that support
-        # instead of the previous Mask0 keeps them, and the error against
-        # the full-grid reference stays at the threshold scale instead of
-        # accumulating ring-prediction glitches every step.  Both fields
-        # share one stacked regrid.  The update reads H at mask1's points
-        # only, so when mask1 lies inside pmask1, and on a full grid, the
-        # values there are H's own and no regrid runs.
-        if p1 is not None and not state.pmask1.reshape(-1)[p1.flat].all():
-            state.hx, state.hz = interpolate_missing(
-                (state.hx, state.hz), state.pmask1, state.mask1, spec, bank,
-                check=False)
         # H is updated on mask1 and reads the derivatives of Ey there
-        # only; their taps reach over mask2.
-        dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank,
-                       length, at=p1)
-        dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank,
-                       length, at=p1)
+        # only; their taps reach over mask2, where adapt_step left the
+        # splits.
+        ey = state.ey
+        dz_ey = diff_z(ey, state.mask2, state.level1, spec, bank, length,
+                       at=p1)
+        dx_ey = diff_x(ey, state.mask2, state.level1, spec, bank, length,
+                       at=p1)
         state.hx = _advance(ea_z, state.hx, np.add, hb_z, dz_ey, p1, n)
         state.hz = _advance(ea_x, state.hz, np.subtract, hb_x, dx_ey, p1, n)
 
-        # The splits came out of adapt_step valid on mask2, a superset
-        # of mask0, so they need no separate interpolation pass here.
         dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank,
                        length, at=p0)
         dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank,
@@ -461,7 +462,6 @@ class Simulation:
         state.eyz = _advance(ea_z, state.eyz, np.add, eb_z, dz_hx, p0, n)
         state.eyx = _advance(ea_x, state.eyx, np.subtract, eb_x, dx_hz, p0, n)
         self.apply_boundary(state)
-        state.ey = _lattice(_at(state.eyx, p0) + _at(state.eyz, p0), p0, n)
 
     def step(self):
         """One full time step: adapt, then update."""
@@ -474,10 +474,10 @@ class Simulation:
         wavelet interpolation from the active representation, which is
         how the adaptive solution is defined between mask points.
         """
-        state = on_finest_lattice(self.state, self.spec, ("ey", "mask0"))
-        return interpolate_missing(state.ey, state.mask0,
-                                   self.spec.full_mask(), self.spec,
-                                   self.bank, check=False)
+        ey, mask0 = (relattice(a, self.spec.j_max)
+                     for a in (self.state.ey, self.state.mask0))
+        return interpolate_missing(ey, mask0, self.spec.full_mask(),
+                                   self.spec, self.bank, check=False)
 
     def apply_boundary(self, state: FieldState):
         """Outermost ring acts as a perfect conductor in both modes; the

@@ -274,15 +274,15 @@ def iwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     return pyramid
 
 
-def _full(pyramid, mask, bank, check, plan, what, start, steps):
-    """Run steps(pyramid, level, mask, bank, plan) over the levels, on a
-    pyramid in the start state, after zeroing its entries off the mask."""
+def _full(pyramid, mask, bank, check, what, start, steps):
+    """Run steps(pyramid, level, mask, bank, plan) over the levels with
+    the mask's plan, on a pyramid in the start state, after zeroing its
+    entries off the mask."""
     if pyramid.state != start:
         raise ValueError(f"{what} requires {start} state, got {pyramid.state}")
     if check:
         require_closed(mask, pyramid.spec, bank, what)
-    if plan is None:
-        plan = MaskPlan(mask, pyramid.spec, bank)
+    plan = MaskPlan(mask, pyramid.spec, bank)
     _restrict(pyramid, mask)
     levels = range(pyramid.spec.j_min, pyramid.spec.j_max)
     for level in reversed(levels) if start == PHYSICAL else levels:
@@ -291,28 +291,22 @@ def _full(pyramid, mask, bank, check, plan, what, start, steps):
     return pyramid
 
 
-def fwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True,
-             plan: MaskPlan | None = None):
+def fwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True):
     """Forward transform down to the coarsest level, physical -> wavelet.
 
-    The mask's plan is built once, unless the caller passes it, and
-    shared by every level.  check=False skips the stencil-closure
-    validation of the mask; callers holding a mask straight out of the
-    closure operations may do so, since those guarantee the property by
-    construction.  On a mask that is not closed the result is undefined.
+    The mask's plan is built once and shared by every level.
+    check=False skips the stencil-closure validation of the mask; callers
+    holding a mask straight out of the closure operations may do so, since
+    those guarantee the property by construction.  On a mask that is not
+    closed the result is undefined.
     """
-    return _full(pyramid, mask, bank, check, plan, "fwt_full", PHYSICAL,
-                 fwt_step)
+    return _full(pyramid, mask, bank, check, "fwt_full", PHYSICAL, fwt_step)
 
 
-def iwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True,
-             plan: MaskPlan | None = None):
-    """Inverse transform up to the finest level, wavelet -> physical.
-
-    check and plan are as in fwt_full.
-    """
-    return _full(pyramid, mask, bank, check, plan, "iwt_full", WAVELET,
-                 iwt_step)
+def iwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True):
+    """Inverse transform up to the finest level, wavelet -> physical;
+    check and the plan are as in fwt_full."""
+    return _full(pyramid, mask, bank, check, "iwt_full", WAVELET, iwt_step)
 
 
 def threshold_coeffs(pyramid: CoeffPyramid, zeta: float, mask=None):
@@ -330,13 +324,9 @@ def threshold_coeffs(pyramid: CoeffPyramid, zeta: float, mask=None):
         )
     spec = pyramid.spec
     base = spec.detail if mask is None else (mask & spec.detail)
-    if zeta == 0:
-        survivors = base
-    else:
-        dropped = base & (np.abs(pyramid.data) < zeta)
-        pyramid.data[dropped] = 0.0
-        survivors = base & ~dropped
-    return pyramid, spec.coarse_mask() | survivors
+    dropped = base & (np.abs(pyramid.data) < zeta)
+    pyramid.data[dropped] = 0.0
+    return pyramid, spec.coarse_mask() | (base & ~dropped)
 
 
 def interpolate_missing(field_values, old_mask, new_mask, spec: GridSpec,

@@ -416,8 +416,8 @@ def test_transforms_and_threshold_on_a_coarser_lattice_match_the_finest(
     fine, got = (CoeffPyramid.from_field(fields, spec, mask=fine_mask),
                  CoeffPyramid.from_field(fields[:, ::s, ::s], coarse,
                                          mask=closed))
-    fwt_full(fine, fine_mask, bank, plan=fine_plan)
-    fwt_full(got, closed, bank, plan=plan)
+    fwt_full(fine, fine_mask, bank)
+    fwt_full(got, closed, bank)
     assert_lattice_result(fine.data, got.data, spec, coarse)
     # Inverted on the mask or on a closed part of it, as a regrid drops
     # points.

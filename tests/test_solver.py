@@ -23,6 +23,7 @@ from awcmaxwell.solver import (
     cfl_max_dt,
     default_dt_factor,
     on_finest_lattice,
+    relattice,
 )
 from awcmaxwell.wavelets import interpolate_missing
 
@@ -126,12 +127,11 @@ def test_zero_ic_mask_collapses_to_coarse():
 
 # One (n, n) float64 array of the default configuration (jmax=9).
 MESH = (2**9 + 1) ** 2 * 8
-START_SHARED = ("pmask0", "pmask1", "mask0", "mask1", "mask2", "level0",
-                "level1")
+START_SHARED = ("mask0", "mask1", "mask2", "level0", "level1")
 
 
 def test_start_allocates_under_seven_meshes():
-    # The start keeps five fields and one level array; its masks share
+    # The start keeps four fields and one level array; its masks share
     # one boolean array and the Euler half-step is formed in place.
     sim, peak = traced_peak(lambda: Simulation(SimulationConfig()))
     assert sim.spec.n**2 * 8 == MESH
@@ -149,15 +149,15 @@ def test_start_and_whole_lattice_first_step_allocate_under_14_meshes():
         return sim
 
     sim, peak = traced_peak(first_step)
-    assert sim.state.pmask0.shape == (sim.spec.n,) * 2
-    assert sim.state.pmask0.all()
+    # Step 1 ran on the whole lattice.
+    assert sim.state.eyx.shape == (sim.spec.n,) * 2
     assert peak < 14 * MESH
 
 
 def test_start_shares_one_read_only_mask_and_level_array():
     state = Simulation(small_config()).state
     assert all(getattr(state, name) is state.mask0
-               for name in START_SHARED[:5])
+               for name in START_SHARED[:3])
     assert state.level1 is state.level0
     for name in START_SHARED:
         with pytest.raises(ValueError):
@@ -178,7 +178,7 @@ def test_runs_from_the_read_only_start_match_writable_copies(full_grid):
     if full_grid:
         # A full-grid run keeps the start's mask and levels for good.
         state = shared.state
-        assert all(getattr(state, name) is mask for name in START_SHARED[:5])
+        assert all(getattr(state, name) is mask for name in START_SHARED[:3])
         assert state.level0 is state.level1 is levels
 
 
@@ -338,9 +338,6 @@ def dense_update(sim, state):
     """The field update on the whole (n, n) mesh: np.where over the masks
     and the derivatives over the whole lattice, zero off their masks."""
     spec, bank, length = sim.spec, sim.bank, sim.length_m
-    if not sim.config.full_grid:
-        state.hx, state.hz = interpolate_missing(
-            (state.hx, state.hz), state.pmask1, state.mask1, spec, bank)
     dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank, length)
     dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank, length)
     state.hx = np.where(state.mask1, sim.ea_z * state.hx + sim.hb_z * dz_ey,
@@ -353,9 +350,7 @@ def dense_update(sim, state):
                          sim.ea_z * state.eyz + sim.eb_z * dz_hx, 0.0)
     state.eyx = np.where(state.mask0,
                          sim.ea_x * state.eyx - sim.eb_x * dx_hz, 0.0)
-    sim.apply_boundary(state)
-    state.ey = state.eyx + state.eyz
-    return state
+    return sim.apply_boundary(state)
 
 
 @pytest.mark.parametrize("full_grid", [False, True])
@@ -381,6 +376,30 @@ def test_update_step_matches_dense_update_bitwise(full_grid):
     if not full_grid:
         assert lattice_level(sim.state) == 7
         assert sim.state.mask0.sum() < sim.state.mask2.sum() < sim.spec.n**2
+
+
+def test_adapt_step_regrids_h_only_where_mask1_leaves_the_previous_one():
+    # At jmax=8 the new mask1 leaves the previous one on steps 6, 8 and
+    # 10, and lies inside it on the others.
+    sim = Simulation(small_config(jmax=8, boundary="PML"))
+    branches = []
+    for _ in range(10):
+        before = sim.state
+        sim.state = copy.deepcopy(before)
+        points = sim.adapt_step()
+        state = sim.state
+        level = lattice_level(state)
+        mask1, hx, hz = (relattice(array, level)
+                         for array in (before.mask1, before.hx, before.hz))
+        regrid = bool(np.any(state.mask1 & ~mask1))
+        if regrid:
+            hx, hz = interpolate_missing((hx, hz), mask1, state.mask1,
+                                         sim.spec.lattice(level), sim.bank)
+        assert state.hx.tobytes() == hx.tobytes()
+        assert state.hz.tobytes() == hz.tobytes()
+        branches.append(regrid)
+        sim.update_step(points)
+    assert branches == [False] * 5 + [True, False] * 2 + [True]
 
 
 @pytest.mark.parametrize("full_grid", [False, True])
