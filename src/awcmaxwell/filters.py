@@ -15,11 +15,14 @@ weights, which makes the prediction exact for polynomials up to degree
   i = 1..2(N-1), of the order-N interpolating scaling function, with
   DD'_N(0) = 0 and DD'_N(-i) = -DD'_N(i).  Its consistency order is 2N.
 
-All coefficients are built as exact rationals and converted to float once.
+All coefficients are built as exact rationals and converted to float
+once per order: build_filter_bank returns one shared bank per order,
+whose arrays are read-only.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -89,14 +92,15 @@ class FilterBank:
         """Number of one-sided derivative taps, 2*(order-1)."""
         return len(self.deriv_filter)
 
-    @property
+    @cached_property
     def deriv_abs_sum(self) -> float:
         """sum_i |DD'(i)|, the quantity entering the CFL bound."""
         return float(np.sum(np.abs(self.deriv_filter)))
 
 
 def build_filter_bank(order: int) -> FilterBank:
-    """Build the filter bank for ``order`` in {2, 3, 4}.
+    """The filter bank for ``order`` in {2, 3, 4}, built on the order's
+    first call and shared by every later one.
 
     Raises
     ------
@@ -108,9 +112,14 @@ def build_filter_bank(order: int) -> FilterBank:
             f"unsupported wavelet order {order}; supported orders are "
             f"{', '.join(str(o) for o in SUPPORTED_ORDERS)}"
         )
-    predict = _lagrange_midpoint_fractions(order)
-    return FilterBank(
-        order=order,
-        predict_weights=np.array([float(w) for w in predict]),
-        deriv_filter=np.array([float(v) for v in _DERIV_FILTERS[order]]),
-    )
+    return _bank(order)
+
+
+@cache
+def _bank(order: int) -> FilterBank:
+    arrays = [np.array([float(v) for v in values]) for values in (
+        _lagrange_midpoint_fractions(order), _DERIV_FILTERS[order])]
+    bank = FilterBank(order, *arrays)
+    for array in arrays + [bank.predict_offsets]:
+        array.flags.writeable = False
+    return bank

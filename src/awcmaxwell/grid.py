@@ -41,7 +41,7 @@ so it stays on the lattice when no point is born at J.  finest_level
 finds the level J of a mask.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -73,19 +73,31 @@ class GridSpec:
         self.n = (1 << j_max) + 1
 
         # int8: birth levels are only compared, and an (n, n) int64 array
-        # would weigh as much as a field.
-        tz = np.empty(self.n, dtype=np.int8)
-        tz[0] = j_max
-        for p in range(1, self.n):
-            tz[p] = min((p & -p).bit_length() - 1, j_max)
-        axis_level = j_max - tz
-        self.axis_level = axis_level
+        # would weigh as much as a field.  An index is born on an axis at
+        # the level j of which it is an odd multiple of stride(j); the
+        # two ends at level 0.
+        axis_level = np.zeros(self.n, dtype=np.int8)
+        for j in range(1, j_max + 1):
+            axis_level[1 << (j_max - j)::1 << (j_max - j + 1)] = j
         birth = np.maximum.outer(axis_level, axis_level)
         self.birth = np.maximum(birth, j_min, out=birth)
         self.detail = self.birth > j_min
+        self.birth.flags.writeable = self.detail.flags.writeable = False
         self.coarsened = False
         self._lattices = {j_max: self}
         self._edges = {}
+
+    @cached_property
+    def gap_levels(self) -> np.ndarray:
+        """The axis level of a point whose nearest same-line neighbour is
+        g finest steps away, at index g: j_max - log2(g), rounded and
+        clipped to [j_min, j_max]; j_min at n + 1, for no neighbour.  A
+        gap of 1 to n rounds to j_max down to 0, so only j_min clips."""
+        gap = np.arange(self.n + 2, dtype=float)
+        gap[0] = 1.0
+        levels = self.j_max - np.rint(np.log2(gap)).astype(np.int64)
+        levels[-1] = self.j_min
+        return np.maximum(levels, self.j_min, out=levels)
 
     def stride(self, j: int) -> int:
         """Finest-index spacing of the level-j lattice."""
@@ -128,6 +140,14 @@ class GridSpec:
 
     def __repr__(self):
         return f"GridSpec(j_min={self.j_min}, j_max={self.j_max})"
+
+
+@cache
+def grid_of(j_min: int, j_max: int) -> GridSpec:
+    """The GridSpec(j_min, j_max) that every caller shares.  It only
+    adds to its caches of lattices, edge tables and the level table as
+    they are asked for, and its birth and detail arrays are read-only."""
+    return GridSpec(j_min, j_max)
 
 
 def finest_level(mask: np.ndarray, spec: GridSpec) -> int:
@@ -284,13 +304,26 @@ def add_adjacent_zone(
     return out
 
 
-def class_moves(k: int, shifts):
-    """(to, from) slice pairs that move class rows or columns i to
-    i + s, for each shift s, between a class of k and one of k + 1 lines;
-    lines moved past either edge drop."""
-    return [(slice(max(s, 0), min(k + s, k + 1)),
-             slice(max(-s, 0), min(k, k + 1 - s)))
-            for s in shifts if -k < s <= k]
+def spread_lines(source, shifts):
+    """The source's lines moved by each of the consecutive shifts along
+    the first axis, ORed together: line t holds the union of source lines
+    t - s, one line more than the source, and lines moved past either end
+    drop.
+
+    A padded copy of the source is ORed with itself moved by 1, 2, 4, ...
+    lines until each line holds the union of a window as wide as the
+    shifts, a few passes whatever their number.  Sources of one shape
+    stacked along the second axis spread in one call.
+    """
+    width, lines = len(shifts), source.shape[0]
+    window = np.zeros((lines + width,) + source.shape[1:], dtype=bool)
+    window[shifts[-1]:shifts[-1] + lines] = source
+    span = 1
+    while span < width:
+        step = min(span, width - span)
+        window[:-step] |= window[step:]
+        span += step
+    return window[:lines + 1]
 
 
 def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
@@ -305,15 +338,14 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     births (odd-odd taps hitting singly odd points) are picked up by
     running the d3 family before d1/d2 within each level.
 
-    Each level works on contiguous copies of the four parity classes of
-    its lattice.  A tap offset (2l - 1) stride(b), l in predict_offsets,
+    Each level works on strided views of the four parity classes of its
+    lattice.  A tap offset (2l - 1) stride(b), l in predict_offsets,
     moves a point to the other parity along its axis, l class rows or
     columns away, so every family is one class shifted into another: d3
     rows into d2, d3 columns into d1, d1 rows and d2 columns into
     even-even.  The d3 tensor taps are the
     column taps of the d2 points its row taps create, so the d2 family
-    covers them.  The even-even class is the next level's lattice, and
-    the classes of the points born at a level are stored once it is done.
+    covers them.  The even-even class is the next level's lattice.
 
     The one-axis lifting of the wavelets module is exact because of two
     of these families: "d3 rows into d2" keeps the d2 details that a d3
@@ -328,25 +360,19 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
     out = mask.copy()
     top = finest_level(mask, spec)
     lattice = out[::spec.stride(top), ::spec.stride(top)]
-    for b in range(top, spec.j_min, -1):
+    shifts = bank.predict_offsets
+    for _ in range(top, spec.j_min, -1):
         # d3 is (k, k), d1 (k, k + 1), d2 (k + 1, k), even (k + 1, k + 1).
-        d1, d2, d3, even = (np.ascontiguousarray(lattice[r::2, c::2])
+        d1, d2, d3, even = (lattice[r::2, c::2]
                             for r, c in ((1, 0), (0, 1), (1, 1), (0, 0)))
-        moves = class_moves(d3.shape[0], bank.predict_offsets)
         if d3.any():
-            for to, of in moves:
-                d2[to] |= d3[of]
-                d1[:, to] |= d3[:, of]
-        for to, of in moves:
-            even[to] |= d1[of]
-            even[:, to] |= d2[:, of]
-        h = spec.stride(b)
-        out[h::2 * h, ::2 * h] = d1
-        out[::2 * h, h::2 * h] = d2
-        out[h::2 * h, h::2 * h] = d3
+            moved = spread_lines(np.stack((d3, d3.T), axis=1), shifts)
+            d2 |= moved[:, 0]
+            d1 |= moved[:, 1].T
+        moved = spread_lines(np.stack((d1, d2.T), axis=1), shifts)
+        even |= moved[:, 0]
+        even |= moved[:, 1].T
         lattice = even
-    coarse = spec.stride(spec.j_min)
-    out[::coarse, ::coarse] = lattice
     return out
 
 
@@ -396,18 +422,15 @@ def _line_levels(major, minor, spec: GridSpec) -> np.ndarray:
 
     major names each point's grid line and minor its position on it.
     The gaps between neighbours in that order that stay on one line give
-    every point its nearest same-line distance.
+    every point its nearest same-line distance, and GridSpec.gap_levels
+    its level.
     """
-    far = 2 * spec.n + 2
+    far = spec.n + 1
     step = np.where(major[1:] == major[:-1], minor[1:] - minor[:-1], far)
     gap = np.full(major.size, far)
     gap[1:] = step
     gap[:-1] = np.minimum(gap[:-1], step)
-    on = gap <= spec.n
-    lv = spec.j_max - np.rint(np.log2(gap[on].astype(float))).astype(np.int64)
-    levels = np.full(major.size, spec.j_min, dtype=np.int64)
-    levels[on] = np.clip(lv, spec.j_min, spec.j_max)
-    return levels
+    return spec.gap_levels[gap]
 
 
 def compute_levels(mask: np.ndarray, spec: GridSpec,
@@ -420,19 +443,20 @@ def compute_levels(mask: np.ndarray, spec: GridSpec,
     companion falls back to j_min on that axis.  Entries outside the mask
     are 0.
 
-    The gaps come from the sorted coordinates of the masked points: one
-    pass over the mask lists them row by row, which orders every row, and a
-    stable sort by column orders every column, so the cost follows the
-    number of masked points rather than the size of the lattice.  points,
-    when given, is the mask's list in row-major order (masked_points).
+    The gaps come from the sorted coordinates of the masked points: a
+    pass over the mask lists them row by row, which orders every row, and
+    a pass over its transpose column by column, which orders every
+    column, so the work beyond those two scans follows the number of
+    masked points.  points, when given, is the mask's list in row-major
+    order (masked_points).
     """
     rows, cols, flat = masked_points(mask) if points is None else points
-    lz = _line_levels(rows, cols, spec)
-    by_col = np.argsort(cols, kind="stable")
-    lx = np.empty_like(lz)
-    lx[by_col] = _line_levels(cols[by_col], rows[by_col], spec)
     out = np.zeros((spec.n, spec.n), dtype=np.int64)
-    out.reshape(-1)[flat] = np.maximum(lx, lz)
+    levels = out.reshape(-1)
+    levels[flat] = _line_levels(rows, cols, spec)
+    cols, rows, _ = masked_points(mask.T)
+    flat = rows * spec.n + cols
+    levels[flat] = np.maximum(levels[flat], _line_levels(cols, rows, spec))
     return out
 
 

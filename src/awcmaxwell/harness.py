@@ -9,11 +9,12 @@ compression rate cp of a step is the active-point count divided by the
 full finest-lattice count (2^jmax + 1)^2.
 
 Field CSVs print values with repr so a re-run reproduces them byte for
-byte; a mesh row that holds no value (Ey, Hx and Hz all +0.0) is cut
-from one text shared by the whole file, so a snapshot costs in
-proportion to the rows the active grid reaches.  Wall-clock times are
-measured with a monotonic clock around the adapt+update pair only, never
-around I/O.
+byte.  The points that hold no value (Ey, Hx and Hz all +0.0), which
+are all the points off the active grid, at k=0 as at every later step,
+are cut from one text shared by the whole file, so a snapshot costs in
+proportion to the active points and the rows they reach.  Wall-clock
+times are measured with a monotonic clock around the adapt+update pair
+only, never around I/O.
 """
 
 import time
@@ -87,34 +88,41 @@ def write_field_csv(path, fields, spec: GridSpec,
     at every point outside the active grid (Ey off mask0, Hx and Hz off
     mask1); the adaptive solution between active points is the wavelet
     interpolation that Simulation.dense_ey computes, not these zeros.
-    Each value is written with repr, one lattice row at a time.  A row
-    whose three fields are all +0.0 differs from every other such row
-    only in its row index and x, so it is one text, built once from the
-    z coordinates, with those two filled in.  -0.0 counts as a value: its
-    repr is "-0.0".
+    Each value is written with repr, one lattice row at a time.  A point
+    whose three fields are all +0.0 differs from every other such point
+    of its column only in its row index and x, so a row of such points
+    is one text, built once from the z coordinates, with those two
+    filled in; a row that holds some values takes that text's lines for
+    its other points.  -0.0 counts as a value: its repr is "-0.0".
     """
     path = Path(path)
     delta_um = domain_length_um / (spec.n - 1)
     cols = range(spec.n)
     z_um = [_fmt(n * delta_um) for n in cols]
-    valued = np.zeros(spec.n, dtype=bool)
+    held = np.zeros((spec.n, spec.n), dtype=bool)
     for field in fields:
-        valued |= ((field != 0) | np.signbit(field)).any(axis=1)
+        held |= (field != 0) | np.signbit(field)
     blank = "".join([f"<m>,{n},<x>,{z},0.0,0.0,0.0\n"
                      for n, z in zip(cols, z_um)])
     with open(path, "w") as fh:
         fh.write(FIELD_HEADER + "\n")
-        for m in cols:
-            if not valued[m]:
-                fh.write(blank.replace("<m>", str(m)).replace(
-                    "<x>", _fmt(m * delta_um)))
+        for m, points in enumerate(held):
+            lead, x = f"{m},", _fmt(m * delta_um)
+            if points.all():
+                fh.write("".join([
+                    f"{lead}{n},{x},{z},{e!r},{a!r},{b!r}\n"
+                    for n, z, e, a, b in zip(cols, z_um, *(
+                        field[m].tolist() for field in fields))]))
                 continue
-            lead = f"{m},"
-            x = f",{_fmt(m * delta_um)},"
-            fh.write("".join([
-                f"{lead}{n}{x}{z},{e!r},{a!r},{b!r}\n"
-                for n, z, e, a, b in zip(cols, z_um, *(
-                    field[m].tolist() for field in fields))]))
+            row = blank.replace("<m>,", lead).replace("<x>", x)
+            if points.any():
+                at = np.flatnonzero(points)
+                row = row.splitlines(keepends=True)
+                for n, e, a, b in zip(at.tolist(), *(
+                        field[m, at].tolist() for field in fields)):
+                    row[n] = f"{lead}{n},{x},{z_um[n]},{e!r},{a!r},{b!r}\n"
+                row = "".join(row)
+            fh.write(row)
     return path
 
 

@@ -22,17 +22,22 @@ by construction, so only the listed entries are computed.  In full-grid
 mode every point is active and the same arithmetic runs on the whole
 arrays.
 
-The start and every full-grid step run on the whole (2^j_max + 1)^2
-mesh, so they hold as few mesh-sized arrays as they can: the start's
-three masks are one read-only full mask and its two level arrays one
-read-only array, which a full-grid run keeps throughout and an adaptive
-step replaces, and the start, the uniform-stencil derivatives and the
+An adaptive start of the configured field is fitted to it coarse to
+fine (wavelets.fit_mask), one of a user's initial_ey is thresholded on
+the whole mesh, and either is closed as adapt_step closes a thinned
+mask; the field is sampled at the start's points only, so for the
+configured field neither the start nor step 1 lists, transforms or
+plans the whole lattice unless the field needs it.  The full-grid start and every full-grid step run on
+the whole (2^j_max + 1)^2 mesh, so they hold as few mesh-sized arrays
+as they can: the start's three masks are one read-only full mask and
+its two level arrays one read-only array, which a full-grid run keeps
+throughout, and the start, the uniform-stencil derivatives and the
 field update scale and sum into arrays they have just made, in place,
 with the operands and order of the plain expressions.
 
 An adaptive state is stored on the level-J lattice of the finest point
 of the masks its last step read and made, J = finest_level(previous
-mask1 | mask2), at least j_min + 1: its
+mask1 | mask2), at least j_min + 1 (the start's, of its one mask): its
 arrays are (2^J + 1)-square, J is read from their shape, and the points
 adapt_step returns and update_step takes are in that lattice's
 coordinates.  adapt_step narrows the state to the finest level of the
@@ -62,6 +67,7 @@ from .grid import (
     compute_levels,
     extend_for_derivatives,
     finest_level,
+    grid_of,
     masked_points,
     reconstruction_check,
 )
@@ -69,6 +75,7 @@ from .wavelets import (
     WAVELET,
     CoeffPyramid,
     fwt_full,
+    fit_mask,
     interpolate_missing,
     iwt_full,
     threshold_coeffs,
@@ -104,7 +111,8 @@ class FieldState:
     on them.  ey is derived, never stored.
 
     The arrays sample one lattice (see the module docstring); fields are
-    0.0 off their masks, levels 0.  on_finest_lattice gives them (n, n).
+    0.0 off their masks, levels 0 (and 0 throughout at an adaptive start,
+    which update_step refuses).  on_finest_lattice gives them (n, n).
     """
 
     eyx: np.ndarray
@@ -203,14 +211,18 @@ class Simulation:
     initial_ey overrides the configured initial condition with an
     explicit Ey(t=0) array.  initial_h provides user magnetic fields at
     t = -dt/2 as a pair (hx, hz); without it the magnetic start-up is
-    the explicit Euler half-step from the t=0 electric field.
+    the explicit Euler half-step from the t=0 electric field.  Both are
+    (n, n) arrays; an adaptive start keeps their values at its mask's
+    points only, and holds 0.0 elsewhere, like every later state.  An
+    adaptive start has no levels and no derivative ring yet, so its
+    first update runs through step (or after adapt_step).
     """
 
     def __init__(self, config: SimulationConfig, initial_ey=None,
                  initial_h=None):
         config.validate()
         self.config = config
-        self.spec = GridSpec(config.jmin, config.jmax)
+        self.spec = grid_of(config.jmin, config.jmax)
         self.bank = build_filter_bank(config.order)
         self.length_m = config.domain_length_um * 1e-6
         self.delta_m = self.length_m / 2**config.jmax
@@ -229,13 +241,12 @@ class Simulation:
 
     # ------------------------------------------------------------ setup
 
-    def _sigma_profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """Conductivity along each axis: cubic-graded inside the layer,
+    def _sigma_profile(self) -> np.ndarray:
+        """Conductivity along either axis: cubic-graded inside the layer,
         zero elsewhere (and everywhere for the reflecting boundary)."""
         n = self.spec.n
         if self.config.boundary != "PML":
-            zero = np.zeros(n)
-            return zero, zero.copy()
+            return np.zeros(n)
         depth_m = self.config.pml_width_frac * self.length_m
         reflection = 1e-6
         grade = 3
@@ -243,84 +254,176 @@ class Simulation:
         x = np.arange(n) * self.delta_m
         left = np.clip((depth_m - x) / depth_m, 0.0, 1.0)
         right = np.clip((x - (self.length_m - depth_m)) / depth_m, 0.0, 1.0)
-        profile = sigma_max * (left**grade + right**grade)
-        return profile, profile.copy()
+        return sigma_max * (left**grade + right**grade)
 
     def _build_update_coefficients(self):
-        sig_x, sig_z = self._sigma_profile()
-        qx = (sig_x * self.dt / (2.0 * EPS0))[:, None]
-        qz = (sig_z * self.dt / (2.0 * EPS0))[None, :]
-        self.ea_x = (1.0 - qx) / (1.0 + qx)
-        self.eb_x = (self.dt / EPS0) / (1.0 + qx)
-        self.ea_z = (1.0 - qz) / (1.0 + qz)
-        self.eb_z = (self.dt / EPS0) / (1.0 + qz)
+        """The update coefficients along x, as columns (n, 1), and along
+        z, as rows (1, n): the layer is the same along both axes, so each
+        pair is one array seen both ways."""
+        q = self._sigma_profile() * self.dt / (2.0 * EPS0)
+        ea = (1.0 - q) / (1.0 + q)
+        eb = (self.dt / EPS0) / (1.0 + q)
         # Matched-impedance magnetic losses share the dimensionless ramp
-        # ea_x/ea_z.
-        self.hb_x = (self.dt / MU0) / (1.0 + qx)
-        self.hb_z = (self.dt / MU0) / (1.0 + qz)
+        # ea.
+        hb = (self.dt / MU0) / (1.0 + q)
+        self.ea_x, self.eb_x, self.hb_x = (c[:, None] for c in (ea, eb, hb))
+        self.ea_z, self.eb_z, self.hb_z = (c[None, :] for c in (ea, eb, hb))
 
-    def _initial_ey(self, initial_ey) -> np.ndarray:
-        n = self.spec.n
-        if initial_ey is not None:
-            field = np.array(initial_ey, dtype=float)
+    def _initial_field(self, initial_ey):
+        """Ey(t=0) as two functions of finest-lattice indices: at(rows,
+        cols), its values at indices broadcast together, and slopes(rows,
+        cols), dEy/dz and dEy/dx at listed points by the uniform stencil
+        at the finest spacing, the one a full-grid derivative applies.
+
+        Indices up to the stencil's half-width past either edge read 0.0,
+        as the stencil's zero padding does: the tables end in that many
+        zeros, which a negative index reaches from the start.  The
+        Gaussian is exp(-r2 / (2 sigma^2)) with r2 the sum of two per-axis
+        tables of -(coordinate - centre)^2, which is -r2 bit for bit, so
+        every point gets the whole mesh's value whatever else is sampled
+        with it.  Its slopes are those of its separable form, the product
+        of two 1-D Gaussians, whose per-axis slopes are formed once.  The
+        slopes sum their taps in another order than a full-grid
+        derivative, so they agree with it to rounding.
+        """
+        n, width = self.spec.n, self.bank.deriv_halfwidth
+        taps = np.arange(-width, width + 1)[:, None]
+        stencil = np.concatenate((-self.bank.deriv_filter[::-1], [0.0],
+                                  self.bank.deriv_filter))
+        stencil *= 2.0**self.spec.j_max / self.length_m
+        if initial_ey is None and self.config.ic == "gaussian":
+            length = self.config.domain_length_um
+            tables = np.full((2, n + width), -np.inf)
+            near = tables[:, :n]
+            np.subtract(np.linspace(0.0, length, n),
+                        np.multiply(self.config.center_frac, length)[:, None],
+                        out=near)
+            near *= near
+            np.negative(near, out=near)
+            ax, az = tables
+            spread = 2.0 * self.config.sigma_um**2
+
+            def at(rows, cols):
+                r2 = ax[rows] + az[cols]
+                r2 /= spread
+                return np.exp(r2, out=r2)
+
+            gx, gz = gauss = np.exp(tables / spread)
+            sx, sz = stencil @ gauss[:, np.arange(n) + taps]
+            return at, lambda rows, cols: (gx[rows] * sz[cols],
+                                           sx[rows] * gz[cols])
+        if initial_ey is None:
+            field = np.zeros((n + width, n + width))
+        else:
+            field = np.asarray(initial_ey, dtype=float)
             if field.shape != (n, n):
                 raise ConfigError(
                     f"initial field shape {field.shape} does not match ({n}, {n})"
                 )
-            return field
-        if self.config.ic == "zero":
-            return np.zeros((n, n))
-        coords = np.linspace(0.0, self.config.domain_length_um, n)
-        cx = self.config.center_frac[0] * self.config.domain_length_um
-        cz = self.config.center_frac[1] * self.config.domain_length_um
-        # exp(-r2 / (2 sigma^2)), each step in place in r2.
-        r2 = (coords[:, None] - cx) ** 2 + (coords[None, :] - cz) ** 2
-        np.negative(r2, out=r2)
-        r2 /= 2.0 * self.config.sigma_um**2
-        return np.exp(r2, out=r2)
+            field = np.pad(field, (0, width))
+        return (lambda rows, cols: field[rows, cols],
+                lambda rows, cols: (stencil @ field[rows, cols + taps],
+                                    stencil @ field[rows + taps, cols]))
+
+    def _resolving_level(self) -> int:
+        """The coarsest level whose spacing is at most twice the
+        configured pulse's sigma, up to which the start's fit samples
+        whole lattices (wavelets.fit_mask): wherever the pulse is centred,
+        one of that lattice's points lies within sqrt(2) sigma of it and
+        reads at least 1/e of its peak.  0, none, for the zero field."""
+        if self.config.ic != "gaussian":
+            return 0
+        return math.ceil(math.log2(self.config.domain_length_um
+                                   / (2.0 * self.config.sigma_um)))
+
+    def _thinned_start(self, at, initial_ey):
+        """The thinned mask of Ey(t=0) and the grid of the lattice it
+        lies on, one level finer than its finest detail.  The configured
+        field is fitted coarse to fine (wavelets.fit_mask); a user field,
+        which carries no scale to fit to, is transformed and thresholded
+        on the whole mesh, as adapt_step thresholds a state that holds
+        every point."""
+        spec = self.spec
+        if initial_ey is None:
+            return fit_mask(at, spec, self.bank, self.config.zeta,
+                            self._resolving_level())
+        index = np.arange(spec.n)
+        pyr = CoeffPyramid.from_field(at(index[:, None], index), spec)
+        fwt_full(pyr, spec.full_mask(), self.bank, check=False)
+        thinned = threshold_coeffs(pyr, self.config.zeta)[1]
+        level = min(max(finest_level(thinned, spec) + 1, spec.j_min + 1),
+                    spec.j_max)
+        return relattice(thinned, level), spec.lattice(level)
 
     def _initialize(self, initial_ey, initial_h) -> FieldState:
-        """The k=0 state on the whole mesh: every point active at level
-        j_max.
+        """The k=0 state: the splits, each half of Ey(t=0), and H at
+        t = -dt/2 on one mask, which the state holds as mask0, mask1 and
+        mask2, with one level array as level0 and level1.
 
-        It holds four fields, one full mask and one level array: the three
-        masks share the mask, and level0 and level1 the level array, both
-        read-only, since a step replaces a state's masks and levels and
-        never writes into them.  The levels stay int64, as _diff shifts
-        by j_max - level.  The Euler half-step is scaled in place, and
-        eyz is the initial field's own buffer, halved.
+        The full-grid start holds every point of the whole mesh, at level
+        j_max, and a full-grid run keeps that grid.  An adaptive start
+        thins its mask (_thinned_start: the configured field fitted coarse
+        to fine, a user field thresholded whole) and closes it as
+        adapt_step closes a thinned mask; it samples Ey(t=0) and initial_h
+        at the mask's points only, and the state lies on the lattice of
+        the mask's finest point.  So the configured start and step 1 list,
+        transform and plan no whole lattice unless the field needs it, and
+        step 1 is an ordinary adaptive step: it closes the grid anew, and
+        its H regrid fills the derivative ring around the start's mask.
+        Its levels are 0, no level, and it has no derivative ring:
+        update_step refuses it, and runs on the grid adapt_step leaves.
+
+        Without initial_h, H is the explicit Euler half-step from Ey(t=0)
+        with the uniform stencil at the finest spacing, the full-grid
+        derivative's, so the first leapfrog advance lands on
+        +-(dt/2)/mu0 d(Ey) (at an adaptive start's points, to rounding:
+        see _initial_field).  The mask and the levels are each one
+        read-only array, since a step replaces a state's masks and levels
+        and never writes into them; the levels stay int64, as _diff
+        shifts by j_max - level.
         """
-        n = self.spec.n
-        full = self.spec.full_mask()
-        levels = np.full((n, n), self.spec.j_max, dtype=np.int64)
-        full.flags.writeable = levels.flags.writeable = False
-        ey = self._initial_ey(initial_ey)
-        if initial_h is not None:
-            hx = np.array(initial_h[0], dtype=float)
-            hz = np.array(initial_h[1], dtype=float)
-            if hx.shape != (n, n) or hz.shape != (n, n):
-                raise ConfigError("initial_h arrays must match the grid shape")
+        at, slopes = self._initial_field(initial_ey)
+        if self.config.full_grid:
+            spec, points = self.spec, None
+            mask = spec.full_mask()
+            levels = np.full((spec.n, spec.n), spec.j_max, dtype=np.int64)
+            index = np.arange(spec.n)
+            ey = at(index[:, None], index[None, :])
         else:
+            thinned, spec = self._thinned_start(at, initial_ey)
+            mask = reconstruction_check(add_adjacent_zone(thinned, spec),
+                                        spec, self.bank)
+            points = masked_points(mask)
+            levels = np.zeros((spec.n, spec.n), dtype=np.int64)
+            stride = self.spec.stride(spec.j_max)
+            rows, cols = points.rows * stride, points.cols * stride
+            ey = at(rows, cols)
+        if initial_h is None:
             # Synthetic t = -dt/2 fields: the first leapfrog advance then
             # lands exactly on the Euler half-step values +-(dt/2)/mu0 d(Ey).
+            if points is None:
+                hx, hz = (derivative(ey, mask, levels, spec, self.bank,
+                                     self.length_m)
+                          for derivative in (diff_z, diff_x))
+            else:
+                hx, hz = slopes(rows, cols)
             half = 0.5 * self.dt / MU0
-            hx = diff_z(ey, full, levels, self.spec, self.bank, self.length_m)
             hx *= -half
-            hz = diff_x(ey, full, levels, self.spec, self.bank, self.length_m)
             hz *= half
+        else:
+            hx, hz = (np.asarray(h, dtype=float) for h in initial_h)
+            if hx.shape != (self.spec.n,) * 2 or hz.shape != hx.shape:
+                raise ConfigError("initial_h arrays must match the grid shape")
+            hx, hz = (h.copy() if points is None else h[rows, cols]
+                      for h in (hx, hz))
         eyx = 0.5 * ey
         ey *= 0.5
-        state = FieldState(
-            eyx=eyx,
-            eyz=ey,
-            hx=hx,
-            hz=hz,
-            mask0=full,
-            mask1=full,
-            mask2=full,
-            level0=levels,
-            level1=levels,
-        )
+        mask.flags.writeable = levels.flags.writeable = False
+        eyx, ey, hx, hz = (_lattice(values, points, spec.n)
+                           for values in (eyx, ey, hx, hz))
+        state = FieldState(eyx=eyx, eyz=ey, hx=hx, hz=hz, mask0=mask,
+                           mask1=mask, mask2=mask, level0=levels,
+                           level1=levels)
         return self.apply_boundary(state)
 
     # ------------------------------------------------------------ stepping
@@ -417,18 +520,25 @@ class Simulation:
         as adapt_step returns them, in the coordinates of the lattice the
         state's arrays sample (on_finest_lattice gives them as (n, n)
         arrays), on which the update runs; on an adaptive grid they are
-        listed here when not given.
+        listed here when not given, and a state that holds no levels (an
+        adaptive start, before its first adapt_step) is refused.
         """
         state = self.state
         if points is None and not self.config.full_grid:
+            if not state.level1.any():
+                raise RuntimeError(
+                    "update_step needs the grid adapt_step prepares; "
+                    "an adaptive start has no levels")
             points = masked_points(state.mask0), masked_points(state.mask1)
         at0, at1 = (None, None) if points is None else points
         with np.errstate(over="ignore", invalid="ignore"):
             # Blow-ups surface through the finite check, not as
-            # per-operation warnings.
-            self._update_fields(points)
+            # per-operation warnings.  The new Ey of a full-grid step is
+            # summed into the buffer of the old one, read no more.
+            old_ey = self._update_fields(points)
             finite = all(np.isfinite(values).all() for values in (
-                _at(state.eyx, at0) + _at(state.eyz, at0),
+                np.add(_at(state.eyx, at0), _at(state.eyz, at0),
+                       out=old_ey if at0 is None else None),
                 _at(state.hx, at1), _at(state.hz, at1)))
         state.k += 1
         state.t += self.dt
@@ -436,6 +546,8 @@ class Simulation:
             raise InstabilityError(state.k)
 
     def _update_fields(self, points):
+        """Advance H, then the splits, at the listed points (every point
+        when None); return the Ey the H update read, a fresh array."""
         state, bank, length = self.state, self.bank, self.length_m
         spec = self.spec.lattice(_level(state.eyx))
         n, s = spec.n, self.spec.stride(spec.j_max)
@@ -462,6 +574,7 @@ class Simulation:
         state.eyz = _advance(ea_z, state.eyz, np.add, eb_z, dz_hx, p0, n)
         state.eyx = _advance(ea_x, state.eyx, np.subtract, eb_x, dx_hz, p0, n)
         self.apply_boundary(state)
+        return ey
 
     def step(self):
         """One full time step: adapt, then update."""

@@ -31,13 +31,15 @@ mask that is not closed it gives undefined results.
 A full transform lists the active points once, in a MaskPlan, and each
 level gathers its taps at the points listed for it only, so its work
 follows the active point count rather than the size of the lattice.
+fit_mask finds the thinned mask of a field known only through its
+samples, coarse to fine, without transforming the whole lattice.
 """
 
 import numpy as np
 
 from .errors import ConfigError
 from .filters import FilterBank
-from .grid import GridSpec, Taps, class_moves, require_closed
+from .grid import GridSpec, Taps, require_closed, spread_lines
 
 PHYSICAL = "physical"
 WAVELET = "wavelet"
@@ -145,13 +147,9 @@ def _lifted_evens(mask, h: int, bank: FilterBank):
     lattice with a masked d1 point (along x) or d2 point (along z) in
     update reach: a tap (2l - 1) h moves odd class index i to i + l."""
     s = 2 * h
-    near = np.zeros(mask[::s, ::s].shape, dtype=bool)
-    odd_x, odd_z = (np.ascontiguousarray(mask[r::s, c::s])
-                    for r, c in ((h, 0), (0, h)))
-    for to, of in class_moves(near.shape[0] - 1, bank.predict_offsets):
-        near[to] |= odd_x[of]
-        near[:, to] |= odd_z[:, of]
-    near &= mask[::s, ::s]
+    moved = spread_lines(np.stack((mask[h::s, ::s], mask[::s, h::s].T),
+                                  axis=1), bank.predict_offsets)
+    near = (moved[:, 0] | moved[:, 1].T) & mask[::s, ::s]
     return tuple(i * s for i in np.nonzero(near))
 
 
@@ -327,6 +325,92 @@ def threshold_coeffs(pyramid: CoeffPyramid, zeta: float, mask=None):
     dropped = base & (np.abs(pyramid.data) < zeta)
     pyramid.data[dropped] = 0.0
     return pyramid, spec.coarse_mask() | (base & ~dropped)
+
+
+def _predicted(values, bank: FilterBank):
+    """The prediction sum_l w_l v[2(m + l)] of every odd row 2m + 1 of
+    values from its even rows, taps past either end reading zero."""
+    n, odd = bank.order, values.shape[0] // 2
+    even = np.zeros((odd + 2 * n,) + values.shape[1:])
+    even[n - 1:n + (values.shape[0] - 1) // 2] = values[::2]
+    # Each odd row's 2n taps as a strided view, without a copy.
+    window = np.ndarray((odd,) + values.shape[1:] + (2 * n,), buffer=even,
+                        strides=even.strides + even.strides[:1])
+    return window @ bank.predict_weights
+
+
+def fit_mask(sample, spec: GridSpec, bank: FilterBank, zeta: float,
+             whole: int = 0):
+    """The thinned mask of a field known through sample, fitted coarse to
+    fine, and the grid of the lattice it lies on.
+
+    sample(rows, cols) gives the field at finest-lattice indices, broadcast
+    together.  A level's details are those of the field's values on that
+    level's lattice alone, as a one-level fwt_step of them would write
+    them: d2 = (v - Sz v) / 2, d3 = (v - Sz v) / 4 - Sx d2 / 2 and
+    d1 = (v - Sx v) / 2.  The levels up to whole, and j_min + 1, sample
+    their whole lattice.  A finer level samples the box of its lattice
+    that holds the adjacent zone of the coarser level's details of
+    magnitude zeta or more, widened by the prediction reach so that every
+    detail in the zone's box reads its own taps, and keeps the details in
+    the zone's box; the fit stops at the first such level that keeps none
+    (the initial grid of Vasilyev & Bowman, J. Comput. Phys. 165, 2000).
+    So no whole-lattice array is formed unless the field needs it, and a
+    detail at or above zeta finer than whole that no coarser one leads to
+    is missed: whole is the level whose lattice resolves the field.
+
+    The mask holds the coarse lattice and the kept details, as
+    threshold_coeffs' thinned mask does.  It lies on the lattice one
+    level finer than its finest detail, within [j_min + 1, j_max], where
+    the adjacent zone of every point stays.
+    """
+    reach = 2 * bank.order - 1
+    kept = []
+    for level in range(spec.j_min + 1, spec.j_max + 1):
+        top = 1 << level
+        if level <= max(whole, spec.j_min + 1):
+            zone = (0, top), (0, top)
+        box = [(max(lo - reach, 0) & ~1, min(hi + reach, top))
+               for lo, hi in zone]
+        (r0, r1), (c0, c1) = box
+        h = spec.stride(level)
+        v = sample(np.arange(r0 * h, r1 * h + 1, h)[:, None],
+                   np.arange(c0 * h, c1 * h + 1, h))
+        # 2 d2 at the even rows, and (v - Sz v) at the odd ones.
+        d2 = v[:, 1::2] - _predicted(v.T, bank).T
+        # 2 d1 and 4 d3, from one x prediction.
+        odd = np.concatenate((v[:, ::2], d2), axis=1)
+        odd = odd[1::2] - _predicted(odd, bank)
+        evens = v.shape[1] - d2.shape[1]
+        np.abs(odd, out=odd)
+        np.abs(d2, out=d2)
+        found = np.zeros(v.shape, dtype=bool)
+        np.greater_equal(odd[:, :evens], 2 * zeta, out=found[1::2, ::2])
+        np.greater_equal(d2[::2], 2 * zeta, out=found[::2, 1::2])
+        np.greater_equal(odd[:, evens:], 4 * zeta, out=found[1::2, 1::2])
+        (z0, z1), (y0, y1) = zone
+        found = found[z0 - r0:z1 - r0 + 1, y0 - c0:y1 - c0 + 1]
+        rows = np.flatnonzero(found.any(axis=1))
+        if not rows.size:
+            if level < whole:
+                continue
+            break
+        cols = np.flatnonzero(found.any(axis=0))
+        kept.append((level, z0, y0, found))
+        zone = [(max(2 * (lo + first) - 1, 0), min(2 * (lo + last) + 1,
+                                                   2 * top))
+                for lo, first, last in ((z0, rows[0], rows[-1]),
+                                        (y0, cols[0], cols[-1]))]
+    finest = min(spec.j_max, kept[-1][0] + 1 if kept else spec.j_min + 1)
+    lattice = spec.lattice(finest)
+    mask = np.zeros((lattice.n, lattice.n), dtype=bool)
+    s = lattice.stride(spec.j_min)
+    mask[::s, ::s] = True
+    for level, row, col, found in kept:
+        s = lattice.stride(level)
+        mask[row * s:(row + found.shape[0]) * s:s,
+             col * s:(col + found.shape[1]) * s:s] |= found
+    return mask, lattice
 
 
 def interpolate_missing(field_values, old_mask, new_mask, spec: GridSpec,

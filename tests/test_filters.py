@@ -111,6 +111,19 @@ class TestBuildFilterBank:
         with pytest.raises(ConfigError, match=str(order)):
             build_filter_bank(order)
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_repeated_builds_share_read_only_arrays(self, order):
+        first, again = build_filter_bank(order), build_filter_bank(order)
+        for name in ("predict_weights", "deriv_filter", "predict_offsets"):
+            array = getattr(again, name)
+            np.testing.assert_array_equal(array, getattr(first, name))
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # The exact weights, as the rationals give them.
+        np.testing.assert_array_equal(first.predict_weights,
+                                      midpoint_weights(order))
+
 
 def monomial_derivative_error(bank: FilterBank, k: int) -> float:
     """Worst relative error of the derivative filter on f(x) = x^k.

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from awcmaxwell.errors import MaskClosureError
 from awcmaxwell.filters import build_filter_bank
@@ -171,6 +172,18 @@ def test_adjacent_zone_monotone_and_idempotent_on_fixture(spec4):
     mask = random_mask(spec4, rng)
     once = add_adjacent_zone(mask, spec4)
     assert (once | mask == once).all()
+
+
+def test_adjacent_zone_of_a_full_mask_allocates_under_one_mesh():
+    # The zone grows level by level on boolean planes, so a mask whose
+    # every point is a detail (zeta = 0, a broadband field) costs no
+    # per-point index arrays.  The bound is one (n, n) float64 mesh of
+    # jmax=9.
+    spec = GridSpec(3, 9)
+    full = spec.full_mask()
+    out, peak = traced_peak(lambda: add_adjacent_zone(full, spec))
+    assert out.all()
+    assert peak < spec.n**2 * 8
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -344,6 +357,27 @@ def test_lattice_grid_is_the_strided_grid_of_its_level():
     for level in (2, 6):
         with pytest.raises(ValueError, match="level"):
             spec.lattice(level)
+
+
+@pytest.mark.parametrize("jmax", range(3, 10))
+def test_birth_levels_match_a_per_point_oracle(jmax):
+    # A point is born at the coarsest level whose lattice holds it: the
+    # larger of its indices' levels, each j_max less the index's trailing
+    # zero bits (0 at both ends), and j_min at least.
+    def axis_level(p):
+        if p in (0, 2**jmax):
+            return 0
+        return jmax - ((p & -p).bit_length() - 1)
+
+    n = 2**jmax + 1
+    levels = np.array([[max(axis_level(m), axis_level(k)) for k in range(n)]
+                       for m in range(n)])
+    for jmin in range(1, jmax):
+        spec = GridSpec(jmin, jmax)
+        want = np.maximum(levels, jmin)
+        np.testing.assert_array_equal(spec.birth, want)
+        assert spec.birth.dtype == np.int8
+        np.testing.assert_array_equal(spec.detail, want > jmin)
 
 
 def test_cardinality_counts_points(spec4):

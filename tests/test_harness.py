@@ -51,10 +51,11 @@ def test_zero_step_run_emits_initial_snapshot(tmp_path):
     assert lines[0] == FIELD_HEADER
     assert len(lines) == 1 + n * n
     # a zero state holds only (possibly signed) zeros
-    assert all(float(v) == 0.0 for v in lines[1].split(",")[4:])
+    assert all(float(v) == 0.0 for line in lines[1:]
+               for v in line.split(",")[4:])
+    # The start of a zero field is the coarse lattice.
     mask = read_mask_pgm(tmp_path / "mask_k0.pgm")
-    assert mask.shape == (n, n)
-    assert bool(mask.all())
+    np.testing.assert_array_equal(mask, GridSpec(3, 6).coarse_mask())
     manifest = (tmp_path / "manifest.csv").read_text()
     assert "# summary: min_cp = undefined" in manifest
     assert read_manifest(tmp_path / "manifest.csv") == []
@@ -119,6 +120,17 @@ def test_field_csv_of_a_run_matches_per_value_repr(tmp_path, jmax,
     for _ in range(3):
         sim.step()
     state = on_finest_lattice(sim.state, sim.spec)
+    path = write_field_csv(tmp_path / "field.csv",
+                           (state.ey, state.hx, state.hz), sim.spec, 6.0)
+    assert path.read_text() == reference_field_csv(state, sim.spec, 6.0)
+
+
+def test_field_csv_of_the_start_matches_per_value_repr(tmp_path):
+    # The adaptive start holds values at its fitted points only, so most
+    # rows hold some values and many points, and others none.
+    sim = Simulation(tiny_config(jmax=7))
+    state = on_finest_lattice(sim.state, sim.spec)
+    assert not state.mask0.all()
     path = write_field_csv(tmp_path / "field.csv",
                            (state.ey, state.hx, state.hz), sim.spec, 6.0)
     assert path.read_text() == reference_field_csv(state, sim.spec, 6.0)

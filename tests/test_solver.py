@@ -7,9 +7,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import gaussian_field, traced_peak
 
-from awcmaxwell import grid, solver
+from awcmaxwell import derivatives, grid, solver, wavelets
 from awcmaxwell.config import SimulationConfig
 from awcmaxwell.derivatives import diff_x, diff_z
 from awcmaxwell.errors import ConfigError, InstabilityError
@@ -90,14 +90,21 @@ def test_initial_h_shape_checked():
 
 
 def test_explicit_initial_h_kept():
+    # The start holds the given H at its mask's points and 0.0 elsewhere:
+    # every point of the whole mesh in full-grid mode, the coarse lattice
+    # of this zero field in adaptive mode.
     n = 2**6 + 1
     rng = np.random.default_rng(3)
     hx = rng.standard_normal((n, n))
     hz = rng.standard_normal((n, n))
-    sim = Simulation(small_config(), initial_ey=np.zeros((n, n)),
-                     initial_h=(hx, hz))
-    np.testing.assert_array_equal(sim.state.hx, hx)
-    np.testing.assert_array_equal(sim.state.hz, hz)
+    for full_grid in (False, True):
+        sim = Simulation(small_config(full_grid=full_grid),
+                         initial_ey=np.zeros((n, n)), initial_h=(hx, hz))
+        state = on_finest_lattice(sim.state, sim.spec)
+        want = sim.spec.full_mask() if full_grid else sim.spec.coarse_mask()
+        np.testing.assert_array_equal(state.mask1, want)
+        np.testing.assert_array_equal(state.hx, np.where(want, hx, 0.0))
+        np.testing.assert_array_equal(state.hz, np.where(want, hz, 0.0))
 
 
 def test_gaussian_initial_peak_at_center():
@@ -121,7 +128,8 @@ def test_zero_ic_stays_zero():
 def test_zero_ic_mask_collapses_to_coarse():
     sim = Simulation(small_config(ic="zero"))
     sim.step()
-    np.testing.assert_array_equal(sim.state.mask0, sim.spec.coarse_mask())
+    np.testing.assert_array_equal(relattice(sim.state.mask0, sim.spec.j_max),
+                                  sim.spec.coarse_mask())
     assert int(sim.state.mask0.sum()) == (2**3 + 1) ** 2
 
 
@@ -131,56 +139,234 @@ START_SHARED = ("mask0", "mask1", "mask2", "level0", "level1")
 
 
 def test_start_allocates_under_seven_meshes():
-    # The start keeps four fields and one level array; its masks share
-    # one boolean array and the Euler half-step is formed in place.
-    sim, peak = traced_peak(lambda: Simulation(SimulationConfig()))
+    # The full-grid start keeps four fields and one level array on the
+    # whole mesh; its masks share one boolean array and the Euler
+    # half-step is formed in place.
+    sim, peak = traced_peak(
+        lambda: Simulation(SimulationConfig(full_grid=True)))
     assert sim.spec.n**2 * 8 == MESH
     assert peak < 7 * MESH
 
 
 def test_start_and_whole_lattice_first_step_allocate_under_14_meshes():
-    # Step 1 transforms and plans the whole lattice: on top of the
-    # start's six meshes, the stacked splits (two), their thresholded sum
-    # (one), the plan's two lists (two) and the threshold's temporaries
-    # (about one), with two to spare.
+    # A full-grid run starts and steps on the whole lattice: on top of the
+    # start's six meshes, a step forms Ey, the derivatives (three meshes
+    # each while they run) and the four new fields.
     def first_step():
-        sim = Simulation(SimulationConfig())
+        sim = Simulation(SimulationConfig(full_grid=True))
         sim.step()
         return sim
 
     sim, peak = traced_peak(first_step)
-    # Step 1 ran on the whole lattice.
     assert sim.state.eyx.shape == (sim.spec.n,) * 2
     assert peak < 14 * MESH
 
 
+def test_adaptive_start_allocates_under_one_mesh():
+    # The bound is one (n, n) float64 mesh, fixed before measuring: the
+    # fitted start samples no whole-lattice array, and its grid
+    # (GridSpec's birth and detail arrays) weighs a quarter of a mesh.
+    sim, peak = traced_peak(lambda: Simulation(SimulationConfig()))
+    assert sim.spec.n**2 * 8 == MESH
+    assert peak < MESH
+
+
 def test_start_shares_one_read_only_mask_and_level_array():
-    state = Simulation(small_config()).state
-    assert all(getattr(state, name) is state.mask0
-               for name in START_SHARED[:3])
-    assert state.level1 is state.level0
-    for name in START_SHARED:
-        with pytest.raises(ValueError):
-            getattr(state, name)[0, 0] = 0
+    # Adaptive or full-grid, the start's three masks are one read-only
+    # array, and its two level arrays one: j_max everywhere on the full
+    # grid, which update_step reads, and 0 on the fitted start, which the
+    # first adapt_step replaces before any update reads it.
+    for full_grid in (False, True):
+        config = small_config(full_grid=full_grid)
+        state = Simulation(config).state
+        assert all(getattr(state, name) is state.mask0
+                   for name in START_SHARED[:3])
+        assert state.level1 is state.level0
+        for name in START_SHARED:
+            with pytest.raises(ValueError):
+                getattr(state, name)[0, 0] = 0
+        assert bool(state.mask0.all()) == full_grid
+        assert np.all(state.level0 == (config.jmax if full_grid else 0))
 
 
 @pytest.mark.parametrize("full_grid", [False, True])
 def test_runs_from_the_read_only_start_match_writable_copies(full_grid):
+    # The adaptive start's mask is fitted to the pulse; step 1 replaces
+    # its masks and levels, and a full-grid run keeps them throughout.
     config = small_config(boundary="PML", full_grid=full_grid)
     shared, apart = Simulation(config), Simulation(config)
     for name in START_SHARED:
         setattr(apart.state, name, getattr(apart.state, name).copy())
     mask, levels = shared.state.mask0, shared.state.level0
+    assert bool(mask.all()) == full_grid
     for _ in range(4):
         shared.step()
         apart.step()
         assert state_digest(shared.state) == state_digest(apart.state)
+    state = shared.state
     if full_grid:
         # A full-grid run keeps the start's mask and levels for good.
-        state = shared.state
         assert all(getattr(state, name) is mask for name in START_SHARED[:3])
         assert state.level0 is state.level1 is levels
+    else:
+        assert not any(getattr(state, name) is mask
+                       for name in START_SHARED[:3])
 
+
+def lattice_grid(state, config):
+    """The grid of the lattice the state's arrays sample."""
+    spec = grid.GridSpec(config.jmin, config.jmax)
+    return spec.lattice(lattice_level(state))
+
+
+# ------------------------------------------------------------ fitted start
+
+
+def test_zero_ic_start_is_the_coarse_lattice():
+    sim = Simulation(small_config(ic="zero"))
+    state = sim.state
+    assert lattice_level(state) == sim.spec.j_min + 1
+    np.testing.assert_array_equal(relattice(state.mask0, sim.spec.j_max),
+                                  sim.spec.coarse_mask())
+    for name in ("eyx", "eyz", "hx", "hz"):
+        assert not getattr(state, name).any(), name
+
+
+def test_zero_threshold_start_is_the_full_grid_start():
+    # zeta = 0 keeps every detail, so the fit reaches j_max everywhere.
+    config = small_config(zeta=0.0, boundary="PML")
+    adaptive = Simulation(config).state
+    full = Simulation(replace(config, full_grid=True)).state
+    assert bool(adaptive.mask0.all())
+    assert adaptive.mask0.shape == full.mask0.shape
+    for name in ("eyx", "eyz"):
+        assert (getattr(adaptive, name).tobytes()
+                == getattr(full, name).tobytes()), name
+    # H is the separable Gaussian's stencil, equal up to rounding.
+    for name in ("hx", "hz"):
+        np.testing.assert_allclose(getattr(adaptive, name),
+                                   getattr(full, name), rtol=1e-12,
+                                   atol=1e-12 * np.abs(full.hx).max())
+
+
+@pytest.mark.parametrize("config", [
+    small_config(),
+    small_config(boundary="PML", center_frac=(0.3, 0.6)),
+    small_config(jmax=8, sigma_um=0.3, zeta=1e-3),
+    small_config(jmin=2, jmax=7, order=2),
+], ids=["pec", "off-centre", "wide", "order2"])
+def test_start_mask_is_closed_and_holds_the_coarse_lattice(config):
+    sim = Simulation(config)
+    state = sim.state
+    spec = lattice_grid(state, config)
+    assert lattice_level(state) == max(grid.finest_level(state.mask0, spec),
+                                       config.jmin + 1)
+    grid.require_closed(state.mask0, spec, sim.bank, "start")
+    wide = relattice(state.mask0, config.jmax)
+    assert not np.any(sim.spec.coarse_mask() & ~wide)
+    assert not wide.all()
+    # The fields hold the Gaussian at the mask's points only.
+    full = Simulation(replace(config, full_grid=True)).state
+    ey = relattice(state.ey, config.jmax)
+    np.testing.assert_array_equal(ey, np.where(wide, full.ey, 0.0))
+
+
+@pytest.mark.parametrize("user", [False, True], ids=["configured", "user"])
+@pytest.mark.parametrize("sigma_um", [0.05, 0.03])
+def test_start_finds_a_pulse_narrower_than_the_coarse_levels_see(sigma_um,
+                                                                 user):
+    # Centred between level-4 points, such a pulse reads below zeta at
+    # every point of the levels a coarse-to-fine fit starts from.  The
+    # configured pulse's fit samples whole lattices down to the level that
+    # resolves sigma; the same pulse given as initial_ey is thresholded on
+    # the whole mesh.  Either way step 1 keeps it as the full-grid run
+    # does.
+    config = small_config(jmax=7, boundary="PML", sigma_um=sigma_um,
+                          center_frac=(0.53125, 0.53125))
+    full = Simulation(replace(config, full_grid=True))
+    adaptive = Simulation(config,
+                          initial_ey=full.state.ey if user else None)
+    assert int(adaptive.state.mask0.sum()) > (2**config.jmin + 1) ** 2
+    adaptive.step()
+    full.step()
+    np.testing.assert_allclose(np.abs(adaptive.dense_ey()).max(),
+                               np.abs(full.state.ey).max(), rtol=1e-2)
+
+
+def test_start_reads_a_user_field_only_where_it_refines():
+    # A below-zeta change to a user field at a point off the start's mask
+    # and off the derivative taps of its points (a finest-spacing stencil
+    # along the point's row and column) changes nothing.
+    config = small_config(boundary="PML")
+    n = 2**config.jmax + 1
+    field = gaussian_field(n, SIGMA_PAPERED / config.domain_length_um)
+    base = Simulation(config, initial_ey=field).state
+    mask = relattice(base.mask0, config.jmax)
+    reach = build_filter_bank(config.order).deriv_halfwidth
+    m, k = 2, 2  # born at level 5, a d3 point
+    assert not mask[m, :k + reach + 1].any()
+    assert not mask[:m + reach + 1, k].any()
+    changed = field.copy()
+    changed[m, k] = 0.5 * config.zeta
+    assert state_digest(Simulation(config, initial_ey=changed).state) == (
+        state_digest(base))
+    # A d3 detail there is a quarter of the value: 8 zeta is seen.
+    changed[m, k] = 8.0 * config.zeta
+    state = Simulation(config, initial_ey=changed).state
+    assert relattice(state.mask0, config.jmax)[m, k]
+
+
+def test_user_field_start_is_the_whole_mesh_threshold():
+    # A user field's start mask is what adapt_step makes of a state that
+    # holds the field at every point: the whole-mesh transform,
+    # thresholded and closed.
+    config = small_config(boundary="PML", sigma_um=0.1,
+                          center_frac=(0.3, 0.55))
+    field = Simulation(replace(config, full_grid=True)).state.ey
+    field[5:9, 40:44] += 3.0 * config.zeta
+    start = Simulation(config, initial_ey=field).state
+    dense = Simulation(replace(config, full_grid=True), initial_ey=field)
+    dense.config = replace(config, full_grid=False)
+    dense.adapt_step()
+    np.testing.assert_array_equal(relattice(start.mask0, config.jmax),
+                                  relattice(dense.state.mask0, config.jmax))
+
+
+def test_update_step_refuses_an_unprepared_adaptive_start():
+    # The fitted start has no levels and no derivative ring: an update
+    # there would read every derivative as 0.0.
+    sim = Simulation(small_config())
+    with pytest.raises(RuntimeError, match="adapt_step"):
+        sim.update_step()
+    assert sim.state.k == 0
+    sim.update_step(sim.adapt_step())
+    sim.update_step()
+    assert sim.state.k == 2
+
+
+def test_start_and_first_step_stay_off_the_whole_lattice(monkeypatch):
+    # Regression guard: at jmax=9 neither the start nor step 1 builds a
+    # MaskPlan of, or lists the points of, the whole 513^2 lattice.
+    n = 2**9 + 1
+    whole = []
+
+    def watch(module, name):
+        original = getattr(module, name)
+
+        def watched(mask, *args, **kwargs):
+            if mask.shape == (n, n):
+                whole.append(name)
+            return original(mask, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, watched)
+
+    for module in (solver, grid, derivatives):
+        watch(module, "masked_points")
+    watch(wavelets, "MaskPlan")
+    sim = Simulation(SimulationConfig(steps=1))
+    sim.step()
+    assert whole == []
+    assert lattice_level(sim.state) < 9
 
 # ------------------------------------------------------------ stepping
 
@@ -324,6 +510,22 @@ def test_overdriven_step_raises_instability():
     assert "step" in str(err.value)
 
 
+@pytest.mark.parametrize("full_grid", [False, True])
+def test_finite_check_raises_on_an_overflowing_step(full_grid):
+    # Two finite splits whose sum overflows: the step's fields go
+    # non-finite, and the check, which sums the new Ey at the listed
+    # points or, on the full grid, into the old Ey's buffer, raises.
+    sim = Simulation(small_config(boundary="PEC", full_grid=full_grid))
+    sim.step()
+    n = sim.state.eyx.shape[0]
+    for split in (sim.state.eyx, sim.state.eyz):
+        split[n // 2, n // 2] = 1.5e308
+    points = sim.adapt_step()
+    with np.errstate(over="ignore"):
+        with pytest.raises(InstabilityError):
+            sim.update_step(points)
+
+
 def test_stable_run_stays_finite():
     sim = Simulation(small_config(boundary="PML", steps=30))
     sim.run()
@@ -379,8 +581,9 @@ def test_update_step_matches_dense_update_bitwise(full_grid):
 
 
 def test_adapt_step_regrids_h_only_where_mask1_leaves_the_previous_one():
-    # At jmax=8 the new mask1 leaves the previous one on steps 6, 8 and
-    # 10, and lies inside it on the others.
+    # At jmax=8 the new mask1 leaves the previous one on step 1, whose
+    # derivative ring lies outside the start's mask, and on steps 6, 8
+    # and 10; it lies inside it on the others.
     sim = Simulation(small_config(jmax=8, boundary="PML"))
     branches = []
     for _ in range(10):
@@ -399,7 +602,7 @@ def test_adapt_step_regrids_h_only_where_mask1_leaves_the_previous_one():
         assert state.hz.tobytes() == hz.tobytes()
         branches.append(regrid)
         sim.update_step(points)
-    assert branches == [False] * 5 + [True, False] * 2 + [True]
+    assert branches == [True] + [False] * 4 + [True, False] * 2 + [True]
 
 
 @pytest.mark.parametrize("full_grid", [False, True])
@@ -430,10 +633,13 @@ def lattice_level(state):
     return (state.ey.shape[-1] - 1).bit_length() - 1
 
 
-def widened_digests(config, steps):
+def widened_digests(config, steps, whole=False):
     """Per step, the digest of the state spread over the (n, n) mesh and
-    the level of the lattice it is stored on."""
+    the level of the lattice it is stored on; whole spreads the start
+    over the mesh before the first step."""
     sim = Simulation(config)
+    if whole:
+        sim.state = on_finest_lattice(sim.state, sim.spec)
     digests, levels = [], []
     for _ in range(steps):
         sim.step()
@@ -447,8 +653,9 @@ def test_working_lattice_steps_match_the_whole_mesh_bitwise(monkeypatch,
                                                             jmax, steps):
     # The calibration geometry through a survivor born at the lattice's
     # finest level (step 114) and the collapse to the coarse lattice
-    # (step 135), and the default scale.  The reference keeps the state
-    # on the whole mesh and runs every phase and every closure level there.
+    # (step 135), and the default scale.  The reference keeps the state,
+    # the fitted start included, on the whole mesh and runs every phase
+    # and every closure level there.
     config = small_config(jmax=jmax, jmin=3, boundary="PML",
                           pml_width_frac=0.25, steps=steps)
     worked = []  # the lattice levels adapt_step thresholds and zones on
@@ -471,7 +678,7 @@ def test_working_lattice_steps_match_the_whole_mesh_bitwise(monkeypatch,
 
     monkeypatch.setattr(solver, "finest_level", whole_mesh)
     monkeypatch.setattr(grid, "finest_level", whole_mesh)
-    want, whole = widened_digests(config, steps)
+    want, whole = widened_digests(config, steps, whole=True)
     assert whole == [jmax] * steps
     assert got == want
 
