@@ -14,18 +14,16 @@ lattice contained.  So a mask is stencil-closed exactly when
 reconstruction_check returns it unchanged, which is all require_closed
 checks.
 
-masked_points lists the points of a mask once, as coordinates and flat
-indices.  Work that only concerns the masked points (levels, derivative
-taps, derivatives, the field update) runs on such a list, so its cost
-follows the number of masked points rather than the size of the lattice;
-a caller that already holds the list of a mask passes it on.
+A MaskGrid holds one mask and, built once, its points, their density
+levels, their derivative stencil and its transform plan, which every
+consumer of the mask reads, so that their work follows the number of
+masked points rather than the size of the lattice.
 
 Stencils read fields in the padded layout: an (n, n) field stored as
 (n + 1, n + 1) with its extra row and column held at zero, k fields one
 after another.  Taps moves listed points along an axis in that layout; a
 tap past either edge lands on the extra row or column, so it reads zero
-and a write there is cropped away.  The wavelet transforms, the
-derivatives and the derivative closure all take their taps from it.
+and a write there is cropped away.
 
 A mask whose points all lie on the level-J lattice can be worked on with
 the grid of that lattice alone, GridSpec.lattice(J), as its entries at
@@ -51,31 +49,19 @@ from .filters import FilterBank
 
 
 class GridSpec:
-    """Geometry of one dyadic grid: level range plus cached point metadata.
-
-    Attributes
-    ----------
-    j_min, j_max:
-        Coarsest and finest dyadic levels, j_min < j_max.
-    n:
-        Points per axis, 2^j_max + 1.
-    birth:
-        (n, n) int8 array of birth levels, clipped below to j_min.
-    detail:
-        (n, n) bool array, True where the point carries a detail coefficient.
-    """
+    """Geometry of one dyadic grid: the coarsest and finest levels j_min
+    < j_max, n = 2^j_max + 1 points per axis, and as read-only (n, n)
+    arrays each point's birth level (int8, clipped below to j_min) and
+    detail, True where it carries a detail coefficient."""
 
     def __init__(self, j_min: int, j_max: int):
         if j_min < 0 or j_min >= j_max:
             raise ValueError(f"need 0 <= j_min < j_max, got {j_min}, {j_max}")
-        self.j_min = j_min
-        self.j_max = j_max
-        self.n = (1 << j_max) + 1
+        self.j_min, self.j_max, self.n = j_min, j_max, (1 << j_max) + 1
 
-        # int8: birth levels are only compared, and an (n, n) int64 array
-        # would weigh as much as a field.  An index is born on an axis at
-        # the level j of which it is an odd multiple of stride(j); the
-        # two ends at level 0.
+        # int8: an (n, n) int64 array would weigh as much as a field.  An
+        # index is born on an axis at the level j of which it is an odd
+        # multiple of stride(j); the two ends at level 0.
         axis_level = np.zeros(self.n, dtype=np.int8)
         for j in range(1, j_max + 1):
             axis_level[1 << (j_max - j)::1 << (j_max - j + 1)] = j
@@ -89,10 +75,9 @@ class GridSpec:
 
     @cached_property
     def gap_levels(self) -> np.ndarray:
-        """The axis level of a point whose nearest same-line neighbour is
-        g finest steps away, at index g: j_max - log2(g), rounded and
-        clipped to [j_min, j_max]; j_min at n + 1, for no neighbour.  A
-        gap of 1 to n rounds to j_max down to 0, so only j_min clips."""
+        """At index g, the axis level of a point whose nearest same-line
+        neighbour is g finest steps away: j_max - log2(g), rounded, at
+        least j_min (a gap up to n rounds to 0 or more); j_min at n + 1."""
         gap = np.arange(self.n + 2, dtype=float)
         gap[0] = 1.0
         levels = self.j_max - np.rint(np.log2(gap)).astype(np.int64)
@@ -104,13 +89,10 @@ class GridSpec:
         return 1 << (self.j_max - j)
 
     def lattice(self, j: int) -> "GridSpec":
-        """The grid of the level-j lattice alone, GridSpec(j_min, j) for
-        j_min < j <= j_max, built once; this grid itself for j = j_max.
-
-        Its points are this grid's points at stride(j), with the same
-        birth levels (see the module docstring).  Its ``coarsened`` is
-        True below j_max: its finest level is not the whole mesh's.
-        """
+        """The grid of the level-j lattice alone, GridSpec(j_min, j),
+        built once, whose points are this grid's at stride(j), with the
+        same birth levels; this grid itself for j = j_max.  Its
+        ``coarsened`` is True below j_max."""
         if j not in self._lattices:
             if not self.j_min < j < self.j_max:
                 raise ValueError(f"level {j} outside ({self.j_min}, "
@@ -121,14 +103,13 @@ class GridSpec:
         return self._lattices[j]
 
     def edges(self, reach: int):
-        """The row and column parts of padded flat positions, built once
-        per reach: entry p + reach is p * (n + 1) and p for a lattice
-        index p, and n * (n + 1) and n, the extra row and column, for p
-        up to reach past either edge."""
+        """The row and column parts of padded flat positions, once per
+        reach: entry p + reach is p * (n + 1) and p for an index p, and
+        n * (n + 1) and n for p up to reach past either edge."""
         if reach not in self._edges:
             edge = np.full(self.n + 2 * reach, self.n)
             edge[reach:reach + self.n] = np.arange(self.n)
-            self._edges[reach] = (edge * (self.n + 1), edge)
+            self._edges[reach] = _frozen(edge * (self.n + 1)), _frozen(edge)
         return self._edges[reach]
 
     def full_mask(self) -> np.ndarray:
@@ -144,22 +125,26 @@ class GridSpec:
 
 @cache
 def grid_of(j_min: int, j_max: int) -> GridSpec:
-    """The GridSpec(j_min, j_max) that every caller shares.  It only
-    adds to its caches of lattices, edge tables and the level table as
-    they are asked for, and its birth and detail arrays are read-only."""
+    """The GridSpec(j_min, j_max) that every caller shares: it only adds
+    to its caches, and its arrays are read-only."""
     return GridSpec(j_min, j_max)
 
 
 def finest_level(mask: np.ndarray, spec: GridSpec) -> int:
-    """Finest birth level of a masked point; j_min when the mask holds
-    only coarse points or none.  Walks down from j_max, testing the
-    points born at each level (odd rows, or even rows and odd columns,
-    of that level's lattice) through strided views."""
+    """Finest birth level of a masked point, j_min for none, found from
+    j_max down through strided views of the points born at each level
+    (odd rows, or even rows and odd columns, of that level's lattice)."""
     for b in range(spec.j_max, spec.j_min, -1):
         h = spec.stride(b)
         if mask[h::2 * h, ::h].any() or mask[::2 * h, h::2 * h].any():
             return b
     return spec.j_min
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only in place."""
+    array.flags.writeable = False
+    return array
 
 
 class Points(NamedTuple):
@@ -171,11 +156,10 @@ class Points(NamedTuple):
 
 
 def masked_points(mask: np.ndarray) -> Points:
-    """The masked points in row-major order, as np.nonzero lists them;
-    going through the flat indices is several times faster."""
+    """The masked points in row-major order, in read-only arrays; going
+    through the flat indices is several times faster than np.nonzero."""
     flat = np.flatnonzero(mask)
-    rows, cols = np.divmod(flat, mask.shape[1])
-    return Points(rows, cols, flat)
+    return Points(*map(_frozen, (*np.divmod(flat, mask.shape[1]), flat)))
 
 
 class Taps:
@@ -185,10 +169,9 @@ class Taps:
     holds them moved along axis by shift (a number or one per point, at
     most reach), as a (k, len(rows)) array, or a 1-D one for one field.
     Positions are flat, each field offset by (n + 1)^2: a flat gather or
-    scatter is several times faster than one on a stack, and a single
-    field's 1-D positions add faster than a broadcast (1, len(rows)).  An
-    axis's index arrays are built on its first use, so a derivative,
-    which moves along one axis, holds none for the other.
+    scatter is several times faster than one on a stack, and one field's
+    1-D positions add faster than a broadcast (1, len(rows)).  An axis's
+    index arrays are built on its first use.
     """
 
     def __init__(self, spec: GridSpec, rows, cols, reach: int, fields=1):
@@ -221,9 +204,8 @@ class Taps:
     def sum(self, values, axis: int, shifts, weights) -> np.ndarray:
         """Sum of weight * values[moved(axis, shift)] over the taps, from
         zero in tap order; values is the flat padded store, and shifts may
-        be a generator, holding one tap's shift at a time.  The loop
-        repeats moved's expression: a call per tap made the transforms
-        about 3% slower."""
+        be a generator.  The loop repeats moved's expression: a call per
+        tap made the transforms about 3% slower."""
         edge, index, rest = self._line(axis)
         out = np.zeros(rest.shape)
         for shift, weight in zip(shifts, weights):
@@ -232,21 +214,78 @@ class Taps:
 
 
 def derivative_taps(points: Points, levels, spec: GridSpec, bank: FilterBank):
-    """(known, level, taps, shifts) of the listed points' derivative
-    stencils: a point of density level j taps +-i 2^(j_max - j) along
-    either axis, i = 1..deriv_halfwidth, and one whose level lies outside
-    [j_min, j_max] taps nothing.  known marks the points that tap; level,
-    taps and shifts cover those alone, shifts yielding the signed shifts
-    in tap order, +i then -i for i = 1, 2, ..., one array at a time."""
+    """(level, taps, shifts) of the listed points' derivative stencils: a
+    point of density level j, which must lie in [j_min, j_max], as
+    compute_levels gives every masked point, taps +-i 2^(j_max - j) along
+    either axis, i = 1..deriv_halfwidth.  shifts() yields the signed
+    shifts in tap order, +i then -i for i = 1, 2, ..., one at a time."""
     rows, cols, _ = points
-    level = levels[rows, cols]
-    known = (level >= spec.j_min) & (level <= spec.j_max)
-    level = level[known]
-    step = np.left_shift(1, spec.j_max - level)
-    taps = Taps(spec, rows[known], cols[known],
-                bank.deriv_halfwidth * spec.stride(spec.j_min))
-    return known, level, taps, (sign * i * step for i in range(
-        1, bank.deriv_halfwidth + 1) for sign in (1, -1))
+    level = _frozen(levels[rows, cols])
+    step = _frozen(np.left_shift(1, spec.j_max - level))
+    width = bank.deriv_halfwidth
+    return level, Taps(spec, rows, cols, width * spec.stride(spec.j_min)), (
+        lambda: (sign * i * step for i in range(1, width + 1)
+                 for sign in (1, -1)))
+
+
+class MaskGrid:
+    """One mask of spec's lattice and, built once on first read, its
+    points (masked_points), their density levels (compute_levels), their
+    derivative stencil (derivative_taps) and its transform plan
+    (transform_plan), for every consumer of the mask to read.  mask is a
+    read-only view of the mask given, which must not change while the
+    grid is in use; every array the grid hands out is read-only, so a
+    pass cannot write into an index that another reads."""
+
+    def __init__(self, mask: np.ndarray, spec: GridSpec, bank: FilterBank):
+        self.mask = _frozen(mask.view())
+        self.spec, self.bank = spec, bank
+
+    @cached_property
+    def points(self) -> Points:
+        return masked_points(self.mask)
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        return _frozen(compute_levels(self.mask, self.spec, self.points))
+
+    @cached_property
+    def stencil(self):
+        return derivative_taps(self.points, self.levels, self.spec, self.bank)
+
+    @cached_property
+    def plan(self) -> list:
+        return transform_plan(self.mask, self.spec, self.bank)
+
+
+def transform_plan(mask, spec: GridSpec, bank: FilterBank) -> list:
+    """The mask's detail points by transform level and kind.
+
+    Entry level - j_min holds, as (2, count) arrays of rows and cols, the
+    d1, d2 and d3 points born at level + 1 (odd-even, even-odd and odd-odd on
+    that lattice), each kind in row-major order, and the lifted even-even
+    points: the masked ones with a masked d1 point (along x) or d2 point
+    (along z) in update reach.  Every other even-even point has an
+    exactly zero lift, since a masked d3 point's column taps are masked
+    d1 points.  Each kind is listed from a strided view of the mask, as
+    finest_level and reconstruction_check read it, so a plan sorts
+    nothing and lists no point twice.  Its arrays are read-only.
+    """
+    plan = []
+    for level in range(spec.j_min, spec.j_max):
+        h, s = spec.stride(level + 1), spec.stride(level)
+        d1, d2, d3 = (_frozen(np.multiply(np.nonzero(mask[r::s, c::s]), s)
+                              + [[r], [c]])
+                      for r, c in ((h, 0), (0, h), (h, h)))
+        even = d1  # none without d1 or d2 points
+        if d1[0].size or d2[0].size:
+            # A tap (2l - 1) h moves odd class index i to i + l.
+            moved = spread_lines(np.stack((mask[h::s, ::s], mask[::s, h::s].T),
+                                          axis=1), bank.predict_offsets)
+            near = (moved[:, 0] | moved[:, 1].T) & mask[::s, ::s]
+            even = _frozen(np.multiply(np.nonzero(near), s))
+        plan.append((d1, d2, d3, even))
+    return plan
 
 
 def _box_dilate(a, radius):
@@ -262,15 +301,10 @@ def _box_dilate(a, radius):
     return out
 
 
-def add_adjacent_zone(
-    mask: np.ndarray,
-    spec: GridSpec,
-    level_range: int = 1,
-    space_range: int = 1,
-) -> np.ndarray:
-    """Grow the mask by the adjacent zone of every masked detail point.
-
-    A detail point with birth level b and level-b indices (mb, nb) activates
+def add_adjacent_zone(mask: np.ndarray, spec: GridSpec, level_range: int = 1,
+                      space_range: int = 1) -> np.ndarray:
+    """Grow the mask by the adjacent zone of every masked detail point:
+    a detail point with birth level b and level-b indices (mb, nb) activates
     every lattice point (j', m', n') with |j' - b| <= level_range and
     |2^(j'-b) mb - m'| <= space_range (likewise for n'), with j' clipped to
     [j_min, j_max].  Coarse scaling points spawn no zone; their same-level
@@ -308,12 +342,9 @@ def spread_lines(source, shifts):
     """The source's lines moved by each of the consecutive shifts along
     the first axis, ORed together: line t holds the union of source lines
     t - s, one line more than the source, and lines moved past either end
-    drop.
-
-    A padded copy of the source is ORed with itself moved by 1, 2, 4, ...
-    lines until each line holds the union of a window as wide as the
-    shifts, a few passes whatever their number.  Sources of one shape
-    stacked along the second axis spread in one call.
+    drop.  A padded copy of the source is ORed with itself moved by 1, 2,
+    4, ... lines, a few passes whatever the number of shifts.  Sources of
+    one shape stacked along the second axis spread in one call.
     """
     width, lines = len(shifts), source.shape[0]
     window = np.zeros((lines + width,) + source.shape[1:], dtype=bool)
@@ -331,31 +362,21 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
 
     Adds, for each masked detail point, the prediction stencil taps of its
     detail equation, recursing to coarser birth levels until no point is
-    missing.  Taps outside the array are never required (zero extension).
-
-    One pass from the finest birth level down suffices: taps of a level-b
-    detail land on the level-b lattice or coarser, and the only same-level
-    births (odd-odd taps hitting singly odd points) are picked up by
-    running the d3 family before d1/d2 within each level.
+    missing; taps outside the array are never required (zero extension).
+    One pass from the mask's finest birth level down suffices: taps of a
+    level-b detail land on the level-b lattice or coarser, and the only
+    same-level births (odd-odd taps hitting singly odd points) are picked
+    up by running the d3 family before d1/d2 within each level.
 
     Each level works on strided views of the four parity classes of its
     lattice.  A tap offset (2l - 1) stride(b), l in predict_offsets,
     moves a point to the other parity along its axis, l class rows or
     columns away, so every family is one class shifted into another: d3
     rows into d2, d3 columns into d1, d1 rows and d2 columns into
-    even-even.  The d3 tensor taps are the
-    column taps of the d2 points its row taps create, so the d2 family
-    covers them.  The even-even class is the next level's lattice.
-
-    The one-axis lifting of the wavelets module is exact because of two
-    of these families: "d3 rows into d2" keeps the d2 details that a d3
-    detail reads along x, and "d3 columns into d1" keeps every d1 point
-    at which the update's staged z sum of d3 details is nonzero (the tap
-    offsets are symmetric).  A transform on a mask without them, run
-    with check=False, gives undefined results.
-
-    The pass starts at the mask's finest birth level: a level without
-    masked details adds nothing.
+    even-even.  The d3 tensor taps are the column taps of the d2 points
+    its row taps create, so the d2 family covers them.  The even-even
+    class is the next level's lattice.  The wavelets module's one-axis
+    lifting rests on the first two families.
     """
     out = mask.copy()
     top = finest_level(mask, spec)
@@ -397,12 +418,10 @@ def _holder(tap, mask, spec: GridSpec, bank: FilterBank):
 def require_closed(mask, spec: GridSpec, bank: FilterBank, what: str):
     """Raise MaskClosureError unless reconstruction_check leaves the mask
     as it is, naming a masked detail point and an absent tap it needs.
-
     The first point the closure adds is traced back, holder by holder
-    through the closed mask, to a point of the mask.  A holder is born no
+    through the closed mask, to a point of the mask; a holder is born no
     coarser than its tap, and no d3 point is a tap of its own level, so
-    the trace ends.
-    """
+    the trace ends."""
     closed = reconstruction_check(mask, spec, bank)
     added = np.argwhere(closed & ~mask)
     if not added.size:
@@ -418,13 +437,10 @@ def require_closed(mask, spec: GridSpec, bank: FilterBank, what: str):
 
 
 def _line_levels(major, minor, spec: GridSpec) -> np.ndarray:
-    """Axis level of points sorted by (line, position on the line).
-
-    major names each point's grid line and minor its position on it.
-    The gaps between neighbours in that order that stay on one line give
-    every point its nearest same-line distance, and GridSpec.gap_levels
-    its level.
-    """
+    """Axis level of points sorted by (line, position on the line), major
+    naming each point's line and minor its position: the gaps between
+    neighbours on one line give every point its nearest same-line
+    distance, and GridSpec.gap_levels its level."""
     far = spec.n + 1
     step = np.where(major[1:] == major[:-1], minor[1:] - minor[:-1], far)
     gap = np.full(major.size, far)
@@ -433,55 +449,37 @@ def _line_levels(major, minor, spec: GridSpec) -> np.ndarray:
     return spec.gap_levels[gap]
 
 
-def compute_levels(mask: np.ndarray, spec: GridSpec,
-                   points: Points | None = None) -> np.ndarray:
+def compute_levels(mask, spec: GridSpec, points: Points) -> np.ndarray:
     """Density level of every masked point (max of the two axis levels).
 
     The axis level is j_max - log2(gap) with gap the finest-index distance
     to the nearest masked point on the same grid line, rounded to the
     nearest integer and clipped to [j_min, j_max]; a point with no same-line
     companion falls back to j_min on that axis.  Entries outside the mask
-    are 0.
-
-    The gaps come from the sorted coordinates of the masked points: a
-    pass over the mask lists them row by row, which orders every row, and
-    a pass over its transpose column by column, which orders every
-    column, so the work beyond those two scans follows the number of
-    masked points.  points, when given, is the mask's list in row-major
-    order (masked_points).
+    are 0.  The gaps come from points, which lists the mask row by row
+    (masked_points) and so orders every row, and from a listing of its
+    transpose, which orders every column.
     """
-    rows, cols, flat = masked_points(mask) if points is None else points
+    rows, cols, flat = points
     out = np.zeros((spec.n, spec.n), dtype=np.int64)
     levels = out.reshape(-1)
     levels[flat] = _line_levels(rows, cols, spec)
-    cols, rows, _ = masked_points(mask.T)
+    cols, rows = np.divmod(np.flatnonzero(mask.T), spec.n)
     flat = rows * spec.n + cols
     levels[flat] = np.maximum(levels[flat], _line_levels(cols, rows, spec))
     return out
 
 
-def extend_for_derivatives(
-    mask: np.ndarray,
-    spec: GridSpec,
-    levels: np.ndarray,
-    bank: FilterBank,
-    points: Points | None = None,
-) -> np.ndarray:
-    """Add the derivative stencil taps of every masked point, then re-close.
-
-    The taps are derivative_taps' along both axes; taps beyond the array
-    edge are dropped (they read zero).  A reconstruction check runs
-    afterwards so inverse transforms stay well defined on the grown mask.
-
-    The taps come from the coordinates and levels of the masked points
-    (points, when given, lists them), so their cost follows the number of
-    masked points.
-    """
-    points = masked_points(mask) if points is None else points
-    _, _, taps, shifts = derivative_taps(points, levels, spec, bank)
-    hit = np.zeros((spec.n + 1, spec.n + 1), dtype=bool)
+def extend_for_derivatives(grid: MaskGrid) -> np.ndarray:
+    """The grid's mask with its stencil's derivative taps along both
+    axes added, those beyond the array edge dropped (they read zero),
+    then reconstruction-checked so that inverse transforms stay well
+    defined on the grown mask."""
+    _, taps, shifts = grid.stencil
+    hit = np.zeros((grid.spec.n + 1,) * 2, dtype=bool)
     flat = hit.reshape(-1)
-    for shift in shifts:
+    for shift in shifts():
         for axis in (0, 1):
             flat[taps.moved(axis, shift)] = True
-    return reconstruction_check(mask | hit[:-1, :-1], spec, bank)
+    return reconstruction_check(grid.mask | hit[:-1, :-1], grid.spec,
+                                grid.bank)

@@ -14,39 +14,41 @@ Grids, levels and stencils come from the grid/wavelets/derivatives
 modules; this module owns the physics, the step-size control, and the
 boundary treatment.
 
-On an adaptive grid a step lists the points of mask0 and mask1 once
-(grid.Points) and works on those lists: the levels, the derivative
-closure, the derivatives, the field update and the finite check cost
-in proportion to the active points.  Every entry off the masks is 0.0
-by construction, so only the listed entries are computed.  In full-grid
-mode every point is active and the same arithmetic runs on the whole
-arrays.
+On an adaptive grid a step makes the grid (grid.MaskGrid) of every mask
+it reads or makes, once, and hands it to every consumer: the transforms
+read its plan, the derivative closure and the derivatives its stencil,
+the field update and the finite check its points, so each costs in
+proportion to the active points.  Every entry off the masks is 0.0 by
+construction, so only the listed entries are computed.  In full-grid
+mode every point is active, no grid is made, and the same arithmetic
+runs on the whole arrays.
 
 An adaptive start of the configured field is fitted to it coarse to
 fine (wavelets.fit_mask), one of a user's initial_ey is thresholded on
 the whole mesh, and either is closed as adapt_step closes a thinned
 mask; the field is sampled at the start's points only, so for the
-configured field neither the start nor step 1 lists, transforms or
-plans the whole lattice unless the field needs it.  The full-grid start and every full-grid step run on
-the whole (2^j_max + 1)^2 mesh, so they hold as few mesh-sized arrays
-as they can: the start's three masks are one read-only full mask and
-its two level arrays one read-only array, which a full-grid run keeps
-throughout, and the start, the uniform-stencil derivatives and the
-field update scale and sum into arrays they have just made, in place,
-with the operands and order of the plain expressions.
+configured field neither the start nor step 1 makes the grid of the
+whole lattice unless the field needs it.  The full-grid start and every
+full-grid step run on the whole (2^j_max + 1)^2 mesh, so they hold as
+few mesh-sized arrays as they can: the start's three masks are one
+read-only full mask and its two level arrays one read-only array, which
+a full-grid run keeps throughout, and the start, the uniform-stencil
+derivatives and the field update scale and sum into arrays they have
+just made, in place, with the operands and order of the plain
+expressions.
 
 An adaptive state is stored on the level-J lattice of the finest point
 of the masks its last step read and made, J = finest_level(previous
 mask1 | mask2), at least j_min + 1 (the start's, of its one mask): its
-arrays are (2^J + 1)-square, J is read from their shape, and the points
-adapt_step returns and update_step takes are in that lattice's
-coordinates.  adapt_step narrows the state to the finest level of the
-mask1 it finds, which holds every field, thresholds there, and goes one
-level finer only when a survivor is born at that level, since the
-adjacent zone reaches one level past a point; update_step runs where
-adapt_step leaves the state.  Every point reads the same taps with the
-same weights in the same order as on the whole mesh (see the grid
-module), so the results are bit for bit the whole mesh's.  relattice
+arrays are (2^J + 1)-square, J is read from their shape, and the grids
+adapt_step returns and update_step takes are on that lattice.
+adapt_step narrows the state to the finest level of the mask1 it
+finds, which holds every field, thresholds there, and goes one level
+finer only when a survivor is born at that level, since the adjacent
+zone reaches one level past a point; update_step runs where adapt_step
+leaves the state.  Every point reads the same taps with the same
+weights in the same order as on the whole mesh (see the grid module),
+so the results are bit for bit the whole mesh's.  relattice
 spreads one array over the (2^j_max + 1)^2 mesh and on_finest_lattice
 the whole state; full-grid mode stays there.
 """
@@ -60,15 +62,14 @@ from .config import SimulationConfig
 from .derivatives import diff_x, diff_z
 from .errors import ConfigError, InstabilityError
 from .filters import FilterBank, build_filter_bank
-from .grid import (
+from .grid import (  # noqa: F401 (compute_levels: traced where bound)
     GridSpec,
-    Points,
+    MaskGrid,
     add_adjacent_zone,
     compute_levels,
     extend_for_derivatives,
     finest_level,
     grid_of,
-    masked_points,
     reconstruction_check,
 )
 from .wavelets import (
@@ -133,36 +134,37 @@ class FieldState:
         return self.eyx + self.eyz
 
 
-def _at(array, points: Points | None):
+def _at(array, grid: MaskGrid | None):
     """A lattice array, or a coefficient column (n, 1) or row (1, n), at
-    the listed points; the whole array when points is None."""
-    if points is None:
+    the grid's points; the whole array when grid is None."""
+    if grid is None:
         return array
+    rows, cols, _ = grid.points
     if array.shape[1] == 1:
-        return array[points.rows, 0]
+        return array[rows, 0]
     if array.shape[0] == 1:
-        return array[0, points.cols]
-    return array[points.rows, points.cols]
+        return array[0, cols]
+    return array[rows, cols]
 
 
-def _lattice(values, points: Points | None, n: int):
-    """Values at the listed points on an otherwise zero (n, n) lattice,
-    of the values' type; values itself when points is None."""
-    if points is None:
+def _lattice(values, grid: MaskGrid | None):
+    """Values at the grid's points on its otherwise zero lattice, of the
+    values' type; values itself when grid is None."""
+    if grid is None:
         return values
+    n = grid.spec.n
     out = np.zeros(n * n, dtype=np.result_type(values))
-    out[points.flat] = values
+    out[grid.points.flat] = values
     return out.reshape(n, n)
 
 
-def _advance(a, field, combine, b, derivative, points: Points | None,
-             n: int):
-    """combine(a * field, b * derivative) at the listed points (every
+def _advance(a, field, combine, b, derivative, grid: MaskGrid | None):
+    """combine(a * field, b * derivative) at the grid's points (every
     point when None), on the lattice.  The derivative, a fresh array, is
     scaled in place; the products and the sum round as written."""
-    derivative *= _at(b, points)
-    out = _at(a, points) * _at(field, points)
-    return _lattice(combine(out, derivative, out=out), points, n)
+    derivative *= _at(b, grid)
+    out = _at(a, grid) * _at(field, grid)
+    return _lattice(combine(out, derivative, out=out), grid)
 
 
 def _level(array) -> int:
@@ -349,7 +351,7 @@ class Simulation:
                             self._resolving_level())
         index = np.arange(spec.n)
         pyr = CoeffPyramid.from_field(at(index[:, None], index), spec)
-        fwt_full(pyr, spec.full_mask(), self.bank, check=False)
+        fwt_full(pyr, MaskGrid(spec.full_mask(), spec, self.bank))
         thinned = threshold_coeffs(pyr, self.config.zeta)[1]
         level = min(max(finest_level(thinned, spec) + 1, spec.j_min + 1),
                     spec.j_max)
@@ -384,7 +386,7 @@ class Simulation:
         """
         at, slopes = self._initial_field(initial_ey)
         if self.config.full_grid:
-            spec, points = self.spec, None
+            spec, grid = self.spec, None
             mask = spec.full_mask()
             levels = np.full((spec.n, spec.n), spec.j_max, dtype=np.int64)
             index = np.arange(spec.n)
@@ -393,16 +395,16 @@ class Simulation:
             thinned, spec = self._thinned_start(at, initial_ey)
             mask = reconstruction_check(add_adjacent_zone(thinned, spec),
                                         spec, self.bank)
-            points = masked_points(mask)
+            grid = MaskGrid(mask, spec, self.bank)
             levels = np.zeros((spec.n, spec.n), dtype=np.int64)
             stride = self.spec.stride(spec.j_max)
-            rows, cols = points.rows * stride, points.cols * stride
+            rows, cols = grid.points.rows * stride, grid.points.cols * stride
             ey = at(rows, cols)
         if initial_h is None:
             # Synthetic t = -dt/2 fields: the first leapfrog advance then
             # lands exactly on the Euler half-step values +-(dt/2)/mu0 d(Ey).
-            if points is None:
-                hx, hz = (derivative(ey, mask, levels, spec, self.bank,
+            if grid is None:
+                hx, hz = (derivative(ey, mask, None, spec, self.bank,
                                      self.length_m)
                           for derivative in (diff_z, diff_x))
             else:
@@ -414,12 +416,12 @@ class Simulation:
             hx, hz = (np.asarray(h, dtype=float) for h in initial_h)
             if hx.shape != (self.spec.n,) * 2 or hz.shape != hx.shape:
                 raise ConfigError("initial_h arrays must match the grid shape")
-            hx, hz = (h.copy() if points is None else h[rows, cols]
+            hx, hz = (h.copy() if grid is None else h[rows, cols]
                       for h in (hx, hz))
         eyx = 0.5 * ey
         ey *= 0.5
         mask.flags.writeable = levels.flags.writeable = False
-        eyx, ey, hx, hz = (_lattice(values, points, spec.n)
+        eyx, ey, hx, hz = (_lattice(values, grid)
                            for values in (eyx, ey, hx, hz))
         state = FieldState(eyx=eyx, eyz=ey, hx=hx, hz=hz, mask0=mask,
                            mask1=mask, mask2=mask, level0=levels,
@@ -428,7 +430,7 @@ class Simulation:
 
     # ------------------------------------------------------------ stepping
 
-    def adapt_step(self) -> tuple[Points, Points] | None:
+    def adapt_step(self) -> tuple[MaskGrid, MaskGrid] | None:
         """Re-fit the grid to the current Ey and regrid every field onto
         it (no-op in full-grid mode).
 
@@ -445,10 +447,9 @@ class Simulation:
         threshold scale.  H is interpolated onto the new mask1 when that
         leaves the previous one.
 
-        Returns the listed points of the new mask0 and mask1 for
-        update_step, in the coordinates of the lattice the state leaves
-        on, or None in full-grid mode; on_finest_lattice gives the state
-        as (n, n) arrays.
+        Returns the grids of the new mask0 and mask1 for update_step, on
+        the lattice the state leaves on, or None in full-grid mode;
+        on_finest_lattice gives the state as (n, n) arrays.
         """
         state, bank = self.state, self.bank
         if self.config.full_grid:
@@ -462,7 +463,7 @@ class Simulation:
         # Both splits go through one stacked transform per mask.
         pyr = CoeffPyramid.from_field((state.eyx, state.eyz), spec,
                                       mask=state.mask0)
-        mask0 = self._thinned_mask(pyr, state.mask0)
+        mask0 = self._thinned_mask(pyr, MaskGrid(state.mask0, spec, bank))
         if level < self.spec.j_max and finest_level(mask0, spec) == level:
             # A survivor born at the lattice's finest level: its adjacent
             # zone reaches one level finer.
@@ -471,11 +472,9 @@ class Simulation:
             spec = self.spec.lattice(level)
             pyr = CoeffPyramid(relattice(pyr.data, level), spec, WAVELET)
             mask0 = relattice(mask0, level)
-        mask0 = reconstruction_check(add_adjacent_zone(mask0, spec), spec, bank)
-        points0 = masked_points(mask0)
-        level0 = compute_levels(mask0, spec, points0)
-        mask1 = extend_for_derivatives(mask0, spec, level0, bank, points0)
-        points1 = masked_points(mask1)
+        grid0 = MaskGrid(reconstruction_check(add_adjacent_zone(mask0, spec),
+                                              spec, bank), spec, bank)
+        grid1 = MaskGrid(extend_for_derivatives(grid0), spec, bank)
         # H carries genuine values on the whole previous mask1 (update ring
         # included); interpolating from there instead of from the previous
         # mask0 keeps them, and the error against the full-grid reference
@@ -484,58 +483,57 @@ class Simulation:
         # stacked regrid.  The update reads H at mask1's points only, so
         # when mask1 lies inside the previous one the values there are H's
         # own and no regrid runs.
-        if not state.mask1.reshape(-1)[points1.flat].all():
+        if not state.mask1.reshape(-1)[grid1.points.flat].all():
             state.hx, state.hz = interpolate_missing(
-                (state.hx, state.hz), state.mask1, mask1, spec, bank,
-                check=False)
-        level1 = compute_levels(mask1, spec, points1)
-        mask2 = extend_for_derivatives(mask1, spec, level1, bank, points1)
-        _require_subset(mask0, mask1, "mask0 not within mask1")
-        _require_subset(mask1, mask2, "mask1 not within mask2")
-        iwt_full(pyr, mask2, bank, check=False)
+                (state.hx, state.hz), MaskGrid(state.mask1, spec, bank),
+                grid1)
+        grid2 = MaskGrid(extend_for_derivatives(grid1), spec, bank)
+        _require_subset(grid0.mask, grid1.mask, "mask0 not within mask1")
+        _require_subset(grid1.mask, grid2.mask, "mask1 not within mask2")
+        iwt_full(pyr, grid2)
         state.eyx, state.eyz = pyr.data
-        state.mask0, state.mask1, state.mask2 = mask0, mask1, mask2
-        state.level0, state.level1 = level0, level1
-        return points0, points1
+        state.mask0, state.mask1, state.mask2 = (
+            grid.mask for grid in (grid0, grid1, grid2))
+        state.level0, state.level1 = grid0.levels, grid1.levels
+        return grid0, grid1
 
-    def _thinned_mask(self, pair: CoeffPyramid, mask) -> np.ndarray:
-        """Forward-transform the split pair on mask, in place, and return
-        the mask that thresholding their summed coefficients leaves.
-
-        The masks fed to the transforms here and in adapt_step come from
-        the closure operations, which guarantee stencil completeness, so
-        the per-call validation is skipped.
-        """
-        fwt_full(pair, mask, self.bank, check=False)
+    def _thinned_mask(self, pair: CoeffPyramid, grid: MaskGrid):
+        """Forward-transform the split pair on the grid, in place, and
+        return the mask that thresholding their summed coefficients
+        leaves.  The grids here and in adapt_step hold masks straight out
+        of the closure operations, which are stencil-closed."""
+        fwt_full(pair, grid)
         # Off the mask both transformed splits are +0.0, and so is their
         # sum.
         total = CoeffPyramid(pair.data[0], pair.spec, WAVELET, where=False)
         np.add(*pair.data, out=total.data)
-        return threshold_coeffs(total, self.config.zeta, mask=mask)[1]
+        return threshold_coeffs(total, self.config.zeta, mask=grid.mask)[1]
 
-    def update_step(self, points: tuple[Points, Points] | None = None):
+    def update_step(self, grids: tuple[MaskGrid, MaskGrid] | None = None):
         """Advance H by dt, then Ey by dt, on the grid adapt_step left.
 
-        points are the listed points of the state's mask0 and mask1,
-        as adapt_step returns them, in the coordinates of the lattice the
-        state's arrays sample (on_finest_lattice gives them as (n, n)
-        arrays), on which the update runs; on an adaptive grid they are
-        listed here when not given, and a state that holds no levels (an
-        adaptive start, before its first adapt_step) is refused.
+        grids are the grids of the state's mask0 and mask1, as adapt_step
+        returns them, on the lattice the state's arrays sample
+        (on_finest_lattice gives them as (n, n) arrays), on which the
+        update runs; on an adaptive grid they are made here when not
+        given, and a state that holds no levels (an adaptive start,
+        before its first adapt_step) is refused.
         """
         state = self.state
-        if points is None and not self.config.full_grid:
+        if grids is None and not self.config.full_grid:
             if not state.level1.any():
                 raise RuntimeError(
                     "update_step needs the grid adapt_step prepares; "
                     "an adaptive start has no levels")
-            points = masked_points(state.mask0), masked_points(state.mask1)
-        at0, at1 = (None, None) if points is None else points
+            spec = self.spec.lattice(_level(state.eyx))
+            grids = tuple(MaskGrid(mask, spec, self.bank)
+                          for mask in (state.mask0, state.mask1))
+        at0, at1 = (None, None) if grids is None else grids
         with np.errstate(over="ignore", invalid="ignore"):
             # Blow-ups surface through the finite check, not as
             # per-operation warnings.  The new Ey of a full-grid step is
             # summed into the buffer of the old one, read no more.
-            old_ey = self._update_fields(points)
+            old_ey = self._update_fields(grids)
             finite = all(np.isfinite(values).all() for values in (
                 np.add(_at(state.eyx, at0), _at(state.eyz, at0),
                        out=old_ey if at0 is None else None),
@@ -545,13 +543,14 @@ class Simulation:
         if not finite:
             raise InstabilityError(state.k)
 
-    def _update_fields(self, points):
-        """Advance H, then the splits, at the listed points (every point
-        when None); return the Ey the H update read, a fresh array."""
+    def _update_fields(self, grids):
+        """Advance H, then the splits, at the points of the grids of mask0
+        and mask1 (every point when None); return the Ey the H update
+        read, a fresh array."""
         state, bank, length = self.state, self.bank, self.length_m
         spec = self.spec.lattice(_level(state.eyx))
-        n, s = spec.n, self.spec.stride(spec.j_max)
-        p0, p1 = (None, None) if points is None else points
+        s = self.spec.stride(spec.j_max)
+        g0, g1 = (None, None) if grids is None else grids
         ea_x, eb_x, ea_z, eb_z, hb_x, hb_z = (
             c[::s, ::s] for c in (self.ea_x, self.eb_x, self.ea_z,
                                   self.eb_z, self.hb_x, self.hb_z))
@@ -560,19 +559,15 @@ class Simulation:
         # only; their taps reach over mask2, where adapt_step left the
         # splits.
         ey = state.ey
-        dz_ey = diff_z(ey, state.mask2, state.level1, spec, bank, length,
-                       at=p1)
-        dx_ey = diff_x(ey, state.mask2, state.level1, spec, bank, length,
-                       at=p1)
-        state.hx = _advance(ea_z, state.hx, np.add, hb_z, dz_ey, p1, n)
-        state.hz = _advance(ea_x, state.hz, np.subtract, hb_x, dx_ey, p1, n)
+        dz_ey = diff_z(ey, state.mask2, g1, spec, bank, length)
+        dx_ey = diff_x(ey, state.mask2, g1, spec, bank, length)
+        state.hx = _advance(ea_z, state.hx, np.add, hb_z, dz_ey, g1)
+        state.hz = _advance(ea_x, state.hz, np.subtract, hb_x, dx_ey, g1)
 
-        dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank,
-                       length, at=p0)
-        dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank,
-                       length, at=p0)
-        state.eyz = _advance(ea_z, state.eyz, np.add, eb_z, dz_hx, p0, n)
-        state.eyx = _advance(ea_x, state.eyx, np.subtract, eb_x, dx_hz, p0, n)
+        dz_hx = diff_z(state.hx, state.mask1, g0, spec, bank, length)
+        dx_hz = diff_x(state.hz, state.mask1, g0, spec, bank, length)
+        state.eyz = _advance(ea_z, state.eyz, np.add, eb_z, dz_hx, g0)
+        state.eyx = _advance(ea_x, state.eyx, np.subtract, eb_x, dx_hz, g0)
         self.apply_boundary(state)
         return ey
 
@@ -587,10 +582,11 @@ class Simulation:
         wavelet interpolation from the active representation, which is
         how the adaptive solution is defined between mask points.
         """
-        ey, mask0 = (relattice(a, self.spec.j_max)
+        spec, bank = self.spec, self.bank
+        ey, mask0 = (relattice(a, spec.j_max)
                      for a in (self.state.ey, self.state.mask0))
-        return interpolate_missing(ey, mask0, self.spec.full_mask(),
-                                   self.spec, self.bank, check=False)
+        return interpolate_missing(ey, MaskGrid(mask0, spec, bank),
+                                   MaskGrid(spec.full_mask(), spec, bank))
 
     def apply_boundary(self, state: FieldState):
         """Outermost ring acts as a perfect conductor in both modes; the

@@ -24,22 +24,21 @@ lifting with zero extension exactly when the mask is closed under the
 prediction stencils (grid.reconstruction_check), through two of its
 closure families: "d3 rows into d2" keeps the d2 points whose details
 Sx d2 reads, and "d3 columns into d1" keeps every d1 point where Sz d3
-is nonzero.  With check=True a transform first asks grid.require_closed,
-that is, the reconstruction check itself; called with check=False on a
-mask that is not closed it gives undefined results.
+is nonzero.  On a mask that is not closed a transform gives undefined
+results; grid.require_closed checks a mask.
 
-A full transform lists the active points once, in a MaskPlan, and each
-level gathers its taps at the points listed for it only, so its work
-follows the active point count rather than the size of the lattice.
-fit_mask finds the thinned mask of a field known only through its
-samples, coarse to fine, without transforming the whole lattice.
+A transform runs on a grid.MaskGrid, and each level gathers its taps at
+the points that the grid's plan lists for it only, so its work follows
+the active point count rather than the size of the lattice.  fit_mask
+finds the thinned mask of a field known only through its samples,
+coarse to fine, without transforming the whole lattice.
 """
 
 import numpy as np
 
 from .errors import ConfigError
 from .filters import FilterBank
-from .grid import GridSpec, Taps, require_closed, spread_lines
+from .grid import GridSpec, MaskGrid, Taps
 
 PHYSICAL = "physical"
 WAVELET = "wavelet"
@@ -97,62 +96,6 @@ class CoeffPyramid:
         return cls(field_values, spec, where=True if mask is None else mask)
 
 
-class MaskPlan:
-    """The active points of one mask, split by transform level and kind.
-
-    rows and cols list every masked point, coarsest birth level first;
-    within a level come the d1, then the d2, then the d3 points, each
-    kind in row-major order.  levels[level - j_min] holds, as (rows,
-    cols) finest-lattice index arrays, the d1, d2 and d3 points born at
-    level + 1 (odd-even, even-odd and odd-odd on that lattice), which are
-    views of rows and cols, and the lifted even-even points
-    (_lifted_evens); every other even-even point has an exactly zero
-    lift, since a masked d3 point's column taps are masked d1 points.
-    Each kind is listed from a strided view of the mask, as finest_level
-    and reconstruction_check read it, so building a plan sorts nothing
-    and lists no point twice.  A plan is rebuilt whenever the mask
-    changes.
-    """
-
-    def __init__(self, mask, spec: GridSpec, bank: FilterBank):
-        self.rows = np.empty(np.count_nonzero(mask), dtype=np.intp)
-        self.cols = np.empty_like(self.rows)
-        end = self._list(mask, spec.stride(spec.j_min), 0, 0, 0)
-        self.levels = []
-        for level in range(spec.j_min, spec.j_max):
-            h = spec.stride(level + 1)
-            kinds = []
-            for row, col in ((h, 0), (0, h), (h, h)):
-                start, end = end, self._list(mask, 2 * h, row, col, end)
-                kinds.append((self.rows[start:end], self.cols[start:end]))
-            d1, d2, d3 = kinds
-            even = (_lifted_evens(mask, h, bank) if d1[0].size or d2[0].size
-                    else (self.rows[:0], self.cols[:0]))
-            self.levels.append((d1, d2, d3, even))
-
-    def _list(self, mask, step: int, row: int, col: int, start: int) -> int:
-        """Write the points of mask[row::step, col::step] into rows and
-        cols from start on, in row-major order; return where they end."""
-        found = np.nonzero(mask[row::step, col::step])
-        end = start + found[0].size
-        for out, index, offset in zip((self.rows, self.cols), found,
-                                      (row, col)):
-            np.multiply(index, step, out=out[start:end])
-            out[start:end] += offset
-        return end
-
-
-def _lifted_evens(mask, h: int, bank: FilterBank):
-    """(rows, cols) of the masked even-even points of the stride-h
-    lattice with a masked d1 point (along x) or d2 point (along z) in
-    update reach: a tap (2l - 1) h moves odd class index i to i + l."""
-    s = 2 * h
-    moved = spread_lines(np.stack((mask[h::s, ::s], mask[::s, h::s].T),
-                                  axis=1), bank.predict_offsets)
-    near = (moved[:, 0] | moved[:, 1].T) & mask[::s, ::s]
-    return tuple(i * s for i in np.nonzero(near))
-
-
 class _Taps(Taps):
     """Taps of some points of a pyramid, in every stacked field, with one
     level's stencil: the weighted sums of the stored values at their taps
@@ -171,16 +114,14 @@ class _Taps(Taps):
         return self.sum(self._v, 1, *self._stencil)
 
 
-def _level(pyramid, level, mask, bank, plan, what):
-    """The plan's points of one level and its stencil (tap offsets and
+def _level(level, grid: MaskGrid, what):
+    """The grid's plan of one level and its stencil (tap offsets and
     weights), or None when the level holds no masked detail."""
-    spec = pyramid.spec
+    spec, bank = grid.spec, grid.bank
     if not spec.j_min <= level <= spec.j_max - 1:
         raise ValueError(
             f"{what} level {level} outside [{spec.j_min}, {spec.j_max - 1}]")
-    if plan is None:
-        plan = MaskPlan(mask, spec, bank)
-    points = plan.levels[level - spec.j_min]
+    points = grid.plan[level - spec.j_min]
     if all(rows.size == 0 for rows, _ in points[:3]):
         return None
     # Prediction and update share their taps: (2l - 1) h on the finest
@@ -222,13 +163,7 @@ def _update(pyramid, points, stencil, lift):
         v[at] = values
 
 
-def _restrict(pyramid: CoeffPyramid, mask):
-    """Zero every entry off the mask, in place."""
-    np.copyto(pyramid.data, 0.0, where=~mask)
-
-
-def fwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
-             plan: MaskPlan | None = None):
+def fwt_step(pyramid: CoeffPyramid, level: int, grid: MaskGrid):
     """One forward level: split level-(level+1) values into details and
     level-(level) scaling coefficients, in place.
 
@@ -236,12 +171,11 @@ def fwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     d2 = (v - Sz v) / 2, then d3 = (v - Sz v) / 4 - Sx d2 / 2 (its z
     taps read the untouched d1 positions, its x taps the d2 details just
     written), then d1 = (v - Sx v) / 2, and last adds Sx(d1 + Sz d3) +
-    Sz d2 to the lifted even-even values.  Only the points that plan
-    (built from mask when not given) lists are computed.  Entries off
-    the mask must hold zero (fwt_full zeroes them at entry); a level
-    without masked details is the identity and is skipped.
+    Sz d2 to the lifted even-even values.  Only the points that the
+    grid's plan lists are computed, and entries off its mask must hold
+    zero; a level without masked details is the identity and is skipped.
     """
-    found = _level(pyramid, level, mask, bank, plan, "fwt")
+    found = _level(level, grid, "fwt")
     if found is not None:
         points, stencil = found
         d1, d2, d3, _ = points
@@ -253,14 +187,13 @@ def fwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     return pyramid
 
 
-def iwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
-             plan: MaskPlan | None = None):
+def iwt_step(pyramid: CoeffPyramid, level: int, grid: MaskGrid):
     """One inverse level: fwt_step's passes undone in reverse order.
 
     The scaling update comes off first, then d1 is rebuilt, d3 from the
     rebuilt d1 values and the stored d2 details, and d2 last.
     """
-    found = _level(pyramid, level, mask, bank, plan, "iwt")
+    found = _level(level, grid, "iwt")
     if found is not None:
         points, stencil = found
         d1, d2, d3, _ = points
@@ -272,39 +205,32 @@ def iwt_step(pyramid: CoeffPyramid, level: int, mask, bank: FilterBank,
     return pyramid
 
 
-def _full(pyramid, mask, bank, check, what, start, steps):
-    """Run steps(pyramid, level, mask, bank, plan) over the levels with
-    the mask's plan, on a pyramid in the start state, after zeroing its
-    entries off the mask."""
+def _full(pyramid, grid: MaskGrid, what, start, steps):
+    """Run steps(pyramid, level, grid) over the levels, on a pyramid in
+    the start state."""
     if pyramid.state != start:
         raise ValueError(f"{what} requires {start} state, got {pyramid.state}")
-    if check:
-        require_closed(mask, pyramid.spec, bank, what)
-    plan = MaskPlan(mask, pyramid.spec, bank)
-    _restrict(pyramid, mask)
-    levels = range(pyramid.spec.j_min, pyramid.spec.j_max)
+    levels = range(grid.spec.j_min, grid.spec.j_max)
     for level in reversed(levels) if start == PHYSICAL else levels:
-        steps(pyramid, level, mask, bank, plan)
+        steps(pyramid, level, grid)
     pyramid.state = WAVELET if start == PHYSICAL else PHYSICAL
     return pyramid
 
 
-def fwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True):
-    """Forward transform down to the coarsest level, physical -> wavelet.
-
-    The mask's plan is built once and shared by every level.
-    check=False skips the stencil-closure validation of the mask; callers
-    holding a mask straight out of the closure operations may do so, since
-    those guarantee the property by construction.  On a mask that is not
-    closed the result is undefined.
-    """
-    return _full(pyramid, mask, bank, check, "fwt_full", PHYSICAL, fwt_step)
+def fwt_full(pyramid: CoeffPyramid, grid: MaskGrid):
+    """Forward transform on the grid down to the coarsest level, physical
+    -> wavelet.  Entries off the grid's mask must hold zero, as in a
+    pyramid built with where=mask."""
+    return _full(pyramid, grid, "fwt_full", PHYSICAL, fwt_step)
 
 
-def iwt_full(pyramid: CoeffPyramid, mask, bank: FilterBank, *, check=True):
-    """Inverse transform up to the finest level, wavelet -> physical;
-    check and the plan are as in fwt_full."""
-    return _full(pyramid, mask, bank, check, "iwt_full", WAVELET, iwt_step)
+def iwt_full(pyramid: CoeffPyramid, grid: MaskGrid):
+    """Inverse transform on the grid up to the finest level, wavelet ->
+    physical.  Coefficients off the grid's mask are dropped first: a
+    regrid inverts on a mask that lacks points they were found on."""
+    if pyramid.state == WAVELET:
+        np.copyto(pyramid.data, 0.0, where=~grid.mask)
+    return _full(pyramid, grid, "iwt_full", WAVELET, iwt_step)
 
 
 def threshold_coeffs(pyramid: CoeffPyramid, zeta: float, mask=None):
@@ -413,23 +339,23 @@ def fit_mask(sample, spec: GridSpec, bank: FilterBank, zeta: float,
     return mask, lattice
 
 
-def interpolate_missing(field_values, old_mask, new_mask, spec: GridSpec,
-                        bank: FilterBank, *, check=True):
-    """Field on new_mask: old values kept bitwise, new points interpolated.
+def interpolate_missing(field_values, old: MaskGrid, new: MaskGrid):
+    """Field on the new grid's mask: old values kept bitwise, new points
+    interpolated.
 
-    Transforms the field on old_mask, drops coefficients outside
-    new_mask, reconstructs on new_mask, then copies the original values
-    back onto the overlap so points present in both masks are untouched.
-    field_values may also be a stack or a sequence of fields, shape
-    (k, n, n), which share the two transforms and their plans.  check has
-    the same meaning as in fwt_full and covers both masks.
+    Transforms the field on the old grid, drops coefficients outside the
+    new mask, reconstructs on the new grid, then copies the original
+    values back onto the overlap so points present in both masks are
+    untouched.  field_values may also be a stack or a sequence of
+    fields, shape (k, n, n), which share the two transforms.
     """
-    pyramid = CoeffPyramid.from_field(field_values, spec, mask=old_mask)
-    fwt_full(pyramid, old_mask, bank, check=check)
-    iwt_full(pyramid, new_mask, bank, check=check)
-    # iwt_full left every entry off new_mask at zero.
+    spec = old.spec
+    pyramid = CoeffPyramid.from_field(field_values, spec, mask=old.mask)
+    fwt_full(pyramid, old)
+    iwt_full(pyramid, new)
+    # iwt_full left every entry off the new mask at zero.
     _, fields = _fields(field_values)
-    kept = old_mask & new_mask
+    kept = old.mask & new.mask
     for out, field in zip(pyramid.padded.reshape(-1, spec.n + 1, spec.n + 1),
                           fields):
         np.copyto(out[:-1, :-1], field, where=kept)

@@ -37,3 +37,10 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def on_mesh(values, grid):
+    """Values at a MaskGrid's points on an otherwise zero (n, n) mesh."""
+    out = np.zeros(grid.spec.n**2)
+    out[grid.points.flat] = values
+    return out.reshape(grid.spec.n, grid.spec.n)

@@ -18,7 +18,7 @@ import pytest
 from awcmaxwell.config import SimulationConfig
 from awcmaxwell.errors import InstabilityError
 from awcmaxwell.filters import build_filter_bank
-from awcmaxwell.grid import GridSpec
+from awcmaxwell.grid import GridSpec, MaskGrid
 from awcmaxwell.harness import (
     proportionality_report,
     read_mask_pgm,
@@ -94,8 +94,8 @@ def test_criterion_02_transform_round_trip():
         field = np.random.default_rng(trial).standard_normal(
             (spec.n, spec.n))
         pyr = CoeffPyramid.from_field(field, spec)
-        fwt_full(pyr, spec.full_mask(), bank)
-        iwt_full(pyr, spec.full_mask(), bank)
+        fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
+        iwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
         worst = max(worst, float(np.max(np.abs(pyr.data - field))))
     assert worst <= 1e-12
     report(2, f"50 random fields, max round-trip deviation {worst:.3e}")
@@ -116,7 +116,7 @@ def test_criterion_03_polynomial_detail_annihilation():
         field = np.outer(px, pz)
         field /= np.max(np.abs(field))
         pyr = CoeffPyramid.from_field(field, spec)
-        fwt_full(pyr, spec.full_mask(), bank)
+        fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
         idx = np.arange(spec.n)
         dist = np.minimum(idx, spec.n - 1 - idx)
         checked = 0
@@ -141,9 +141,9 @@ def test_criterion_04_threshold_error_scales_with_zeta():
     ratios = []
     for zeta in (1e-3, 1e-4, 1e-5):
         pyr = CoeffPyramid.from_field(field, spec)
-        fwt_full(pyr, spec.full_mask(), bank)
+        fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
         threshold_coeffs(pyr, zeta)
-        iwt_full(pyr, spec.full_mask(), bank)
+        iwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
         err = float(np.max(np.abs(pyr.data - field)))
         assert err > 0.0
         ratios.append(err / zeta)

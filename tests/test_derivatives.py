@@ -2,15 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import gaussian_field, traced_peak
+from conftest import gaussian_field, on_mesh, traced_peak
 
 from awcmaxwell.derivatives import diff_x, diff_z
 from awcmaxwell.filters import build_filter_bank
 from awcmaxwell.grid import (
     GridSpec,
-    compute_levels,
+    MaskGrid,
     extend_for_derivatives,
-    masked_points,
     reconstruction_check,
 )
 
@@ -53,7 +52,7 @@ def test_full_mask_matches_loop_oracle(order):
     field = rng.standard_normal((spec.n, spec.n))
     mask, levels = spec.full_mask(), full_levels(spec)
     for axis, fn in ((0, diff_x), (1, diff_z)):
-        got = fn(field, mask, levels, spec, bank, 2.0)
+        got = fn(field, mask, None, spec, bank, 2.0)
         want = oracle_diff(field, mask, levels, spec, bank, 2.0, axis)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -78,14 +77,16 @@ def test_uniform_stencil_matches_the_per_tap_expression_bitwise(any_bank,
     spec = GridSpec(3, j_max)
     rng = np.random.default_rng(j_max)
     field = rng.standard_normal((spec.n, spec.n))
-    mask, levels = spec.full_mask(), full_levels(spec)
-    at = masked_points(rng.random((spec.n, spec.n)) < 0.3)
+    mask = spec.full_mask()
+    # A grid of the full mask, as an adaptive step at zeta = 0 makes it,
+    # takes the uniform branch too.
+    grid = MaskGrid(mask, spec, any_bank)
     for axis, fn in ((0, diff_x), (1, diff_z)):
         want = uniform_stencil(field, spec, any_bank, 3.7, axis)
-        got = fn(field, mask, levels, spec, any_bank, 3.7)
+        got = fn(field, mask, None, spec, any_bank, 3.7)
         assert got.tobytes() == want.tobytes()
-        got = fn(field, mask, levels, spec, any_bank, 3.7, at=at)
-        assert got.tobytes() == want[at.rows, at.cols].tobytes()
+        got = fn(field, mask, grid, spec, any_bank, 3.7)
+        assert got.tobytes() == want.reshape(-1).tobytes()
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -95,13 +96,12 @@ def test_adaptive_mask_matches_loop_oracle(order):
     rng = np.random.default_rng(70 + order)
     mask = spec.coarse_mask() | (rng.random((spec.n, spec.n)) < 0.03)
     mask = reconstruction_check(mask, spec, bank)
-    levels = compute_levels(mask, spec)
-    mask = extend_for_derivatives(mask, spec, levels, bank)
-    levels = compute_levels(mask, spec)
+    mask = extend_for_derivatives(MaskGrid(mask, spec, bank))
+    grid = MaskGrid(mask, spec, bank)
     field = rng.standard_normal((spec.n, spec.n))
     for axis, fn in ((0, diff_x), (1, diff_z)):
-        got = fn(field, mask, levels, spec, bank, 1.0)
-        want = oracle_diff(field, mask, levels, spec, bank, 1.0, axis)
+        got = on_mesh(fn(field, mask, grid, spec, bank, 1.0), grid)
+        want = oracle_diff(field, mask, grid.levels, spec, bank, 1.0, axis)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_cubic_hand_value():
     bank = build_filter_bank(2)
     x = np.arange(spec.n, dtype=float)
     field = np.broadcast_to(((x - 2.0) ** 3)[:, None], (spec.n, spec.n)).copy()
-    got = diff_x(field, spec.full_mask(), full_levels(spec), spec, bank,
+    got = diff_x(field, spec.full_mask(), None, spec, bank,
                  float(spec.n - 1))
     assert got[3, 7] == pytest.approx(3.0, abs=1e-12)
 
@@ -121,16 +121,17 @@ def test_cubic_hand_value():
 def test_constant_and_linear_fields(order):
     spec = GridSpec(2, 5)
     bank = build_filter_bank(order)
-    mask, levels = spec.full_mask(), full_levels(spec)
+    mask = spec.full_mask()
     sel = interior(spec, bank)
     ones = np.ones((spec.n, spec.n))
-    assert np.max(np.abs(diff_x(ones, mask, levels, spec, bank, 3.0)[sel])) == 0.0
+    got = diff_x(ones, mask, None, spec, bank, 3.0)
+    assert np.max(np.abs(got[sel])) == 0.0
 
     length = 5.0
     x = np.linspace(0.0, length, spec.n)
     linear = np.broadcast_to(x[:, None], (spec.n, spec.n)).copy()
-    gx = diff_x(linear, mask, levels, spec, bank, length)
-    gz = diff_z(linear, mask, levels, spec, bank, length)
+    gx = diff_x(linear, mask, None, spec, bank, length)
+    gz = diff_z(linear, mask, None, spec, bank, length)
     np.testing.assert_allclose(gx[sel], 1.0, atol=1e-10)
     np.testing.assert_allclose(gz[sel], 0.0, atol=1e-10)
 
@@ -140,9 +141,9 @@ def test_transpose_symmetry():
     bank = build_filter_bank(3)
     rng = np.random.default_rng(11)
     field = rng.standard_normal((spec.n, spec.n))
-    mask, levels = spec.full_mask(), full_levels(spec)
-    gz = diff_z(field, mask, levels, spec, bank, 1.0)
-    gx_t = diff_x(field.T, mask, levels, spec, bank, 1.0).T
+    mask = spec.full_mask()
+    gz = diff_z(field, mask, None, spec, bank, 1.0)
+    gx_t = diff_x(field.T, mask, None, spec, bank, 1.0).T
     np.testing.assert_allclose(gz, gx_t, atol=1e-15)
 
 
@@ -152,10 +153,10 @@ def test_linearity():
     rng = np.random.default_rng(12)
     f = rng.standard_normal((spec.n, spec.n))
     g = rng.standard_normal((spec.n, spec.n))
-    mask, levels = spec.full_mask(), full_levels(spec)
-    combo = diff_x(2.0 * f - 0.5 * g, mask, levels, spec, bank, 1.0)
-    parts = 2.0 * diff_x(f, mask, levels, spec, bank, 1.0) \
-        - 0.5 * diff_x(g, mask, levels, spec, bank, 1.0)
+    mask = spec.full_mask()
+    combo = diff_x(2.0 * f - 0.5 * g, mask, None, spec, bank, 1.0)
+    parts = 2.0 * diff_x(f, mask, None, spec, bank, 1.0) \
+        - 0.5 * diff_x(g, mask, None, spec, bank, 1.0)
     np.testing.assert_allclose(combo, parts, atol=1e-13)
 
 
@@ -167,11 +168,12 @@ def test_coarse_uniform_mask_keeps_linear_slope():
     bank = build_filter_bank(2)
     mask = np.zeros((spec.n, spec.n), dtype=bool)
     mask[::2, ::2] = True
-    levels = np.where(mask, spec.j_max - 1, 0)
+    grid = MaskGrid(mask, spec, bank)
+    assert (grid.levels[mask] == spec.j_max - 1).all()
     length = 4.0
     x = np.linspace(0.0, length, spec.n)
     linear = np.broadcast_to(x[:, None], (spec.n, spec.n)).copy()
-    got = diff_x(linear, mask, levels, spec, bank, length)
+    got = on_mesh(diff_x(linear, mask, grid, spec, bank, length), grid)
     sel = mask & interior(spec, bank, step=2)
     np.testing.assert_allclose(got[sel], 1.0, atol=1e-10)
     assert np.max(np.abs(got[~mask])) == 0.0
@@ -184,8 +186,8 @@ def test_gaussian_convergence_order(order, ratio):
     for j_max in (5, 6):
         spec = GridSpec(2, j_max)
         field = gaussian_field(spec.n, 0.1)
-        mask, levels = spec.full_mask(), full_levels(spec)
-        got = diff_z(field, mask, levels, spec, bank, 1.0)
+        mask = spec.full_mask()
+        got = diff_z(field, mask, None, spec, bank, 1.0)
         x = np.linspace(0.0, 1.0, spec.n)
         analytic = field * (-(x[None, :] - 0.5) / 0.1**2)
         sel = interior(spec, bank)
@@ -201,11 +203,11 @@ def test_unmasked_taps_read_zero():
     bank = build_filter_bank(2)
     mask = np.zeros((spec.n, spec.n), dtype=bool)
     mask[8, 8] = True
-    levels = np.where(mask, spec.j_max, 0)
     field = np.full((spec.n, spec.n), 7.0)
-    got = diff_x(field, mask, levels, spec, bank, float(spec.n - 1))
+    got = diff_x(field, mask, MaskGrid(mask, spec, bank), spec, bank,
+                 float(spec.n - 1))
     # All taps unmasked: the antisymmetric sum of zeros is zero.
-    assert got[8, 8] == 0.0
+    assert got.tolist() == [0.0]
 
 
 def test_masked_derivative_memory_does_not_grow_with_taps():
@@ -216,12 +218,17 @@ def test_masked_derivative_memory_does_not_grow_with_taps():
     spec = GridSpec(3, 7)
     mask = spec.full_mask()
     mask[1, 1] = False
-    levels = compute_levels(mask, spec)
     field = np.random.default_rng(0).standard_normal((spec.n, spec.n))
     point_array = 8 * np.count_nonzero(mask)
+    # Each order's grid and its stencil's index arrays are built before
+    # tracing starts.
+    grids = [MaskGrid(mask, spec, build_filter_bank(order))
+             for order in (2, 4)]
+    for grid in grids:
+        grid.stencil[1].moved(0, 0), grid.stencil[1].moved(1, 0)
     for fn in (diff_x, diff_z):
-        peaks = [traced_peak(lambda: fn(field, mask, levels, spec,
-                                        build_filter_bank(order), 1.0))[1]
-                 for order in (2, 4)]
+        peaks = [traced_peak(lambda: fn(field, mask, grid, spec, grid.bank,
+                                        1.0))[1]
+                 for grid in grids]
         assert peaks[1] - peaks[0] < point_array, (
             fn.__name__, [peak / point_array for peak in peaks])

@@ -16,9 +16,11 @@ from awcmaxwell.errors import MaskClosureError
 from awcmaxwell.filters import build_filter_bank
 from awcmaxwell.grid import (
     GridSpec,
+    MaskGrid,
     add_adjacent_zone,
     compute_levels,
     extend_for_derivatives,
+    masked_points,
     reconstruction_check,
     require_closed,
 )
@@ -111,6 +113,11 @@ def oracle_extend(mask, spec, levels, bank):
                 if 0 <= n + d <= limit:
                     out[m, n + d] = True
     return oracle_closure(out, spec, bank)
+
+
+def levels_of(mask, spec):
+    """compute_levels of the mask, listed as a MaskGrid lists it."""
+    return compute_levels(mask, spec, masked_points(mask))
 
 
 def random_mask(spec, rng, frac=0.03):
@@ -263,7 +270,7 @@ def test_compute_levels_matches_oracle():
     masks += [sparse, edges, lone, np.zeros_like(lone), spec.full_mask()]
     for mask in masks:
         np.testing.assert_array_equal(
-            compute_levels(mask, spec), oracle_levels(mask, spec)
+            levels_of(mask, spec), oracle_levels(mask, spec)
         )
 
 
@@ -273,7 +280,7 @@ def test_compute_levels_uniform_lattice():
         s = spec.stride(j)
         mask = np.zeros((spec.n, spec.n), bool)
         mask[::s, ::s] = True
-        levels = compute_levels(mask, spec)
+        levels = levels_of(mask, spec)
         assert (levels[mask] == j).all()
 
 
@@ -282,19 +289,19 @@ def test_compute_levels_mixed_axis_gaps():
     spec = GridSpec(2, 5)
     mask = spec.coarse_mask()
     mask[16, 16] = mask[14, 16] = mask[16, 15] = True
-    levels = compute_levels(mask, spec)
+    levels = levels_of(mask, spec)
     assert levels[16, 16] == spec.j_max
     # x-gap alone would give j_max - 1.
     mask2 = spec.coarse_mask()
     mask2[16, 16] = mask2[14, 16] = True
-    assert compute_levels(mask2, spec)[16, 16] == spec.j_max - 1
+    assert levels_of(mask2, spec)[16, 16] == spec.j_max - 1
 
 
 def test_compute_levels_rounds_non_dyadic_gaps():
     spec = GridSpec(2, 5)
     mask = np.zeros((spec.n, spec.n), bool)
     mask[0, 0] = mask[0, 3] = True  # gap 3: log2 rounds to 2
-    levels = compute_levels(mask, spec)
+    levels = levels_of(mask, spec)
     assert levels[0, 0] == spec.j_max - 2
 
 
@@ -302,7 +309,7 @@ def test_compute_levels_isolated_point_falls_back():
     spec = GridSpec(2, 5)
     mask = np.zeros((spec.n, spec.n), bool)
     mask[7, 9] = True
-    assert compute_levels(mask, spec)[7, 9] == spec.j_min
+    assert levels_of(mask, spec)[7, 9] == spec.j_min
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -312,9 +319,9 @@ def test_extend_for_derivatives_matches_oracle(order):
     rng = np.random.default_rng(50 + order)
     for _ in range(3):
         mask = reconstruction_check(random_mask(spec, rng, 0.02), spec, bank)
-        levels = compute_levels(mask, spec)
-        got = extend_for_derivatives(mask, spec, levels, bank)
-        want = oracle_extend(mask, spec, levels, bank)
+        grid = MaskGrid(mask, spec, bank)
+        got = extend_for_derivatives(grid)
+        want = oracle_extend(mask, spec, grid.levels, bank)
         np.testing.assert_array_equal(got, want)
 
 
@@ -323,8 +330,8 @@ def test_extend_for_derivatives_provides_all_taps():
     bank = build_filter_bank(2)
     rng = np.random.default_rng(60)
     mask = reconstruction_check(random_mask(spec, rng, 0.03), spec, bank)
-    levels = compute_levels(mask, spec)
-    grown = extend_for_derivatives(mask, spec, levels, bank)
+    grid = MaskGrid(mask, spec, bank)
+    grown, levels = extend_for_derivatives(grid), grid.levels
     limit = spec.n - 1
     for m, n in zip(*np.nonzero(mask)):
         step = spec.stride(levels[m, n])
@@ -334,17 +341,6 @@ def test_extend_for_derivatives_provides_all_taps():
                     assert grown[m + d, n]
                 if 0 <= n + d <= limit:
                     assert grown[m, n + d]
-
-
-def test_extend_for_derivatives_idempotent_with_fixed_levels():
-    spec = GridSpec(2, 5)
-    bank = build_filter_bank(2)
-    rng = np.random.default_rng(61)
-    mask = reconstruction_check(random_mask(spec, rng, 0.02), spec, bank)
-    levels = compute_levels(mask, spec)
-    once = extend_for_derivatives(mask, spec, levels, bank)
-    twice = extend_for_derivatives(once, spec, levels, bank)
-    np.testing.assert_array_equal(once, twice)
 
 
 def test_lattice_grid_is_the_strided_grid_of_its_level():

@@ -28,7 +28,7 @@ from awcmaxwell.errors import MaskClosureError  # noqa: E402
 from awcmaxwell.filters import build_filter_bank  # noqa: E402
 from awcmaxwell.grid import (  # noqa: E402
     GridSpec,
-    Points,
+    MaskGrid,
     Taps,
     add_adjacent_zone,
     compute_levels,
@@ -41,7 +41,6 @@ from awcmaxwell.grid import (  # noqa: E402
 from awcmaxwell.wavelets import (  # noqa: E402
     WAVELET,
     CoeffPyramid,
-    MaskPlan,
     fwt_full,
     interpolate_missing,
     iwt_full,
@@ -96,8 +95,9 @@ def closed_cases(draw, max_j=5):
 def test_compute_levels_matches_oracle_on_random_masks(data):
     spec = data.draw(grids())
     mask = data.draw(masks(spec))
-    np.testing.assert_array_equal(compute_levels(mask, spec),
-                                  oracle_levels(mask, spec))
+    np.testing.assert_array_equal(
+        compute_levels(mask, spec, masked_points(mask)),
+        oracle_levels(mask, spec))
 
 
 @PROPERTY
@@ -143,7 +143,7 @@ def test_require_closed_names_a_masked_point_and_its_absent_tap(data):
 def test_fwt_full_matches_loop_oracle_on_random_masks(case):
     spec, bank, mask, fields = case
     pyr = CoeffPyramid.from_field(fields[0], spec, mask=mask)
-    fwt_full(pyr, mask, bank)
+    fwt_full(pyr, MaskGrid(mask, spec, bank))
     want = oracle_fwt(fields[0], mask, spec, bank)
     np.testing.assert_allclose(pyr.data, want, atol=1e-13)
 
@@ -159,7 +159,7 @@ def test_iwt_full_matches_loop_oracle_on_random_masks(case, stored, data):
     where = {"mask": mask, "all": True, "larger": reconstruction_check(
         mask | data.draw(masks(spec)), spec, bank)}[stored]
     pyr = CoeffPyramid(fields[0], spec, WAVELET, where=where)
-    iwt_full(pyr, mask, bank)
+    iwt_full(pyr, MaskGrid(mask, spec, bank))
     want = oracle_iwt(fields[0], mask, spec, bank)
     np.testing.assert_allclose(pyr.data, want, atol=1e-13)
 
@@ -174,8 +174,8 @@ def test_mask_plan_lifts_exactly_the_evens_near_a_detail(case):
     lifts = {}
     oracle_fwt(fields[0], mask, spec, bank, lifts)
     reach = [2 * int(l) - 1 for l in bank.predict_offsets]
-    plan = MaskPlan(mask, spec, bank)
-    for level, (_, _, _, even) in enumerate(plan.levels, spec.j_min):
+    plan = MaskGrid(mask, spec, bank).plan
+    for level, (_, _, _, even) in enumerate(plan, spec.j_min):
         h, n = spec.stride(level + 1), spec.n
         listed = set(zip(even[0].tolist(), even[1].tolist()))
         assert len(listed) == even[0].size
@@ -198,8 +198,9 @@ def test_round_trip_on_random_closed_masks(case):
     spec, bank, mask, fields = case
     field = np.where(mask, fields[0], 0.0)
     pyr = CoeffPyramid.from_field(fields[0], spec, mask=mask)
-    fwt_full(pyr, mask, bank)
-    iwt_full(pyr, mask, bank)
+    grid = MaskGrid(mask, spec, bank)
+    fwt_full(pyr, grid)
+    iwt_full(pyr, grid)
     assert np.max(np.abs(pyr.data - field), initial=0.0) <= 1e-12
     assert (pyr.data[~mask] == 0.0).all()
 
@@ -208,15 +209,16 @@ def test_round_trip_on_random_closed_masks(case):
 @given(closed_cases())
 def test_stacked_pair_matches_single_transforms_bitwise(case):
     spec, bank, mask, fields = case
+    grid = MaskGrid(mask, spec, bank)
     pair = CoeffPyramid.from_field(fields, spec, mask=mask)
-    fwt_full(pair, mask, bank)
+    fwt_full(pair, grid)
     singles = [CoeffPyramid.from_field(f, spec, mask=mask) for f in fields]
     for single, coeffs in zip(singles, pair.data):
-        fwt_full(single, mask, bank)
+        fwt_full(single, grid)
         np.testing.assert_array_equal(coeffs, single.data)
-    iwt_full(pair, mask, bank)
+    iwt_full(pair, grid)
     for single, values in zip(singles, pair.data):
-        iwt_full(single, mask, bank)
+        iwt_full(single, grid)
         np.testing.assert_array_equal(values, single.data)
 
 
@@ -230,13 +232,56 @@ def test_interpolate_missing_pair_matches_single_calls_bitwise(case, data):
     combine = data.draw(st.sampled_from([np.logical_or, np.logical_and,
                                          lambda a, b: b]))
     new = reconstruction_check(combine(old, other), spec, bank)
-    pair = interpolate_missing(fields, old, new, spec, bank)
+    grids = MaskGrid(old, spec, bank), MaskGrid(new, spec, bank)
+    pair = interpolate_missing(fields, *grids)
     for field, got in zip(fields, pair):
-        np.testing.assert_array_equal(
-            got, interpolate_missing(field, old, new, spec, bank))
+        np.testing.assert_array_equal(got, interpolate_missing(field, *grids))
         keep = old & new
         np.testing.assert_array_equal(got[keep], field[keep])
         assert (got[~new] == 0.0).all()
+
+
+# What each consumer reads from a grid.
+READS = ("fwt_full", "iwt_full", "extend_for_derivatives", "diff_x",
+         "diff_z")
+
+
+def read(name, grid, fields):
+    spec, bank, mask = grid.spec, grid.bank, grid.mask
+    if name == "fwt_full":
+        return fwt_full(CoeffPyramid.from_field(fields, spec, mask=mask),
+                        grid).data
+    if name == "iwt_full":
+        return iwt_full(CoeffPyramid(fields, spec, WAVELET), grid).data
+    if name == "extend_for_derivatives":
+        return extend_for_derivatives(grid)
+    fn = diff_x if name == "diff_x" else diff_z
+    return fn(fields[0], mask, grid, spec, bank, 2.0)
+
+
+def held_arrays(grid):
+    """Every array a grid hands out."""
+    plan = [axis for level in grid.plan for kind in level for axis in kind]
+    return [grid.mask, *grid.points, grid.levels, grid.stencil[0], *plan]
+
+
+@PROPERTY
+@given(closed_cases(max_j=4), st.permutations(READS * 2))
+def test_a_grid_read_by_every_consumer_reads_as_a_fresh_one(case, order):
+    # One grid, read by every consumer in any order and twice over, gives
+    # the bytes a grid built for that read alone gives, and what it holds
+    # cannot be written.
+    spec, bank, mask, fields = case
+    shared = MaskGrid(mask, spec, bank)
+    for name in order:
+        got = read(name, shared, fields)
+        want = read(name, MaskGrid(mask, spec, bank), fields)
+        assert got.tobytes() == want.tobytes(), name
+    for array in held_arrays(shared):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        shared.points.flat[:1] = 0
+    assert mask.flags.writeable
 
 
 @st.composite
@@ -290,34 +335,27 @@ def test_taps_match_zero_extension_oracles(case, per_point, count):
 @PROPERTY
 @given(closed_cases(max_j=4))
 def test_masked_derivatives_match_loop_oracle_on_random_masks(case):
+    # At the grid's points, in their order.
     spec, bank, mask, fields = case
-    levels = compute_levels(mask, spec)
+    grid = MaskGrid(mask, spec, bank)
+    rows, cols, _ = grid.points
     for axis, fn in ((0, diff_x), (1, diff_z)):
-        got = fn(fields[0], mask, levels, spec, bank, 2.0)
-        want = oracle_diff(fields[0], mask, levels, spec, bank, 2.0, axis)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        # At listed points (every other masked point, and one off the
-        # mask), the same values.
-        listed = masked_points(mask)
-        at = Points(*(np.append(part[::2], 0) for part in listed))
-        values = fn(fields[0], mask, levels, spec, bank, 2.0, at=at)
-        assert values.tobytes() == got[at.rows, at.cols].tobytes()
+        got = fn(fields[0], mask, grid, spec, bank, 2.0)
+        want = oracle_diff(fields[0], mask, grid.levels, spec, bank, 2.0,
+                           axis)
+        np.testing.assert_allclose(got, want[rows, cols], rtol=1e-12,
+                                   atol=1e-12)
 
 
 @PROPERTY
-@given(closed_cases(max_j=4), st.booleans(), st.integers(0, 2**32 - 1))
-def test_extend_for_derivatives_matches_loop_oracle(case, own_levels, seed):
-    # Levels from compute_levels, or any in-range level at every point.
+@given(closed_cases(max_j=4))
+def test_extend_for_derivatives_matches_loop_oracle(case):
     spec, bank, mask, _ = case
     mask = reconstruction_check(mask | spec.coarse_mask(), spec, bank)
-    if own_levels:
-        levels = compute_levels(mask, spec)
-    else:
-        rng = np.random.default_rng(seed)
-        levels = rng.integers(spec.j_min, spec.j_max + 1, (spec.n, spec.n))
-    grown = extend_for_derivatives(mask, spec, levels, bank)
+    grid = MaskGrid(mask, spec, bank)
+    grown = extend_for_derivatives(grid)
     np.testing.assert_array_equal(grown,
-                                  oracle_extend(mask, spec, levels, bank))
+                                  oracle_extend(mask, spec, grid.levels, bank))
     assert (grown >= mask).all() and grown[spec.coarse_mask()].all()
     np.testing.assert_array_equal(oracle_closure(grown, spec, bank), grown)
 
@@ -358,9 +396,8 @@ def assert_lattice_result(fine, got, spec, coarse):
 
 
 @PROPERTY
-@given(lattice_cases(), st.integers(0, 2**32 - 1))
-def test_closures_and_levels_on_a_coarser_lattice_match_the_finest(case,
-                                                                   seed):
+@given(lattice_cases())
+def test_closures_and_levels_on_a_coarser_lattice_match_the_finest(case):
     spec, coarse, bank, mask = case
     fine = on_finest(mask, spec, coarse)
     assert finest_level(fine, spec) == finest_level(mask, coarse) == max(
@@ -380,18 +417,11 @@ def test_closures_and_levels_on_a_coarser_lattice_match_the_finest(case,
                                             spec),
                           add_adjacent_zone(zoned, coarse), spec, coarse)
     closed = reconstruction_check(mask | coarse.coarse_mask(), coarse, bank)
-    levels = compute_levels(closed, coarse)
-    assert_lattice_result(compute_levels(on_finest(closed, spec, coarse),
-                                         spec), levels, spec, coarse)
-    # Levels from compute_levels, or any level of the lattice at every
-    # point: the taps stay on it.
-    if seed % 2:
-        rng = np.random.default_rng(seed)
-        levels = rng.integers(coarse.j_min, coarse.j_max + 1, levels.shape)
-    assert_lattice_result(
-        extend_for_derivatives(on_finest(closed, spec, coarse), spec,
-                               on_finest(levels, spec, coarse), bank),
-        extend_for_derivatives(closed, coarse, levels, bank), spec, coarse)
+    grid = MaskGrid(closed, coarse, bank)
+    fine_grid = MaskGrid(on_finest(closed, spec, coarse), spec, bank)
+    assert_lattice_result(fine_grid.levels, grid.levels, spec, coarse)
+    assert_lattice_result(extend_for_derivatives(fine_grid),
+                          extend_for_derivatives(grid), spec, coarse)
 
 
 @PROPERTY
@@ -405,28 +435,27 @@ def test_transforms_and_threshold_on_a_coarser_lattice_match_the_finest(
     fields = on_finest(rng.standard_normal((2, coarse.n, coarse.n)), spec,
                        coarse)
     s = spec.stride(coarse.j_max)
-    fine_plan, plan = (MaskPlan(fine_mask, spec, bank),
-                       MaskPlan(closed, coarse, bank))
-    assert fine_plan.rows.tobytes() == (plan.rows * s).tobytes()
-    assert fine_plan.cols.tobytes() == (plan.cols * s).tobytes()
-    for fine_level, level in zip(fine_plan.levels, plan.levels):
+    fine_grid, grid = (MaskGrid(fine_mask, spec, bank),
+                       MaskGrid(closed, coarse, bank))
+    for fine_level, level in zip(fine_grid.plan, grid.plan):
         for (fine_r, fine_c), (r, c) in zip(fine_level, level):
             assert fine_r.tobytes() == (r * s).tobytes()
             assert fine_c.tobytes() == (c * s).tobytes()
     fine, got = (CoeffPyramid.from_field(fields, spec, mask=fine_mask),
                  CoeffPyramid.from_field(fields[:, ::s, ::s], coarse,
                                          mask=closed))
-    fwt_full(fine, fine_mask, bank)
-    fwt_full(got, closed, bank)
+    fwt_full(fine, fine_grid)
+    fwt_full(got, grid)
     assert_lattice_result(fine.data, got.data, spec, coarse)
-    # Inverted on the mask or on a closed part of it, as a regrid drops
-    # points.
-    smaller = closed
+    # Inverted on the mask, through the same grids, or on a closed part
+    # of it, as a regrid drops points.
     if data.draw(st.booleans()):
         smaller = reconstruction_check(closed & data.draw(masks(coarse)),
                                        coarse, bank)
-    iwt_full(fine, on_finest(smaller, spec, coarse), bank)
-    iwt_full(got, smaller, bank)
+        fine_grid, grid = (MaskGrid(on_finest(smaller, spec, coarse), spec,
+                                    bank), MaskGrid(smaller, coarse, bank))
+    iwt_full(fine, fine_grid)
+    iwt_full(got, grid)
     assert_lattice_result(fine.data, got.data, spec, coarse)
     # Standard normal coefficients: a threshold of 0.5 drops about a third.
     fine, thinned_fine = threshold_coeffs(
@@ -443,24 +472,17 @@ def test_transforms_and_threshold_on_a_coarser_lattice_match_the_finest(
 @given(lattice_cases(), st.integers(0, 2**32 - 1))
 def test_derivatives_on_a_coarser_lattice_match_the_finest(case, seed):
     # A whole coarser lattice with uniform levels is not the whole finest
-    # one, so it takes the masked branch there too.
+    # one, so it takes the masked branch there too.  The lattice's points
+    # keep their row-major order on the finest grid.
     spec, coarse, bank, mask = case
     closed = reconstruction_check(mask, coarse, bank)
-    levels = compute_levels(closed, coarse)
     field = np.random.default_rng(seed).standard_normal(
         (coarse.n, coarse.n))
-    fine_args = (on_finest(field, spec, coarse),
-                 on_finest(closed, spec, coarse),
-                 on_finest(levels, spec, coarse), spec)
-    s = spec.stride(coarse.j_max)
+    fine_mask = on_finest(closed, spec, coarse)
+    grid, fine_grid = (MaskGrid(closed, coarse, bank),
+                       MaskGrid(fine_mask, spec, bank))
     for fn in (diff_x, diff_z):
-        assert_lattice_result(fn(*fine_args, bank, 2.0),
-                              fn(field, closed, levels, coarse, bank, 2.0),
-                              spec, coarse)
-        # The lattice's listed points, on either grid, give the same values.
-        listed = masked_points(closed)
-        fine_listed = Points(listed.rows * s, listed.cols * s,
-                             (listed.rows * spec.n + listed.cols) * s)
-        got = fn(field, closed, levels, coarse, bank, 2.0, at=listed)
-        want = fn(*fine_args, bank, 2.0, at=fine_listed)
+        got = fn(field, closed, grid, coarse, bank, 2.0)
+        want = fn(on_finest(field, spec, coarse), fine_mask, fine_grid, spec,
+                  bank, 2.0)
         assert got.tobytes() == want.tobytes()

@@ -7,13 +7,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import gaussian_field, traced_peak
+from conftest import gaussian_field, on_mesh, traced_peak
 
 from awcmaxwell import derivatives, grid, solver, wavelets
 from awcmaxwell.config import SimulationConfig
 from awcmaxwell.derivatives import diff_x, diff_z
 from awcmaxwell.errors import ConfigError, InstabilityError
 from awcmaxwell.filters import build_filter_bank
+from awcmaxwell.grid import MaskGrid
 from awcmaxwell.harness import emit_snapshot, run_simulation
 from awcmaxwell.solver import (
     C0,
@@ -344,29 +345,57 @@ def test_update_step_refuses_an_unprepared_adaptive_start():
     assert sim.state.k == 2
 
 
-def test_start_and_first_step_stay_off_the_whole_lattice(monkeypatch):
-    # Regression guard: at jmax=9 neither the start nor step 1 builds a
-    # MaskPlan of, or lists the points of, the whole 513^2 lattice.
-    n = 2**9 + 1
-    whole = []
+def watch(monkeypatch, name, calls, modules=(solver, grid, derivatives,
+                                              wavelets)):
+    """Record in calls the first argument of every call of the function
+    name, in each module that binds it."""
+    for module in modules:
+        original = getattr(module, name, None)
+        if original is None:
+            continue
 
-    def watch(module, name):
-        original = getattr(module, name)
-
-        def watched(mask, *args, **kwargs):
-            if mask.shape == (n, n):
-                whole.append(name)
-            return original(mask, *args, **kwargs)
+        def watched(first, *args, original=original, **kwargs):
+            calls.append(first)
+            return original(first, *args, **kwargs)
 
         monkeypatch.setattr(module, name, watched)
 
-    for module in (solver, grid, derivatives):
-        watch(module, "masked_points")
-    watch(wavelets, "MaskPlan")
+
+def test_start_and_first_step_stay_off_the_whole_lattice(monkeypatch):
+    # Regression guard: at jmax=9 neither the start nor step 1 makes the
+    # grid of, and so plans or lists the points of, the whole 513^2
+    # lattice.
+    n = 2**9 + 1
+    grids = []
+    original = grid.MaskGrid.__init__
+
+    def init(self, mask, *args):
+        grids.append(mask.shape)
+        original(self, mask, *args)
+
+    monkeypatch.setattr(grid.MaskGrid, "__init__", init)
     sim = Simulation(SimulationConfig(steps=1))
     sim.step()
-    assert whole == []
+    assert grids and (n, n) not in grids
     assert lattice_level(sim.state) < 9
+
+
+def test_a_step_builds_each_grid_once(monkeypatch):
+    # An adaptive step lists the points of, and computes the levels and
+    # the derivative stencil of, mask0 and mask1 once each, and the field
+    # update reads them from the grids adapt_step returns.
+    sim = Simulation(SimulationConfig(steps=3))
+    sim.step()
+    listed, levels, stencils = [], [], []
+    for name, calls in (("masked_points", listed),
+                        ("compute_levels", levels),
+                        ("derivative_taps", stencils)):
+        watch(monkeypatch, name, calls)
+    sim.step()
+    assert (len(listed), len(levels), len(stencils)) == (2, 2, 2)
+    state = sim.state
+    for got, mask in zip(levels, (state.mask0, state.mask1)):
+        assert got.tobytes() == mask.tobytes()
 
 # ------------------------------------------------------------ stepping
 
@@ -540,14 +569,18 @@ def dense_update(sim, state):
     """The field update on the whole (n, n) mesh: np.where over the masks
     and the derivatives over the whole lattice, zero off their masks."""
     spec, bank, length = sim.spec, sim.bank, sim.length_m
-    dz_ey = diff_z(state.ey, state.mask2, state.level1, spec, bank, length)
-    dx_ey = diff_x(state.ey, state.mask2, state.level1, spec, bank, length)
+    grid1, grid0 = (MaskGrid(mask, spec, bank)
+                    for mask in (state.mask1, state.mask0))
+    dz_ey, dx_ey = (on_mesh(fn(state.ey, state.mask2, grid1, spec, bank,
+                               length), grid1) for fn in (diff_z, diff_x))
     state.hx = np.where(state.mask1, sim.ea_z * state.hx + sim.hb_z * dz_ey,
                         0.0)
     state.hz = np.where(state.mask1, sim.ea_x * state.hz - sim.hb_x * dx_ey,
                         0.0)
-    dz_hx = diff_z(state.hx, state.mask1, state.level0, spec, bank, length)
-    dx_hz = diff_x(state.hz, state.mask1, state.level0, spec, bank, length)
+    dz_hx = on_mesh(diff_z(state.hx, state.mask1, grid0, spec, bank, length),
+                    grid0)
+    dx_hz = on_mesh(diff_x(state.hz, state.mask1, grid0, spec, bank, length),
+                    grid0)
     state.eyz = np.where(state.mask0,
                          sim.ea_z * state.eyz + sim.eb_z * dz_hx, 0.0)
     state.eyx = np.where(state.mask0,
@@ -565,7 +598,7 @@ def test_update_step_matches_dense_update_bitwise(full_grid):
         listed = sim.adapt_step()
         want = dense_update(sim, on_finest_lattice(copy.deepcopy(sim.state),
                                                    sim.spec))
-        # Once from the lists adapt_step returned, once listing the masks.
+        # Once from the grids adapt_step returned, once making them anew.
         for points in (listed, None):
             before = copy.deepcopy(sim.state)
             sim.update_step(points)
@@ -596,8 +629,10 @@ def test_adapt_step_regrids_h_only_where_mask1_leaves_the_previous_one():
                          for array in (before.mask1, before.hx, before.hz))
         regrid = bool(np.any(state.mask1 & ~mask1))
         if regrid:
-            hx, hz = interpolate_missing((hx, hz), mask1, state.mask1,
-                                         sim.spec.lattice(level), sim.bank)
+            spec = sim.spec.lattice(level)
+            hx, hz = interpolate_missing(
+                (hx, hz), MaskGrid(mask1, spec, sim.bank),
+                MaskGrid(state.mask1, spec, sim.bank))
         assert state.hx.tobytes() == hx.tobytes()
         assert state.hz.tobytes() == hz.tobytes()
         branches.append(regrid)
@@ -700,8 +735,9 @@ def test_boundaries_see_a_lattice_state_on_the_whole_mesh(tmp_path):
     for name in ("field_k12.csv", "mask_k12.pgm"):
         assert ((tmp_path / name).read_bytes()
                 == (tmp_path / "run" / name).read_bytes()), name
-    want = interpolate_missing(wide.ey, wide.mask0, sim.spec.full_mask(),
-                               sim.spec, sim.bank)
+    want = interpolate_missing(
+        wide.ey, MaskGrid(wide.mask0, sim.spec, sim.bank),
+        MaskGrid(sim.spec.full_mask(), sim.spec, sim.bank))
     assert sim.dense_ey().tobytes() == want.tobytes()
     # The counts of the whole-mesh state.
     assert [(r.cardinality, r.card1, r.card2) for r in result.records] == (

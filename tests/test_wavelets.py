@@ -8,12 +8,13 @@ sharing no code with the vectorized one-axis passes.
 
 import numpy as np
 import pytest
-from conftest import gaussian_field
+from conftest import gaussian_field, traced_peak
 
-from awcmaxwell.errors import ConfigError, MaskClosureError
+from awcmaxwell.errors import ConfigError
 from awcmaxwell.filters import build_filter_bank
 from awcmaxwell.grid import (
     GridSpec,
+    MaskGrid,
     add_adjacent_zone,
     reconstruction_check,
 )
@@ -21,7 +22,6 @@ from awcmaxwell.wavelets import (
     PHYSICAL,
     WAVELET,
     CoeffPyramid,
-    MaskPlan,
     fwt_full,
     fwt_step,
     interpolate_missing,
@@ -156,7 +156,7 @@ def test_fwt_full_matches_loop_oracle(order):
     rng = np.random.default_rng(100 + order)
     field = rng.standard_normal((spec.n, spec.n))
     pyr = CoeffPyramid.from_field(field, spec)
-    fwt_full(pyr, spec.full_mask(), bank)
+    fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
     want = oracle_fwt(field, spec.full_mask(), spec, bank)
     np.testing.assert_allclose(pyr.data, want, atol=1e-13)
 
@@ -170,7 +170,7 @@ def test_masked_fwt_matches_loop_oracle(order):
     mask = reconstruction_check(mask, spec, bank)
     field = rng.standard_normal((spec.n, spec.n))
     pyr = CoeffPyramid.from_field(field, spec, mask=mask)
-    fwt_full(pyr, mask, bank)
+    fwt_full(pyr, MaskGrid(mask, spec, bank))
     want = oracle_fwt(field, mask, spec, bank)
     np.testing.assert_allclose(pyr.data, want, atol=1e-13)
 
@@ -183,9 +183,9 @@ def test_round_trip_full_mask(order, j_max):
     rng = np.random.default_rng(17 * order + j_max)
     field = rng.standard_normal((spec.n, spec.n))
     pyr = CoeffPyramid.from_field(field, spec)
-    fwt_full(pyr, spec.full_mask(), bank)
+    fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
     assert pyr.state == WAVELET
-    iwt_full(pyr, spec.full_mask(), bank)
+    iwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
     assert pyr.state == PHYSICAL
     assert np.max(np.abs(pyr.data - field)) <= 1e-12
 
@@ -199,8 +199,8 @@ def test_round_trip_adaptive_mask(order):
     mask = reconstruction_check(mask, spec, bank)
     field = np.where(mask, rng.standard_normal((spec.n, spec.n)), 0.0)
     pyr = CoeffPyramid.from_field(field, spec, mask=mask)
-    fwt_full(pyr, mask, bank)
-    iwt_full(pyr, mask, bank)
+    fwt_full(pyr, MaskGrid(mask, spec, bank))
+    iwt_full(pyr, MaskGrid(mask, spec, bank))
     assert np.max(np.abs(pyr.data - field)) <= 1e-12
 
 
@@ -211,8 +211,8 @@ def test_single_step_round_trip_inverts():
     field = rng.standard_normal((spec.n, spec.n))
     pyr = CoeffPyramid.from_field(field, spec)
     mask = spec.full_mask()
-    fwt_step(pyr, 4, mask, bank)
-    iwt_step(pyr, 4, mask, bank)
+    fwt_step(pyr, 4, MaskGrid(mask, spec, bank))
+    iwt_step(pyr, 4, MaskGrid(mask, spec, bank))
     assert np.max(np.abs(pyr.data - field)) <= 1e-13
 
 
@@ -235,7 +235,7 @@ def test_impulse_detail_amplitudes(order, level):
         data = np.zeros((spec.n, spec.n))
         data[mi * h, ni * h] = 1.0
         pyr = CoeffPyramid(data, spec)
-        fwt_step(pyr, level, spec.full_mask(), bank)
+        fwt_step(pyr, level, MaskGrid(spec.full_mask(), spec, bank))
         assert pyr.data[mi * h, ni * h] == expect, kind
 
 
@@ -248,7 +248,7 @@ def test_impulse_update_lifts_even_neighbours():
     data = np.zeros((spec.n, spec.n))
     data[15, 17] = 1.0
     pyr = CoeffPyramid(data, spec)
-    fwt_step(pyr, 4, spec.full_mask(), bank)
+    fwt_step(pyr, 4, MaskGrid(spec.full_mask(), spec, bank))
     assert pyr.data[15, 17] == 0.25
     for i, ui in zip(bank.predict_offsets, bank.predict_weights):
         for k, uk in zip(bank.predict_offsets, bank.predict_weights):
@@ -269,7 +269,7 @@ def test_polynomial_details_vanish_in_clean_interior(order):
     pz = np.polynomial.polynomial.polyval(x, np.ones(deg + 1))
     field = np.outer(px, pz)
     pyr = CoeffPyramid.from_field(field, spec)
-    fwt_full(pyr, spec.full_mask(), bank)
+    fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
     checked = 0
     for b in range(spec.j_min + 1, spec.j_max + 1):
         sel = clean_interior(spec, b, order)
@@ -284,7 +284,7 @@ def test_constant_field_details_vanish_in_clean_interior():
     spec = GridSpec(4, 6)
     bank = build_filter_bank(2)
     pyr = CoeffPyramid.from_field(np.ones((spec.n, spec.n)), spec)
-    fwt_full(pyr, spec.full_mask(), bank)
+    fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
     checked = 0
     for b in range(spec.j_min + 1, spec.j_max + 1):
         sel = clean_interior(spec, b, 2)
@@ -310,7 +310,7 @@ def test_gaussian_coefficient_census_frozen():
     bank = build_filter_bank(4)
     field = gaussian_field(spec.n, (1.0 / (4.0 * np.sqrt(2.0))) / 6.0)
     pyr = CoeffPyramid.from_field(field, spec)
-    fwt_full(pyr, spec.full_mask(), bank)
+    fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
     significant = np.count_nonzero(spec.detail & (np.abs(pyr.data) >= 5e-4))
     assert significant == 156
 
@@ -327,9 +327,9 @@ def test_threshold_error_tracks_zeta():
     ratios = []
     for zeta in (1e-3, 1e-4, 1e-5):
         pyr = CoeffPyramid.from_field(field, spec)
-        fwt_full(pyr, spec.full_mask(), bank)
+        fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
         pyr, _ = threshold_coeffs(pyr, zeta)
-        iwt_full(pyr, spec.full_mask(), bank)
+        iwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
         ratios.append(np.max(np.abs(pyr.data - field)) / zeta)
     assert max(ratios) / min(ratios) < 10.0
     assert max(ratios) < 5.0  # observed ~2.0-2.3 on this build
@@ -344,7 +344,7 @@ def test_threshold_zeta_zero_keeps_mask():
     )
     pyr = CoeffPyramid.from_field(rng.standard_normal((spec.n, spec.n)), spec,
                                   mask=mask)
-    fwt_full(pyr, mask, bank)
+    fwt_full(pyr, MaskGrid(mask, spec, bank))
     before = pyr.data.copy()
     _, thinned = threshold_coeffs(pyr, 0.0, mask=mask)
     np.testing.assert_array_equal(thinned, mask | spec.coarse_mask())
@@ -376,7 +376,7 @@ def test_fwt_full_requires_physical_state():
     spec = GridSpec(2, 3)
     pyr = CoeffPyramid(np.zeros((spec.n, spec.n)), spec, state=WAVELET)
     with pytest.raises(ValueError, match="physical"):
-        fwt_full(pyr, spec.full_mask(), build_filter_bank(2))
+        fwt_full(pyr, MaskGrid(spec.full_mask(), spec, build_filter_bank(2)))
 
 
 def test_step_level_out_of_range():
@@ -384,19 +384,23 @@ def test_step_level_out_of_range():
     pyr = CoeffPyramid(np.zeros((spec.n, spec.n)), spec)
     bank = build_filter_bank(2)
     with pytest.raises(ValueError, match="level 4"):
-        fwt_step(pyr, 4, spec.full_mask(), bank)
+        fwt_step(pyr, 4, MaskGrid(spec.full_mask(), spec, bank))
     with pytest.raises(ValueError, match="level 1"):
-        iwt_step(pyr, 1, spec.full_mask(), bank)
+        iwt_step(pyr, 1, MaskGrid(spec.full_mask(), spec, bank))
 
 
-def test_fwt_full_rejects_unclosed_mask():
-    spec = GridSpec(2, 4)
-    bank = build_filter_bank(2)
-    mask = spec.coarse_mask()
-    mask[5, 4] = True
-    pyr = CoeffPyramid(np.zeros((spec.n, spec.n)), spec)
-    with pytest.raises(MaskClosureError, match=r"\(5, 4\)"):
-        fwt_full(pyr, mask, bank)
+def test_full_mask_round_trip_stays_under_four_meshes(bank4):
+    # Memory guard for BLOCK: a two-field round trip on the whole jmax=9
+    # mask holds the grid's plan and one block's tap indices at a time,
+    # under four (n, n) meshes (3.9 measured); building every point's tap
+    # indices at once took about nine.
+    spec = GridSpec(3, 9)
+    fields = np.random.default_rng(9).standard_normal((2, spec.n, spec.n))
+    pyr = CoeffPyramid.from_field(fields, spec)
+    grid = MaskGrid(spec.full_mask(), spec, bank4)
+    _, peak = traced_peak(lambda: iwt_full(fwt_full(pyr, grid), grid))
+    assert peak < 4 * 8 * spec.n**2, peak / (8 * spec.n**2)
+    assert np.max(np.abs(pyr.data - fields)) <= 1e-12
 
 
 def test_interpolate_missing_keeps_old_values_bitwise():
@@ -404,11 +408,12 @@ def test_interpolate_missing_keeps_old_values_bitwise():
     bank = build_filter_bank(4)
     field = gaussian_field(spec.n, 0.1)
     pyr = CoeffPyramid.from_field(field, spec)
-    fwt_full(pyr, spec.full_mask(), bank)
+    fwt_full(pyr, MaskGrid(spec.full_mask(), spec, bank))
     _, old = threshold_coeffs(pyr, 1e-4)
     old = reconstruction_check(old, spec, bank)
     new = reconstruction_check(add_adjacent_zone(old, spec), spec, bank)
-    out = interpolate_missing(field, old, new, spec, bank)
+    out = interpolate_missing(field, MaskGrid(old, spec, bank),
+                              MaskGrid(new, spec, bank))
     keep = old & new
     assert (out[keep] == field[keep]).all()
     assert (out[~new] == 0.0).all()
@@ -425,7 +430,8 @@ def test_interpolate_missing_identity_on_same_mask():
     rng = np.random.default_rng(3)
     field = rng.standard_normal((spec.n, spec.n))
     full = spec.full_mask()
-    out = interpolate_missing(field, full, full, spec, bank)
+    out = interpolate_missing(field, MaskGrid(full, spec, bank),
+                              MaskGrid(full, spec, bank))
     np.testing.assert_array_equal(out, field)
 
 
@@ -433,20 +439,17 @@ def test_interpolate_missing_identity_on_same_mask():
 
 
 def reference_plan(mask, spec, bank):
-    """The masked points sorted by birth level, and per transform level
-    the sets of d1, d2 and d3 points and of lifted evens: the points born
-    at level + 1 split by their parity on that lattice, and the masked
-    even-even points with a masked d1 point along x or d2 point along z
-    within update reach."""
-    birth = spec.birth.reshape(-1)
-    flat = np.flatnonzero(mask)
-    flat = flat[np.argsort(birth[flat], kind="stable")]
-    rows, cols = np.divmod(flat, spec.n)
+    """Per transform level, the sets of d1, d2 and d3 points and of
+    lifted evens: the masked points born at level + 1 split by their
+    parity on that lattice, and the masked even-even points with a masked
+    d1 point along x or d2 point along z within update reach."""
+    rows, cols = np.nonzero(mask)
+    birth = spec.birth[rows, cols]
     reach = [2 * int(l) - 1 for l in bank.predict_offsets]
     levels = []
     for level in range(spec.j_min, spec.j_max):
         h, n = spec.stride(level + 1), spec.n
-        born = birth[flat] == level + 1
+        born = birth == level + 1
         r, c = rows[born], cols[born]
         odd_r, odd_c = (r & h) > 0, (c & h) > 0
         kinds = [set(zip(r[k].tolist(), c[k].tolist()))
@@ -457,7 +460,7 @@ def reference_plan(mask, spec, bank):
                      or (0 <= q + u * h < n and mask[p, q + u * h])
                      for u in reach)}
         levels.append(kinds + [evens])
-    return rows, cols, levels
+    return levels
 
 
 def plan_masks(spec, bank):
@@ -489,26 +492,16 @@ def test_mask_plan_lists_every_point_once_by_level_and_kind(bank4, j_max,
     if lattice is not None:
         spec = spec.lattice(j_max - lattice)
     for name, mask in plan_masks(spec, bank4).items():
-        plan = MaskPlan(mask, spec, bank4)
-        rows, cols, levels = reference_plan(mask, spec, bank4)
-        # Every masked point once, coarsest birth first.
-        assert plan.rows.size == plan.cols.size == rows.size, name
-        assert (set(zip(plan.rows.tolist(), plan.cols.tolist()))
-                == set(zip(rows.tolist(), cols.tolist()))), name
-        born = spec.birth[plan.rows, plan.cols]
-        assert np.all(born[1:] >= born[:-1]), name
-        # The levels' kinds are, in turn, rows and cols after the
-        # coarse points.
-        listed = [k for d1, d2, d3, _ in plan.levels for k in (d1, d2, d3)]
-        coarse = rows.size - sum(k[0].size for k in listed)
-        for i, axis in enumerate((plan.rows, plan.cols)):
-            assert np.array_equal(
-                np.concatenate([axis[:coarse]] + [k[i] for k in listed]),
-                axis), name
-        for level, (got, want) in enumerate(zip(plan.levels, levels),
-                                            spec.j_min):
+        plan = MaskGrid(mask, spec, bank4).plan
+        levels = reference_plan(mask, spec, bank4)
+        assert len(plan) == len(levels), name
+        # Every masked detail point once, each kind in row-major order,
+        # in read-only arrays.
+        assert sum(r.size for kinds in plan for r, _ in kinds[:3]) == (
+            np.count_nonzero(mask & spec.detail)), name
+        for level, (got, want) in enumerate(zip(plan, levels), spec.j_min):
             for kind, (r, c), points in zip(("d1", "d2", "d3", "even"),
                                             got, want):
-                pairs = set(zip(r.tolist(), c.tolist()))
-                assert len(pairs) == r.size, (name, level, kind)
-                assert pairs == points, (name, level, kind)
+                pairs = list(zip(r.tolist(), c.tolist()))
+                assert pairs == sorted(points), (name, level, kind)
+                assert not (r.flags.writeable or c.flags.writeable)
