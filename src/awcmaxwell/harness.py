@@ -9,10 +9,12 @@ compression rate cp of a step is the active-point count divided by the
 full finest-lattice count (2^jmax + 1)^2.
 
 Field CSVs print values with repr so a re-run reproduces them byte for
-byte.  The points that hold no value (Ey, Hx and Hz all +0.0), which
-are all the points off the active grid, at k=0 as at every later step,
-are cut from one text shared by the whole file, so a snapshot costs in
-proportion to the active points and the rows they reach.  Wall-clock
+byte.  They are written from the lattice the state is stored on, and
+every point that holds no value (Ey, Hx and Hz all +0.0), which are all
+the points off the active grid, at k=0 as at every later step, comes
+from per-column text shared by the whole file; repr runs only for the
+values.  Each file still lists every point of the (2^jmax + 1)^2 mesh,
+so the text a snapshot builds and writes grows with the mesh.  Wall-clock
 times are measured with a monotonic clock around the adapt+update pair
 only, never around I/O.
 """
@@ -84,45 +86,56 @@ def write_field_csv(path, fields, spec: GridSpec,
                     domain_length_um: float) -> Path:
     """Write every finest-lattice point as row,col,x_um,z_um,Ey,Hx,Hz.
 
-    fields are the (n, n) Ey, Hx and Hz.  A state's own arrays hold 0.0
-    at every point outside the active grid (Ey off mask0, Hx and Hz off
-    mask1); the adaptive solution between active points is the wavelet
-    interpolation that Simulation.dense_ey computes, not these zeros.
-    Each value is written with repr, one lattice row at a time.  A point
-    whose three fields are all +0.0 differs from every other such point
-    of its column only in its row index and x, so a row of such points
-    is one text, built once from the z coordinates, with those two
-    filled in; a row that holds some values takes that text's lines for
-    its other points.  -0.0 counts as a value: its repr is "-0.0".
+    fields are Ey, Hx and Hz on one level-J lattice of spec, shape
+    (2^J + 1, 2^J + 1) for some J <= j_max, as a state stores them; the
+    file holds them spread over spec's (n, n) mesh with 0.0 between the
+    lattice's points, so (n, n) arrays are the J = j_max case.  A state's
+    own arrays hold 0.0 at every point outside the active grid (Ey off
+    mask0, Hx and Hz off mask1); the adaptive solution between active
+    points is the wavelet interpolation that Simulation.dense_ey
+    computes, not these zeros.  Each value is written with repr, one
+    mesh row at a time.  A point whose three fields are all +0.0 differs
+    from every other such point of its column only in its row index and
+    x, so a row is one join of per-column texts with the row index as
+    separator, x filled in by one replace; a lattice row that holds
+    values first puts them into its own copy of the texts at its held
+    points.  -0.0 counts as a value: its repr is "-0.0".
+
+    Raises ValueError when the fields differ in shape or their shape is
+    not that of such a lattice.
     """
     path = Path(path)
+    shapes = [np.shape(field) for field in fields]
+    if len(set(shapes)) != 1:
+        raise ValueError(f"fields differ in shape: {shapes}")
+    shape = shapes[0]
+    side = shape[-1] if shape else 0
+    level = (side - 1).bit_length() - 1
+    if (shape != (side, side) or not 0 <= level <= spec.j_max
+            or side != (1 << level) + 1):
+        raise ValueError(f"fields of shape {shape} sample no lattice of "
+                         f"{spec}: need (2^J + 1, 2^J + 1), J <= {spec.j_max}")
+    stride = spec.stride(level)
     delta_um = domain_length_um / (spec.n - 1)
-    cols = range(spec.n)
-    z_um = [_fmt(n * delta_um) for n in cols]
-    held = np.zeros((spec.n, spec.n), dtype=bool)
+    z_um = [_fmt(n * delta_um) for n in range(spec.n)]
+    # x is the one character \x01, filled in per row by one replace.
+    pieces = [f"{n},\x01,{z},0.0,0.0,0.0\n" for n, z in enumerate(z_um)]
+    held = np.zeros((side, side), dtype=bool)
     for field in fields:
         held |= (field != 0) | np.signbit(field)
-    blank = "".join([f"<m>,{n},<x>,{z},0.0,0.0,0.0\n"
-                     for n, z in zip(cols, z_um)])
     with open(path, "w") as fh:
         fh.write(FIELD_HEADER + "\n")
-        for m, points in enumerate(held):
+        for m in range(spec.n):
+            parts = pieces
+            i, off = divmod(m, stride)
+            if not off and held[i].any():
+                at = np.flatnonzero(held[i])
+                parts = pieces.copy()
+                for n, e, a, b in zip((at * stride).tolist(), *(
+                        field[i, at].tolist() for field in fields)):
+                    parts[n] = f"{n},\x01,{z_um[n]},{e!r},{a!r},{b!r}\n"
             lead, x = f"{m},", _fmt(m * delta_um)
-            if points.all():
-                fh.write("".join([
-                    f"{lead}{n},{x},{z},{e!r},{a!r},{b!r}\n"
-                    for n, z, e, a, b in zip(cols, z_um, *(
-                        field[m].tolist() for field in fields))]))
-                continue
-            row = blank.replace("<m>,", lead).replace("<x>", x)
-            if points.any():
-                at = np.flatnonzero(points)
-                row = row.splitlines(keepends=True)
-                for n, e, a, b in zip(at.tolist(), *(
-                        field[m, at].tolist() for field in fields)):
-                    row[n] = f"{lead}{n},{x},{z_um[n]},{e!r},{a!r},{b!r}\n"
-                row = "".join(row)
-            fh.write(row)
+            fh.write(lead + lead.join(parts).replace("\x01", x))
     return path
 
 
@@ -169,17 +182,17 @@ def emit_snapshot(state: FieldState, spec: GridSpec,
                   index: dict | None = None) -> tuple:
     """Write the field CSV and mask image of the state on spec's mesh.
 
-    Ey is formed on the state's lattice and, like Hx, Hz and mask0,
-    spread over the mesh once.  When an index dict is given the pair of
-    file names is recorded under the step number, ready for the manifest
-    trailer.
+    Ey is formed on the state's lattice and written with Hx and Hz from
+    there; only mask0, a bool array, is spread over the mesh.  When an
+    index dict is given the pair of file names is recorded under the step
+    number, ready for the manifest trailer.
     """
     out_dir = Path(out_dir)
-    *fields, mask0 = (relattice(array, spec.j_max) for array in (
-        state.ey, state.hx, state.hz, state.mask0))
-    field_path = write_field_csv(out_dir / f"field_k{state.k}.csv", fields,
-                                 spec, config.domain_length_um)
-    mask_path = write_mask_pgm(out_dir / f"mask_k{state.k}.pgm", mask0)
+    field_path = write_field_csv(out_dir / f"field_k{state.k}.csv",
+                                 (state.ey, state.hx, state.hz), spec,
+                                 config.domain_length_um)
+    mask_path = write_mask_pgm(out_dir / f"mask_k{state.k}.pgm",
+                               relattice(state.mask0, spec.j_max))
     if index is not None:
         index[state.k] = (field_path.name, mask_path.name)
     return field_path, mask_path

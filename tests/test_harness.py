@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from awcmaxwell.harness import (
     write_mask_pgm,
 )
 from awcmaxwell.grid import GridSpec
-from awcmaxwell.solver import Simulation, on_finest_lattice
+from awcmaxwell.solver import Simulation, on_finest_lattice, relattice
 
 SIGMA_PAPERED = 1.0 / (4.0 * math.sqrt(2.0))
 
@@ -72,12 +73,15 @@ def test_field_csv_values_round_trip(tmp_path):
 
 
 def reference_field_csv(state, spec, domain_length_um):
-    """The field CSV formatted point by point with repr."""
+    """The field CSV formatted point by point with repr, from the
+    state's (n, n) ey, hx and hz (each read once: a FieldState forms ey
+    on every read)."""
     delta = domain_length_um / (spec.n - 1)
+    ey, hx, hz = (np.asarray(a, dtype=float).tolist()
+                  for a in (state.ey, state.hx, state.hz))
     return "".join([FIELD_HEADER + "\n"] + [
         ",".join([str(m), str(n)] + [repr(float(v)) for v in (
-            m * delta, n * delta, state.ey[m, n], state.hx[m, n],
-            state.hz[m, n])]) + "\n"
+            m * delta, n * delta, ey[m][n], hx[m][n], hz[m][n])]) + "\n"
         for m in range(spec.n) for n in range(spec.n)])
 
 
@@ -136,6 +140,76 @@ def test_field_csv_of_the_start_matches_per_value_repr(tmp_path):
     assert path.read_text() == reference_field_csv(state, sim.spec, 6.0)
 
 
+def spread(fields, spec):
+    """Ey, Hx and Hz of a lattice spread over spec's mesh, as the
+    reference reads them."""
+    ey, hx, hz = (relattice(field, spec.j_max) for field in fields)
+    return SimpleNamespace(ey=ey, hx=hx, hz=hz)
+
+
+def test_field_csv_of_a_coarser_lattice_matches_per_value_repr(tmp_path):
+    # Fields on the level-3 lattice of a jmax=5 grid, stride 4: mesh rows
+    # and columns between the lattice's hold no value.
+    spec = GridSpec(2, 5)
+    special = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 0.0, 0.0, -2.5]
+    rng = np.random.default_rng(5)
+    fields = [rng.permutation(np.resize(special, 81)).reshape(9, 9)
+              for _ in range(3)]
+    for field in fields:
+        field[1] = 0.0
+        field[3] = 0.0
+        field[5] = 0.0
+    fields[0][1, 0] = 7e-3  # one value, first lattice column
+    fields[1][3, -1] = -1e-300  # one value, last lattice column
+    fields[2][5, 4] = -0.0  # a lattice row whose only value is -0.0
+    path = write_field_csv(tmp_path / "field.csv", fields, spec, 6.0)
+    text = path.read_text()
+    assert text == reference_field_csv(spread(fields, spec), spec, 6.0)
+    assert "\n20,16,3.75,3.0,0.0,0.0,-0.0\n" in text
+
+
+@pytest.mark.parametrize("jmax", [4, 5, 6, 7, 8])
+def test_field_csv_of_a_stored_run_state_matches_per_value_repr(tmp_path,
+                                                                jmax):
+    # The state's own arrays, on the lattice they are stored on (the
+    # level-7 one at jmax=8, stride 2).
+    sim = Simulation(tiny_config(jmax=jmax))
+    for _ in range(3):
+        sim.step()
+    fields = (sim.state.ey, sim.state.hx, sim.state.hz)
+    path = write_field_csv(tmp_path / "field.csv", fields, sim.spec, 6.0)
+    assert path.read_text() == reference_field_csv(
+        spread(fields, sim.spec), sim.spec, 6.0)
+
+
+def test_field_csv_of_the_default_pulse_matches_per_value_repr(tmp_path):
+    # The default scale after 3 steps, on the level-7 lattice, stride 4.
+    sim = Simulation(tiny_config(jmax=9, pml_width_frac=0.25))
+    for _ in range(3):
+        sim.step()
+    fields = (sim.state.ey, sim.state.hx, sim.state.hz)
+    assert fields[0].shape == (2**7 + 1,) * 2
+    path = write_field_csv(tmp_path / "field.csv", fields, sim.spec, 6.0)
+    assert path.read_text() == reference_field_csv(
+        spread(fields, sim.spec), sim.spec, 6.0)
+
+
+def test_field_csv_rejects_fields_of_different_shapes(tmp_path):
+    spec = GridSpec(2, 4)
+    fields = (np.zeros((17, 17)), np.zeros((9, 9)), np.zeros((17, 17)))
+    with pytest.raises(ValueError, match=r"\(17, 17\), \(9, 9\)"):
+        write_field_csv(tmp_path / "field.csv", fields, spec, 6.0)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (17, 9), (33, 33), (17,),
+                                   (1, 1), (3, 17, 17)])
+def test_field_csv_rejects_a_shape_of_no_lattice(tmp_path, shape):
+    # jmax=4: (17, 17) and its lattices (9, 9), (5, 5), (3, 3), (2, 2).
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        write_field_csv(tmp_path / "field.csv", (np.zeros(shape),) * 3,
+                        GridSpec(2, 4), 6.0)
+
+
 def test_mask_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     mask = rng.random((33, 33)) < 0.3
@@ -175,6 +249,20 @@ def test_snapshot_of_a_lattice_state_allocates_under_five_meshes(tmp_path):
     _, peak = traced_peak(
         lambda: emit_snapshot(sim.state, sim.spec, config, tmp_path))
     assert peak < 5 * sim.spec.n**2 * 8
+
+
+def test_snapshot_of_a_lattice_state_allocates_under_half_a_mesh(tmp_path):
+    # The same state: the field CSV reads Ey, Hx and Hz on the level-7
+    # lattice they are stored on, and only mask0, a bool array, is
+    # spread over the (n, n) mesh.
+    config = tiny_config(jmax=9, pml_width_frac=0.25, steps=3)
+    sim = Simulation(config)
+    for _ in range(3):
+        sim.step()
+    assert sim.state.ey.shape == (2**7 + 1,) * 2
+    _, peak = traced_peak(
+        lambda: emit_snapshot(sim.state, sim.spec, config, tmp_path))
+    assert peak < sim.spec.n**2 * 8 / 2
 
 
 def test_read_mask_pgm_rejects_other_formats(tmp_path):
