@@ -13,6 +13,7 @@ from dataclasses import KW_ONLY, dataclass, fields
 from typing import get_args
 
 from .errors import ConfigError
+from .filters import SUPPORTED_ORDERS
 
 
 @dataclass
@@ -57,8 +58,8 @@ class SimulationConfig:
             bad("jmax", f"must exceed jmin={self.jmin}")
         if self.jmax > 12:
             bad("jmax", "must be at most 12")
-        if self.order not in (2, 3, 4):
-            bad("order", "must be one of 2, 3, 4")
+        if self.order not in SUPPORTED_ORDERS:
+            bad("order", f"must be one of {SUPPORTED_ORDERS}")
         if self.zeta < 0:
             bad("zeta", "must be nonnegative")
         if self.dt_factor is not None:

@@ -12,7 +12,7 @@ negligible.
 import numpy as np
 
 from .filters import FilterBank
-from .grid import GridSpec, MaskGrid
+from .grid import GridSpec, MaskGrid, store
 
 
 def _diff(field, mask, grid: MaskGrid | None, spec: GridSpec,
@@ -27,10 +27,10 @@ def _diff(field, mask, grid: MaskGrid | None, spec: GridSpec,
     A full mask on the whole mesh takes the uniform branch: the classical
     stencil on slices of one zero-padded copy, with no index lists.  The
     masked branch copies the field's masked values into the padded layout
-    (grid.Taps), whose extra zero row and column every tap past an edge
-    reads, and gives each point its own tap spacing and scale from its
-    density level (the grid's stencil), so all levels go through one pass
-    whose cost follows the number of points.
+    (grid.store), whose zero margin every tap past an edge reads, and
+    gives each point its own tap spacing and scale from its density level
+    (the grid's stencil), so all levels go through one pass whose cost
+    follows the number of points.
     """
     coeffs = bank.deriv_filter
     n = spec.n
@@ -67,10 +67,10 @@ def _diff(field, mask, grid: MaskGrid | None, spec: GridSpec,
         # A full mask's points are every entry, in row-major order.
         return acc if grid is None else acc.reshape(-1)
 
-    values = np.zeros((n + 1, n + 1))
-    np.copyto(values[:-1, :-1], field, where=mask)
+    values, data = store(spec, spec.derivative_width)
+    np.copyto(data, field, where=mask)
     level, taps, shifts = grid.stencil
-    acc = taps.sum(values.reshape(-1), axis, shifts(),
+    acc = taps.sum(values.reshape(-1), shifts(taps.step[axis]),
                    [sign * c for c in coeffs for sign in (1, -1)])
     return acc * (np.ldexp(1.0, level) / domain_length)
 

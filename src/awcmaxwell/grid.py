@@ -19,11 +19,14 @@ levels, their derivative stencil and its transform plan, which every
 consumer of the mask reads, so that their work follows the number of
 masked points rather than the size of the lattice.
 
-Stencils read fields in the padded layout: an (n, n) field stored as
-(n + 1, n + 1) with its extra row and column held at zero, k fields one
-after another.  Taps moves listed points along an axis in that layout; a
-tap past either edge lands on the extra row or column, so it reads zero
-and a write there is cropped away.
+Stencils read fields in the padded layout that store makes: k (n, n)
+fields one after another, each stored as (width, width) with its margin,
+the rows below it and the columns right of it, at zero.  A margin is as
+wide as the farthest tap that reads the store, so a tap past the bottom
+or right edge lands in it, and one past the top or left edge in the
+previous field's or row's, or at a negative flat index in the last
+field's: it reads zero, and a write there is cropped away.  A tap is one
+add to a point's flat position (Taps).
 
 A mask whose points all lie on the level-J lattice can be worked on with
 the grid of that lattice alone, GridSpec.lattice(J), as its entries at
@@ -45,14 +48,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MaskClosureError
-from .filters import FilterBank
+from .filters import SUPPORTED_ORDERS, FilterBank
 
 
 class GridSpec:
     """Geometry of one dyadic grid: the coarsest and finest levels j_min
     < j_max, n = 2^j_max + 1 points per axis, and as read-only (n, n)
     arrays each point's birth level (int8, clipped below to j_min) and
-    detail, True where it carries a detail coefficient."""
+    detail, True where it carries a detail coefficient; transform_width
+    and derivative_width, the sides of a field's store (store) for the
+    taps of a transform and of a derivative."""
 
     def __init__(self, j_min: int, j_max: int):
         if j_min < 0 or j_min >= j_max:
@@ -69,9 +74,13 @@ class GridSpec:
         self.birth = np.maximum(birth, j_min, out=birth)
         self.detail = self.birth > j_min
         self.birth.flags.writeable = self.detail.flags.writeable = False
+        # n and the farthest tap of any supported order N: 2N - 1 strides
+        # of j_min + 1 in a transform, 2(N - 1) of j_min in a derivative.
+        order, stride = max(SUPPORTED_ORDERS), self.stride(j_min)
+        self.transform_width = self.n + (2 * order - 1) * stride // 2
+        self.derivative_width = self.n + 2 * (order - 1) * stride
         self.coarsened = False
         self._lattices = {j_max: self}
-        self._edges = {}
 
     @cached_property
     def gap_levels(self) -> np.ndarray:
@@ -101,16 +110,6 @@ class GridSpec:
             grid.coarsened = True
             self._lattices[j] = grid
         return self._lattices[j]
-
-    def edges(self, reach: int):
-        """The row and column parts of padded flat positions, once per
-        reach: entry p + reach is p * (n + 1) and p for an index p, and
-        n * (n + 1) and n for p up to reach past either edge."""
-        if reach not in self._edges:
-            edge = np.full(self.n + 2 * reach, self.n)
-            edge[reach:reach + self.n] = np.arange(self.n)
-            self._edges[reach] = _frozen(edge * (self.n + 1)), _frozen(edge)
-        return self._edges[reach]
 
     def full_mask(self) -> np.ndarray:
         return np.ones((self.n, self.n), dtype=bool)
@@ -162,54 +161,47 @@ def masked_points(mask: np.ndarray) -> Points:
     return Points(*map(_frozen, (*np.divmod(flat, mask.shape[1]), flat)))
 
 
+def store(spec: GridSpec, width: int, lead=(), dtype=float):
+    """A zero store of lead + (width, width) for fields of spec in the
+    padded layout, and its view of lead + (n, n) that holds the fields."""
+    padded = np.zeros(tuple(lead) + (width, width), dtype=dtype)
+    return padded, padded[..., :spec.n, :spec.n]
+
+
 class Taps:
     """Listed points in the padded layout of 1 or k stacked fields.
 
-    at holds their flat positions, field by field, and moved(axis, shift)
-    holds them moved along axis by shift (a number or one per point, at
-    most reach), as a (k, len(rows)) array, or a 1-D one for one field.
-    Positions are flat, each field offset by (n + 1)^2: a flat gather or
-    scatter is several times faster than one on a stack, and one field's
-    1-D positions add faster than a broadcast (1, len(rows)).  An axis's
-    index arrays are built on its first use.
+    at holds their flat positions in stores of the given width, field by
+    field, and step the flat distance of one index along x and z,
+    (width, 1): moved(axis, shift) holds the points moved along axis by
+    shift (a number or one per point, at most the store's margin), at +
+    shift * step[axis], as a (k, len(rows)) array, or a 1-D one for one
+    field.  Positions are flat, each field offset by width^2: a flat
+    gather or scatter is several times faster than one on a stack, and
+    one field's 1-D positions add faster than a broadcast (1, len(rows)).
     """
 
-    def __init__(self, spec: GridSpec, rows, cols, reach: int, fields=1):
-        self._width = spec.n + 1
-        self._field = (np.arange(0, fields * self._width**2,
-                                 self._width**2)[:, None] if fields > 1 else 0)
-        self._edges = spec.edges(reach)
-        self._reach = reach
-        self._points = rows, cols
-        self._lines = [None, None]
+    def __init__(self, width: int, rows, cols, fields=1):
+        self.step = width, 1
+        at = rows * width + cols
+        if fields > 1:
+            at = at + np.arange(0, fields * width**2, width**2)[:, None]
+        self._at = _frozen(at)
 
-    def _line(self, axis: int):
-        """The axis's edge table, the points' indices into it and the
-        rest of their flat positions."""
-        if self._lines[axis] is None:
-            rows, cols = self._points
-            moving, rest = ((rows, cols + self._field) if axis == 0
-                            else (cols, rows * self._width + self._field))
-            self._lines[axis] = self._edges[axis], moving + self._reach, rest
-        return self._lines[axis]
-
-    @cached_property
+    @property
     def at(self) -> np.ndarray:
-        return (self._line(1)[2] + self._points[1]).reshape(-1)
+        return self._at.reshape(-1)
 
     def moved(self, axis: int, shift) -> np.ndarray:
-        edge, index, rest = self._line(axis)
-        return edge[index + shift] + rest
+        return self._at + shift * self.step[axis]
 
-    def sum(self, values, axis: int, shifts, weights) -> np.ndarray:
-        """Sum of weight * values[moved(axis, shift)] over the taps, from
-        zero in tap order; values is the flat padded store, and shifts may
-        be a generator.  The loop repeats moved's expression: a call per
-        tap made the transforms about 3% slower."""
-        edge, index, rest = self._line(axis)
-        out = np.zeros(rest.shape)
-        for shift, weight in zip(shifts, weights):
-            out += weight * values[edge[index + shift] + rest]
+    def sum(self, values, offsets, weights) -> np.ndarray:
+        """Sum of weight * values[at + offset] over the taps, from zero in
+        tap order: values is the flat padded store, and the offsets
+        (shift * step[axis]) may be a generator."""
+        out = np.zeros(self._at.shape)
+        for offset, weight in zip(offsets, weights):
+            out += weight * values[self._at + offset]
         return out.reshape(-1)
 
 
@@ -217,15 +209,16 @@ def derivative_taps(points: Points, levels, spec: GridSpec, bank: FilterBank):
     """(level, taps, shifts) of the listed points' derivative stencils: a
     point of density level j, which must lie in [j_min, j_max], as
     compute_levels gives every masked point, taps +-i 2^(j_max - j) along
-    either axis, i = 1..deriv_halfwidth.  shifts() yields the signed
-    shifts in tap order, +i then -i for i = 1, 2, ..., one at a time."""
+    either axis, i = 1..deriv_halfwidth.  shifts(step) yields the signed
+    shifts in tap order, +i then -i for i = 1, 2, ..., one at a time,
+    spaced by step: taps.step[axis] gives Taps.sum's offsets."""
     rows, cols, _ = points
     level = _frozen(levels[rows, cols])
-    step = _frozen(np.left_shift(1, spec.j_max - level))
+    spacing = _frozen(np.left_shift(1, spec.j_max - level))
     width = bank.deriv_halfwidth
-    return level, Taps(spec, rows, cols, width * spec.stride(spec.j_min)), (
-        lambda: (sign * i * step for i in range(1, width + 1)
-                 for sign in (1, -1)))
+    return level, Taps(spec.derivative_width, rows, cols), (
+        lambda step: (sign * i * step * spacing for i in range(1, width + 1)
+                      for sign in (1, -1)))
 
 
 class MaskGrid:
@@ -476,10 +469,9 @@ def extend_for_derivatives(grid: MaskGrid) -> np.ndarray:
     then reconstruction-checked so that inverse transforms stay well
     defined on the grown mask."""
     _, taps, shifts = grid.stencil
-    hit = np.zeros((grid.spec.n + 1,) * 2, dtype=bool)
-    flat = hit.reshape(-1)
-    for shift in shifts():
-        for axis in (0, 1):
-            flat[taps.moved(axis, shift)] = True
-    return reconstruction_check(grid.mask | hit[:-1, :-1], grid.spec,
-                                grid.bank)
+    hit, inside = store(grid.spec, grid.spec.derivative_width, dtype=bool)
+    flat, at = hit.reshape(-1), taps.at
+    for step in taps.step:
+        for offset in shifts(step):
+            flat[at + offset] = True
+    return reconstruction_check(grid.mask | inside, grid.spec, grid.bank)

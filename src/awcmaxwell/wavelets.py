@@ -12,7 +12,7 @@ comparable across levels, which lets a single threshold act uniformly.
 Any stencil tap that falls outside the array or outside the active mask
 reads zero.  The background of the array is kept at exactly zero so
 gathers never need per-point guards, and the array is stored in the
-padded layout of the grid module, whose extra zero row and column every
+padded layout of the grid module (grid.store), whose zero margin every
 tap past an edge reads (grid.Taps).
 
 Each level is lifted in one-axis passes, the tensor-product form of 1-D
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .filters import FilterBank
-from .grid import GridSpec, MaskGrid, Taps
+from .grid import GridSpec, MaskGrid, Taps, store
 
 PHYSICAL = "physical"
 WAVELET = "wavelet"
@@ -62,8 +62,8 @@ class CoeffPyramid:
 
     data has shape (n, n), or (k, n, n) for k fields transformed
     together; the constructor also takes a sequence of k (n, n) fields.
-    data is a view of ``padded``, which has one more row and column, held
-    at zero, for the taps that fall past an edge.  The constructor copies
+    data is a view of ``padded``, the grid module's store, whose zero
+    margin holds the taps that fall past an edge.  The constructor copies
     data; where, True, False or an (n, n) mask, selects the entries taken
     from it, as in np.copyto, and the others start at zero.
     """
@@ -80,15 +80,11 @@ class CoeffPyramid:
                 )
         if state not in (PHYSICAL, WAVELET):
             raise ValueError(f"unknown pyramid state {state!r}")
-        self.padded = np.zeros(lead + (n + 1, n + 1))
-        for dst, field in zip(self.padded.reshape(-1, n + 1, n + 1), fields):
-            np.copyto(dst[:-1, :-1], field, where=where)
+        self.padded, self.data = store(spec, spec.transform_width, lead)
+        for dst, field in zip(self.data.reshape(-1, n, n), fields):
+            np.copyto(dst, field, where=where)
         self.spec = spec
         self.state = state
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.padded[..., :-1, :-1]
 
     @classmethod
     def from_field(cls, field_values, spec: GridSpec, mask=None):
@@ -98,25 +94,25 @@ class CoeffPyramid:
 
 class _Taps(Taps):
     """Taps of some points of a pyramid, in every stacked field, with one
-    level's stencil: the weighted sums of the stored values at their taps
-    along x, sx(), and z, sz()."""
+    level's stencil (_level): the weighted sums of the stored values at
+    their taps along x, sx(), and z, sz()."""
 
-    def __init__(self, pyramid: CoeffPyramid, points, offsets, weights):
-        super().__init__(pyramid.spec, *points, int(np.abs(offsets).max()),
+    def __init__(self, pyramid: CoeffPyramid, points, x, z, weights):
+        super().__init__(pyramid.spec.transform_width, *points,
                          pyramid.data.size // pyramid.spec.n**2)
         self._v = pyramid.padded.reshape(-1)
-        self._stencil = offsets, weights
+        self._x, self._z, self._weights = x, z, weights
 
     def sx(self):
-        return self.sum(self._v, 0, *self._stencil)
+        return self.sum(self._v, self._x, self._weights)
 
     def sz(self):
-        return self.sum(self._v, 1, *self._stencil)
+        return self.sum(self._v, self._z, self._weights)
 
 
 def _level(level, grid: MaskGrid, what):
-    """The grid's plan of one level and its stencil (tap offsets and
-    weights), or None when the level holds no masked detail."""
+    """The grid's plan of one level and its stencil (x and z flat tap
+    offsets, weights), or None when the level holds no masked detail."""
     spec, bank = grid.spec, grid.bank
     if not spec.j_min <= level <= spec.j_max - 1:
         raise ValueError(
@@ -126,8 +122,9 @@ def _level(level, grid: MaskGrid, what):
         return None
     # Prediction and update share their taps: (2l - 1) h on the finest
     # lattice for l in predict_offsets, weighted by predict_weights.
-    h = spec.stride(level + 1)
-    return points, ((2 * bank.predict_offsets - 1) * h, bank.predict_weights)
+    offsets = (2 * bank.predict_offsets - 1) * spec.stride(level + 1)
+    return points, (offsets * spec.transform_width, offsets,
+                    bank.predict_weights)
 
 
 def _blocks(pyramid, points, stencil):
@@ -356,7 +353,6 @@ def interpolate_missing(field_values, old: MaskGrid, new: MaskGrid):
     # iwt_full left every entry off the new mask at zero.
     _, fields = _fields(field_values)
     kept = old.mask & new.mask
-    for out, field in zip(pyramid.padded.reshape(-1, spec.n + 1, spec.n + 1),
-                          fields):
-        np.copyto(out[:-1, :-1], field, where=kept)
+    for out, field in zip(pyramid.data.reshape(-1, spec.n, spec.n), fields):
+        np.copyto(out, field, where=kept)
     return pyramid.data

@@ -37,6 +37,7 @@ from awcmaxwell.grid import (  # noqa: E402
     masked_points,
     reconstruction_check,
     require_closed,
+    store,
 )
 from awcmaxwell.wavelets import (  # noqa: E402
     WAVELET,
@@ -286,8 +287,9 @@ def test_a_grid_read_by_every_consumer_reads_as_a_fresh_one(case, order):
 
 @st.composite
 def tap_cases(draw):
-    """Lattice, reach (seven coarsest strides), random points with edge
-    rows and columns among them, and 1 or 2 stacked fields."""
+    """Lattice, the width of a transform's or a derivative's store,
+    random points with rows and columns on all four edges among them, and
+    1 or 2 stacked fields."""
     j_max = draw(st.integers(2, 6))
     spec = GridSpec(draw(st.integers(1, j_max - 1)), j_max)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -296,17 +298,20 @@ def tap_cases(draw):
     cols[1::3] = rng.choice([0, spec.n - 1], cols[1::3].size)
     values = rng.standard_normal((draw(st.sampled_from([1, 2])), spec.n,
                                   spec.n))
-    return spec, 7 * spec.stride(spec.j_min), rows, cols, values, rng
+    width = draw(st.sampled_from([spec.transform_width,
+                                  spec.derivative_width]))
+    return spec, width, rows, cols, values, rng
 
 
 @PROPERTY
 @given(tap_cases(), st.booleans(), st.integers(1, 4))
 def test_taps_match_zero_extension_oracles(case, per_point, count):
-    spec, reach, rows, cols, values, rng = case
-    k, n = values.shape[0], spec.n
-    taps = Taps(spec, rows, cols, reach, k)
-    padded = np.zeros((k, n + 1, n + 1))
-    padded[:, :-1, :-1] = values
+    # Shifts reach the whole margin, the first and last of them exactly.
+    spec, width, rows, cols, values, rng = case
+    k, n, reach = values.shape[0], spec.n, width - spec.n
+    taps = Taps(width, rows, cols, k)
+    padded, data = store(spec, width, (k,))
+    data[...] = values
     stored = padded.reshape(-1)
     assert stored[taps.at].tobytes() == values[:, rows, cols].tobytes()
     wide = np.pad(values, ((0, 0), (reach, reach), (reach, reach)))
@@ -314,22 +319,26 @@ def test_taps_match_zero_extension_oracles(case, per_point, count):
     for axis in (0, 1):
         shifts = [rng.integers(-reach, reach + 1, rows.size) if per_point
                   else int(rng.integers(-reach, reach + 1)) for _ in weights]
+        shifts[0] = np.full(rows.size, -reach) if per_point else -reach
+        shifts[-1] = np.full(rows.size, reach) if per_point else reach
         moves = [(shift, 0) if axis == 0 else (0, shift) for shift in shifts]
         want = np.zeros((k, rows.size))
         for (dr, dc), weight in zip(moves, weights):
             want += weight * wide[:, rows + reach + dr, cols + reach + dc]
-        got = taps.sum(stored, axis, iter(shifts), weights)
+        got = taps.sum(stored, (shift * taps.step[axis] for shift in shifts),
+                       weights)
         assert got.tobytes() == want.tobytes()
-        # A scatter past an edge lands on the padding, which is cropped.
+        # A scatter past an edge lands in the margin, which is cropped.
         for shift, (dr, dc) in zip(shifts, moves):
-            hit = np.zeros((k, n + 1, n + 1), dtype=bool)
-            hit.reshape(-1)[taps.moved(axis, shift)] = True
+            moved = taps.moved(axis, shift)
+            assert np.all((moved >= -stored.size) & (moved < stored.size))
+            hit, inside = store(spec, width, (k,), dtype=bool)
+            hit.reshape(-1)[moved] = True
             r, c = np.broadcast_arrays(rows + dr, cols + dc)
-            inside = (r >= 0) & (r < n) & (c >= 0) & (c < n)
+            within = (r >= 0) & (r < n) & (c >= 0) & (c < n)
             expect = np.zeros((k, n, n), dtype=bool)
-            expect[:, r[inside], c[inside]] = True
-            np.testing.assert_array_equal(hit[:, :-1, :-1], expect)
-    assert spec.edges(reach) is spec.edges(reach)
+            expect[:, r[within], c[within]] = True
+            np.testing.assert_array_equal(inside, expect)
 
 
 @PROPERTY

@@ -1,0 +1,152 @@
+"""Step times of two trees, replayed interleaved in one process.
+
+    python3 tools/step_ab.py PARENT_TREE CHANGE_TREE --workload calib-j7
+
+Loads each tree's src/awcmaxwell under a package name of its own, saves
+in each the states that benchmarks/run.py replays for the workload and
+seed (evenly along the run), then replays every saved step in both trees
+in turn, the states in a seeded order and the trees alternating first,
+for --rounds rounds.  Prints each tree's mean over the states of its
+median replay, as the benchmark's step_ms is formed but not scaled by a
+host probe, and the ratio of the second tree's to the first's.  Run in
+one process, both trees meet the same host speed, which separate
+benchmark runs on a shared host do not.  A replayed step that leaves a
+different state in the two trees is reported.
+"""
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+
+
+def load_benchmark():
+    """benchmarks/run.py as a module; it sets one thread per numpy
+    library in the environment, which holds if numpy is not yet
+    imported."""
+    spec = importlib.util.spec_from_file_location("bench_run", RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_tree(tree, name: str):
+    """The tree's awcmaxwell package, imported as name."""
+    source = Path(tree) / "src" / "awcmaxwell"
+    spec = importlib.util.spec_from_file_location(
+        name, source / "__init__.py", submodule_search_locations=[str(source)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("config", "solver"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+@contextmanager
+def as_awcmaxwell(name: str):
+    """The package imported as name answers imports of awcmaxwell, as
+    the benchmark's helpers make them."""
+    own = {key: module for key, module in sys.modules.items()
+           if key == "awcmaxwell" or key.startswith("awcmaxwell.")}
+    for key in own:
+        del sys.modules[key]
+    alias = {"awcmaxwell" + key[len(name):]: module
+             for key, module in sys.modules.items()
+             if key == name or key.startswith(name + ".")}
+    sys.modules.update(alias)
+    try:
+        yield
+    finally:
+        for key in alias:
+            del sys.modules[key]
+        sys.modules.update(own)
+
+
+class Tree:
+    """One tree's Simulation and the states it saved, by step count."""
+
+    def __init__(self, bench, path, name, workload, seed, keep):
+        import numpy as np
+
+        self.bench, self.name = bench, name
+        package = load_tree(path, name)
+        with as_awcmaxwell(name):
+            config = bench.build_config(bench.WORKLOADS[workload],
+                                        np.random.default_rng(seed))
+        self.sim = package.solver.Simulation(config)
+        self.saved = {}
+        while self.sim.state.k <= max(keep):
+            if self.sim.state.k in keep:
+                self.saved[self.sim.state.k] = self.copy(self.sim.state)
+            self.sim.step()
+        self.seconds = {k: [] for k in keep}
+
+    def copy(self, state):
+        with as_awcmaxwell(self.name):
+            return self.bench.copy_state(state)
+
+    def replay(self, k):
+        """Time one step from a fresh copy of the saved state k; return
+        the digest of the state it leaves."""
+        self.sim.state = self.copy(self.saved[k])
+        start = time.perf_counter()
+        self.sim.step()
+        self.seconds[k].append(time.perf_counter() - start)
+        return self.bench.state_digest(self.sim.state)
+
+    def step_ms(self):
+        return 1e3 * statistics.fmean(statistics.median(times)
+                                      for times in self.seconds.values())
+
+
+def compare(bench, parent, change, workload, seed=0, rounds=10):
+    """(parent ms, change ms, replays whose states differ) of the
+    workload's saved steps, interleaved for the rounds."""
+    import numpy as np
+
+    setting = bench.WORKLOADS[workload]
+    every = setting.config["steps"] // setting.saved_states
+    keep = set(range(every // 2, every * setting.saved_states, every))
+    trees = [Tree(bench, path, f"awcmaxwell_{label}", workload, seed, keep)
+             for path, label in ((parent, "parent"), (change, "change"))]
+    rng = np.random.default_rng(seed)
+    differ = 0
+    for round_ in range(rounds):
+        gc.collect()
+        for k in rng.permutation(sorted(keep)):
+            first = round_ % 2
+            digests = {tree.name: tree.replay(int(k))
+                       for tree in (trees[first], trees[1 - first])}
+            differ += len(set(digests.values())) > 1
+    return trees[0].step_ms(), trees[1].step_ms(), differ
+
+
+def main(argv=None):
+    bench = load_benchmark()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="tree holding src/awcmaxwell")
+    parser.add_argument("change", help="tree holding src/awcmaxwell")
+    parser.add_argument("--workload", required=True,
+                        choices=sorted(bench.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--rounds", type=int, default=10)
+    args = parser.parse_args(argv)
+    parent, change, differ = compare(bench, args.parent, args.change,
+                                     args.workload, args.seed, args.rounds)
+    print(f"{args.workload} seed {args.seed}, {args.rounds} rounds: "
+          f"parent {parent:.3f} ms, change {change:.3f} ms, "
+          f"ratio {change / parent:.3f}")
+    if differ:
+        print(f"{differ} replayed steps left different states")
+
+
+if __name__ == "__main__":
+    main()
