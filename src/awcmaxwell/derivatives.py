@@ -15,6 +15,64 @@ from .filters import FilterBank
 from .grid import GridSpec, MaskGrid, store
 
 
+# Bytes of float64 rows that the uniform branch works on at a time, so
+# that its accumulator, tap term and band buffer stay in cache, which a
+# whole 513^2 mesh (2 MiB) does not: 63 rows of it.  A mesh of up to
+# 129^2 is one band.
+BAND_BYTES = 1 << 18
+
+
+def _uniform(field, coeffs, scale, axis) -> np.ndarray:
+    """The stencil sum_i coeffs[i - 1] (v[+i] - v[-i]) along axis at
+    every entry of the square field, taps past an edge reading zero,
+    times scale: a new array.
+
+    Each entry gets the products and sums of acc += c (v[+i] - v[-i])
+    from acc = +0.0 in tap order, then acc *= scale, bit for bit (but for
+    the sign of a NaN, which numpy's loops take from either NaN operand
+    by where the entry falls in them), formed as many rows at a time as
+    BAND_BYTES holds through one reused term buffer, so a call holds its
+    result and a few bands.  Along x an interior band reads its taps from
+    the field's own rows; a band within the stencil's reach of the top or
+    bottom edge, and along z every band, is first copied into one reused
+    band buffer with zero rows or columns around it.
+    """
+    n, pad = field.shape[0], len(coeffs)
+    rows = min(max(BAND_BYTES // (8 * n), 1), n)
+    acc = np.zeros((n, n))
+    term = np.empty((rows, n))
+    if axis == 0:
+        band = np.empty((rows + 2 * pad, n))
+    else:
+        band = np.zeros((rows, n + 2 * pad))
+    for top in range(0, n, rows):
+        out = acc[top:top + rows]
+        m = out.shape[0]
+        if axis == 1:
+            band[:m, pad:pad + n] = field[top:top + m]
+            source, at, span = band[:m], pad, n
+        elif pad <= top and top + m + pad <= n:
+            source, at, span = field, top, m
+        else:
+            # Band row k holds field row top - pad + k, zero off the field.
+            source, at, span = band[:m + 2 * pad], pad, m
+            lo, hi = max(pad - top, 0), min(n + pad - top, m + 2 * pad)
+            source[:lo] = source[hi:] = 0.0
+            source[lo:hi] = field[top - pad + lo:top - pad + hi]
+
+        def tap(shift):
+            window = slice(at + shift, at + shift + span)
+            return source[window] if axis == 0 else source[:, window]
+
+        t = term[:m]
+        for i, c in enumerate(coeffs, start=1):
+            np.subtract(tap(i), tap(-i), out=t)
+            t *= c
+            out += t
+        out *= scale
+    return acc
+
+
 def _diff(field, mask, grid: MaskGrid | None, spec: GridSpec,
           bank: FilterBank, domain_length: float, axis: int) -> np.ndarray:
     """Derivative along axis of the field's values on the support mask.
@@ -25,45 +83,22 @@ def _diff(field, mask, grid: MaskGrid | None, spec: GridSpec,
     (n, n) array.
 
     A full mask on the whole mesh takes the uniform branch: the classical
-    stencil on slices of one zero-padded copy, with no index lists.  The
-    masked branch copies the field's masked values into the padded layout
-    (grid.store), whose zero margin every tap past an edge reads, and
-    gives each point its own tap spacing and scale from its density level
-    (the grid's stencil), so all levels go through one pass whose cost
-    follows the number of points.
+    stencil on slices of cache-sized bands of rows (_uniform), with no
+    index lists.  The masked branch copies the field's masked values into
+    the padded layout (grid.store), whose zero margin every tap past an
+    edge reads, and gives each point its own tap spacing and scale from
+    its density level (the grid's stencil), so all levels go through one
+    pass whose cost follows the number of points.
     """
     coeffs = bank.deriv_filter
     n = spec.n
 
     if grid is None or (not spec.coarsened and grid.points.flat.size == n * n):
-        # Uniform classical stencil, vectorized along the whole axis: the
-        # taps of every point are slices of one zero-padded copy.  Each
-        # tap c (v[+i] - v[-i]) is formed in one reused buffer and added
-        # in place, so a call holds three meshes whatever the filter's
-        # length; the products and sums are those of
-        # acc += c * (v[+i] - v[-i]), bit for bit.  It rounds differently
-        # from the masked branch, so a full mask on a coarser lattice
-        # (GridSpec.lattice), which is not full on the finest one, takes
-        # the masked branch.
-        pad = bank.deriv_halfwidth
-
-        def along(start):
-            """Index of the n entries from start on along axis."""
-            index = [slice(None), slice(None)]
-            index[axis] = slice(start, start + n)
-            return tuple(index)
-
-        shape = [n, n]
-        shape[axis] += 2 * pad
-        vp = np.zeros(shape)
-        vp[along(pad)] = field
-        acc = np.zeros((n, n))
-        term = np.empty((n, n))
-        for i, c in enumerate(coeffs, start=1):
-            np.subtract(vp[along(pad + i)], vp[along(pad - i)], out=term)
-            term *= c
-            acc += term
-        acc *= 2.0**spec.j_max / domain_length
+        # Uniform classical stencil, every tap a slice of a band of rows
+        # (_uniform).  It rounds differently from the masked branch, so a
+        # full mask on a coarser lattice (GridSpec.lattice), which is not
+        # full on the finest one, takes the masked branch.
+        acc = _uniform(field, coeffs, 2.0**spec.j_max / domain_length, axis)
         # A full mask's points are every entry, in row-major order.
         return acc if grid is None else acc.reshape(-1)
 

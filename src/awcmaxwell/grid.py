@@ -75,10 +75,15 @@ class GridSpec:
         self.detail = self.birth > j_min
         self.birth.flags.writeable = self.detail.flags.writeable = False
         # n and the farthest tap of any supported order N: 2N - 1 strides
-        # of j_min + 1 in a transform, 2(N - 1) of j_min in a derivative.
+        # of j_min + 1 in a transform, 2(N - 1) of j_min in a derivative,
+        # up to n.  A tap more than n past an edge reads zero from every
+        # point, as one n past does, so taps are clipped to +-n
+        # (derivative_taps, wavelets._level) and a store is at most four
+        # times its lattice.
         order, stride = max(SUPPORTED_ORDERS), self.stride(j_min)
-        self.transform_width = self.n + (2 * order - 1) * stride // 2
-        self.derivative_width = self.n + 2 * (order - 1) * stride
+        self.transform_width = self.n + min((2 * order - 1) * stride // 2,
+                                            self.n)
+        self.derivative_width = self.n + min(2 * (order - 1) * stride, self.n)
         self.coarsened = False
         self._lattices = {j_max: self}
 
@@ -209,16 +214,24 @@ def derivative_taps(points: Points, levels, spec: GridSpec, bank: FilterBank):
     """(level, taps, shifts) of the listed points' derivative stencils: a
     point of density level j, which must lie in [j_min, j_max], as
     compute_levels gives every masked point, taps +-i 2^(j_max - j) along
-    either axis, i = 1..deriv_halfwidth.  shifts(step) yields the signed
-    shifts in tap order, +i then -i for i = 1, 2, ..., one at a time,
-    spaced by step: taps.step[axis] gives Taps.sum's offsets."""
+    either axis, i = 1..deriv_halfwidth, each reach clipped to n (see
+    GridSpec).  shifts(step) yields the signed shifts in tap order, +i
+    then -i for i = 1, 2, ..., one at a time, spaced by step:
+    taps.step[axis] gives Taps.sum's offsets."""
     rows, cols, _ = points
     level = _frozen(levels[rows, cols])
     spacing = _frozen(np.left_shift(1, spec.j_max - level))
     width = bank.deriv_halfwidth
+    # The reaches that can pass n, i * spacing > n at the coarsest
+    # spacing, are clipped once here; the others are formed as they are
+    # read.
+    far = spec.n // spec.stride(spec.j_min) + 1
+    clipped = {i: _frozen(np.minimum(i * spacing, spec.n))
+               for i in range(far, width + 1)}
     return level, Taps(spec.derivative_width, rows, cols), (
-        lambda step: (sign * i * step * spacing for i in range(1, width + 1)
-                      for sign in (1, -1)))
+        lambda step: (sign * step * clipped[i] if i in clipped
+                      else sign * i * step * spacing
+                      for i in range(1, width + 1) for sign in (1, -1)))
 
 
 class MaskGrid:

@@ -32,10 +32,12 @@ whole lattice unless the field needs it.  The full-grid start and every
 full-grid step run on the whole (2^j_max + 1)^2 mesh, so they hold as
 few mesh-sized arrays as they can: the start's three masks are one
 read-only full mask and its two level arrays one read-only array, which
-a full-grid run keeps throughout, and the start, the uniform-stencil
-derivatives and the field update scale and sum into arrays they have
-just made, in place, with the operands and order of the plain
-expressions.
+a full-grid run keeps throughout; the uniform-stencil derivatives work a
+cache-sized band of rows at a time and hold their result and a few
+bands; the finite check forms and tests Ey, and tests H, a band at a
+time (_finite); and the start and the field update scale and sum
+into arrays they have just made, in place, with the operands and order
+of the plain expressions.
 
 An adaptive state is stored on the level-J lattice of the finest point
 of the masks its last step read and made, J = finest_level(previous
@@ -59,7 +61,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import SimulationConfig
-from .derivatives import diff_x, diff_z
+from .derivatives import BAND_BYTES, diff_x, diff_z
 from .errors import ConfigError, InstabilityError
 from .filters import FilterBank, build_filter_bank
 from .grid import (  # noqa: F401 (compute_levels: traced where bound)
@@ -165,6 +167,21 @@ def _advance(a, field, combine, b, derivative, grid: MaskGrid | None):
     derivative *= _at(b, grid)
     out = _at(a, grid) * _at(field, grid)
     return _lattice(combine(out, derivative, out=out), grid)
+
+
+def _finite(*sums) -> bool:
+    """Whether each sum of arrays of one shape, a tuple of them (of one:
+    the array), is finite at every entry, formed and checked BAND_BYTES
+    of float64 values at a time, so no temporary is larger."""
+    chunk = BAND_BYTES // 8
+    for terms in sums:
+        for start in range(0, terms[0].size, chunk):
+            part = terms[0].reshape(-1)[start:start + chunk]
+            for term in terms[1:]:
+                part = part + term.reshape(-1)[start:start + chunk]
+            if not np.isfinite(part).all():
+                return False
+    return True
 
 
 def _level(array) -> int:
@@ -531,13 +548,10 @@ class Simulation:
         at0, at1 = (None, None) if grids is None else grids
         with np.errstate(over="ignore", invalid="ignore"):
             # Blow-ups surface through the finite check, not as
-            # per-operation warnings.  The new Ey of a full-grid step is
-            # summed into the buffer of the old one, read no more.
-            old_ey = self._update_fields(grids)
-            finite = all(np.isfinite(values).all() for values in (
-                np.add(_at(state.eyx, at0), _at(state.eyz, at0),
-                       out=old_ey if at0 is None else None),
-                _at(state.hx, at1), _at(state.hz, at1)))
+            # per-operation warnings.
+            self._update_fields(grids)
+            finite = _finite((_at(state.eyx, at0), _at(state.eyz, at0)),
+                             (_at(state.hx, at1),), (_at(state.hz, at1),))
         state.k += 1
         state.t += self.dt
         if not finite:
@@ -545,8 +559,7 @@ class Simulation:
 
     def _update_fields(self, grids):
         """Advance H, then the splits, at the points of the grids of mask0
-        and mask1 (every point when None); return the Ey the H update
-        read, a fresh array."""
+        and mask1 (every point when None)."""
         state, bank, length = self.state, self.bank, self.length_m
         spec = self.spec.lattice(_level(state.eyx))
         s = self.spec.stride(spec.j_max)
@@ -569,7 +582,6 @@ class Simulation:
         state.eyz = _advance(ea_z, state.eyz, np.add, eb_z, dz_hx, g0)
         state.eyx = _advance(ea_x, state.eyx, np.subtract, eb_x, dx_hz, g0)
         self.apply_boundary(state)
-        return ey
 
     def step(self):
         """One full time step: adapt, then update."""

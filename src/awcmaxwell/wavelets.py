@@ -121,8 +121,12 @@ def _level(level, grid: MaskGrid, what):
     if all(rows.size == 0 for rows, _ in points[:3]):
         return None
     # Prediction and update share their taps: (2l - 1) h on the finest
-    # lattice for l in predict_offsets, weighted by predict_weights.
-    offsets = (2 * bank.predict_offsets - 1) * spec.stride(level + 1)
+    # lattice for l in predict_offsets, weighted by predict_weights,
+    # clipped to +-n when they can pass it (see GridSpec).
+    h = spec.stride(level + 1)
+    offsets = (2 * bank.predict_offsets - 1) * h
+    if (2 * bank.order - 1) * h > spec.n:
+        offsets = np.clip(offsets, -spec.n, spec.n)
     return points, (offsets * spec.transform_width, offsets,
                     bank.predict_weights)
 

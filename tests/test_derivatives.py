@@ -232,3 +232,16 @@ def test_masked_derivative_memory_does_not_grow_with_taps():
                  for grid in grids]
         assert peaks[1] - peaks[0] < point_array, (
             fn.__name__, [peak / point_array for peak in peaks])
+
+
+def test_uniform_derivative_at_jmax_9_holds_under_one_and_a_half_meshes():
+    # The bound is fixed before measuring: the result is one mesh and the
+    # bands a quarter of a megabyte or so; the whole-array form, with its
+    # padded copy and mesh-sized tap buffer, held three meshes.
+    spec = GridSpec(3, 9)
+    bank = build_filter_bank(4)
+    field = np.random.default_rng(9).standard_normal((spec.n, spec.n))
+    mask, mesh = spec.full_mask(), spec.n**2 * 8
+    for fn in (diff_x, diff_z):
+        _, peak = traced_peak(lambda: fn(field, mask, None, spec, bank, 1.0))
+        assert peak < 1.5 * mesh, (fn.__name__, peak / mesh)

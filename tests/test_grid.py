@@ -355,6 +355,17 @@ def test_lattice_grid_is_the_strided_grid_of_its_level():
             spec.lattice(level)
 
 
+def test_stores_hold_at_most_four_lattices_at_j_min_1():
+    # Taps more than n past an edge read zero, so a margin stops at n.
+    # Uncapped, the farthest derivative tap at j_min = 1 reaches 3(n - 1)
+    # and makes a store 16 times its lattice.
+    spec = GridSpec(1, 9)
+    for level in range(2, 10):
+        lattice = spec.lattice(level)
+        for width in (lattice.transform_width, lattice.derivative_width):
+            assert width**2 <= 4 * lattice.n**2
+
+
 @pytest.mark.parametrize("jmax", range(3, 10))
 def test_birth_levels_match_a_per_point_oracle(jmax):
     # A point is born at the coarsest level whose lattice holds it: the

@@ -7,6 +7,7 @@ columns, the cases where sorted-coordinate gaps and edge taps go wrong.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from test_grid import (  # noqa: E402
 )
 from test_wavelets import oracle_fwt, oracle_iwt  # noqa: E402
 
+from awcmaxwell import derivatives  # noqa: E402
 from awcmaxwell.derivatives import diff_x, diff_z  # noqa: E402
 from awcmaxwell.errors import MaskClosureError  # noqa: E402
 from awcmaxwell.filters import build_filter_bank  # noqa: E402
@@ -340,6 +342,73 @@ def test_taps_match_zero_extension_oracles(case, per_point, count):
             expect[:, r[within], c[within]] = True
             np.testing.assert_array_equal(inside, expect)
 
+
+
+def whole_array_uniform(field, coeffs, scale, axis):
+    """The uniform derivative in its whole-array form: one zero-padded
+    copy of the field along axis, each tap c (v[+i] - v[-i]) formed in
+    one mesh-sized buffer and added in place, then scaled once."""
+    n, pad = field.shape[0], len(coeffs)
+
+    def along(start):
+        index = [slice(None), slice(None)]
+        index[axis] = slice(start, start + n)
+        return tuple(index)
+
+    shape = [n, n]
+    shape[axis] += 2 * pad
+    vp = np.zeros(shape)
+    vp[along(pad)] = field
+    acc = np.zeros((n, n))
+    term = np.empty((n, n))
+    for i, c in enumerate(coeffs, start=1):
+        np.subtract(vp[along(pad + i)], vp[along(pad - i)], out=term)
+        term *= c
+        acc += term
+    acc *= scale
+    return acc
+
+
+@st.composite
+def band_cases(draw):
+    """Lattice, a band height that does or does not divide its side, or
+    covers it, and a field holding +-0.0, +-inf and nan among its
+    values."""
+    j_max = draw(st.integers(1, 7))
+    n = (1 << j_max) + 1
+    rows = draw(st.one_of(
+        st.sampled_from([d for d in range(1, n + 1) if n % d == 0]),
+        st.integers(1, n + 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = rng.standard_normal((n, n))
+    special = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    field[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                                np.count_nonzero(special))
+    return GridSpec(0, j_max), rows, field
+
+
+def bit_patterns(values):
+    """The values' bit patterns, as int64, with every NaN made one NaN.
+    Of two NaN operands numpy's add and multiply return the first in
+    their SIMD body and the second in its scalar tail, so a NaN's sign
+    follows where an entry falls in a loop, which bands move."""
+    return np.where(np.isnan(values), np.nan, values).view(np.int64)
+
+
+@PROPERTY
+@given(band_cases(), st.sampled_from([2, 3, 4]))
+def test_banded_uniform_derivative_equals_the_whole_array_form(case, order):
+    # Bit for bit, +-0.0 and +-inf included; NaN where it gives NaN.
+    spec, rows, field = case
+    bank = build_filter_bank(order)
+    with (mock.patch.object(derivatives, "BAND_BYTES", rows * 8 * spec.n),
+          np.errstate(invalid="ignore")):
+        for axis, fn in ((0, diff_x), (1, diff_z)):
+            got = fn(field, spec.full_mask(), None, spec, bank, 2.5)
+            want = whole_array_uniform(field, bank.deriv_filter,
+                                       2.0**spec.j_max / 2.5, axis)
+            assert bit_patterns(got).tobytes() == (
+                bit_patterns(want).tobytes()), (axis, rows)
 
 @PROPERTY
 @given(closed_cases(max_j=4))

@@ -151,8 +151,9 @@ def test_start_allocates_under_seven_meshes():
 
 def test_start_and_whole_lattice_first_step_allocate_under_14_meshes():
     # A full-grid run starts and steps on the whole lattice: on top of the
-    # start's six meshes, a step forms Ey, the derivatives (three meshes
-    # each while they run) and the four new fields.
+    # start's six meshes, a step forms Ey, the derivatives (each its
+    # result and a few cache-sized bands while it runs) and the four new
+    # fields.
     def first_step():
         sim = Simulation(SimulationConfig(full_grid=True))
         sim.step()
@@ -543,7 +544,7 @@ def test_overdriven_step_raises_instability():
 def test_finite_check_raises_on_an_overflowing_step(full_grid):
     # Two finite splits whose sum overflows: the step's fields go
     # non-finite, and the check, which sums the new Ey at the listed
-    # points or, on the full grid, into the old Ey's buffer, raises.
+    # points or, on the full grid, band by band, raises.
     sim = Simulation(small_config(boundary="PEC", full_grid=full_grid))
     sim.step()
     n = sim.state.eyx.shape[0]
@@ -553,6 +554,26 @@ def test_finite_check_raises_on_an_overflowing_step(full_grid):
     with np.errstate(over="ignore"):
         with pytest.raises(InstabilityError):
             sim.update_step(points)
+
+
+def test_finite_check_finds_a_bad_entry_in_any_band():
+    # A 513^2 mesh is checked BAND_BYTES at a time: an entry that is not
+    # finite, or a sum that overflows, is found on either side of a band
+    # boundary and in the last, short band.
+    n, chunk = 513, derivatives.BAND_BYTES // 8
+    values, other = np.zeros((n, n)), np.zeros((n, n))
+    assert solver._finite((values,), (values, other))
+    for at in (0, chunk - 1, chunk, n * n - 1):
+        for bad in (np.inf, -np.inf, np.nan):
+            values.flat[at] = bad
+            assert not solver._finite((other,), (values,))
+            assert not solver._finite((other, values))
+            values.flat[at] = 0.0
+        values.flat[at] = other.flat[at] = 1.5e308
+        assert solver._finite((values,), (other,))
+        with np.errstate(over="ignore"):
+            assert not solver._finite((values, other))
+        values.flat[at] = other.flat[at] = 0.0
 
 
 def test_stable_run_stays_finite():
@@ -743,3 +764,34 @@ def test_boundaries_see_a_lattice_state_on_the_whole_mesh(tmp_path):
     assert [(r.cardinality, r.card1, r.card2) for r in result.records] == (
         [(1977, 4153, 6625)] * 6 + [(1873, 4013, 6449)]
         + [(1801, 3917, 6369)] * 3 + [(1905, 4073, 6473)] * 2)
+
+
+def test_small_j_min_run_on_capped_stores_equals_the_uncapped_layout(
+        monkeypatch):
+    # At j_min = 1 the farthest transform and derivative taps pass n, so
+    # the stores' margins stop at n and the taps are clipped to +-n; the
+    # coarse threshold thins the grid to level-1 and level-2 points,
+    # whose derivative taps do too.  A run on stores whose margins hold
+    # every tap's whole reach, the layout before the cap, leaves the same
+    # bytes.
+    config = small_config(jmin=1, steps=6, zeta=0.1, sigma_um=0.1)
+    capped = Simulation(config)
+    assert capped.spec.derivative_width == 2 * capped.spec.n
+    capped.run()
+    init = grid.GridSpec.__init__
+
+    def uncapped(spec, j_min, j_max):
+        init(spec, j_min, j_max)
+        stride = spec.stride(j_min)
+        spec.transform_width = spec.n + 7 * stride // 2
+        spec.derivative_width = spec.n + 6 * stride
+
+    monkeypatch.setattr(grid.GridSpec, "__init__", uncapped)
+    grid.grid_of.cache_clear()
+    try:
+        wide = Simulation(config)
+        assert wide.spec.derivative_width == wide.spec.n + 6 * 32
+        wide.run()
+    finally:
+        grid.grid_of.cache_clear()
+    assert state_digest(wide.state) == state_digest(capped.state)
