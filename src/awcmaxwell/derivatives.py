@@ -6,7 +6,8 @@ selected by the point's density level, and scaled by the physical grid
 step at that level.  Taps outside the array or outside the support mask
 read zero; the grid closure activates every tap that matters beforehand,
 so zero reads only occur deep in the far field where the field itself is
-negligible.
+negligible.  Full-grid mode passes no grid, and only it takes the
+uniform stencil over the whole mesh.
 """
 
 import numpy as np
@@ -78,29 +79,22 @@ def _diff(field, mask, grid: MaskGrid | None, spec: GridSpec,
     """Derivative along axis of the field's values on the support mask.
 
     With a grid, built on spec with bank, the result holds the derivative
-    at the grid's points, in their order; without one, every point of a
-    full mask on spec's whole mesh is at level j_max and the result is an
-    (n, n) array.
+    at the grid's points, in their order; without one, as full-grid mode
+    calls it, every point of a full mask on spec's whole mesh is at level
+    j_max and the result is an (n, n) array.
 
-    A full mask on the whole mesh takes the uniform branch: the classical
-    stencil on slices of cache-sized bands of rows (_uniform), with no
-    index lists.  The masked branch copies the field's masked values into
-    the padded layout (grid.store), whose zero margin every tap past an
-    edge reads, and gives each point its own tap spacing and scale from
-    its density level (the grid's stencil), so all levels go through one
-    pass whose cost follows the number of points.
+    Without a grid the uniform branch runs: the classical stencil on
+    slices of cache-sized bands of rows (_uniform), with no index lists.
+    With one, whatever its mask, the masked branch copies the field's
+    masked values into the padded layout (grid.store), whose zero margin
+    every tap past an edge reads, and gives each point its own tap
+    spacing and scale from its density level (the grid's stencil), so all
+    levels go through one pass whose cost follows the number of points.
+    The two round differently.
     """
     coeffs = bank.deriv_filter
-    n = spec.n
-
-    if grid is None or (not spec.coarsened and grid.points.flat.size == n * n):
-        # Uniform classical stencil, every tap a slice of a band of rows
-        # (_uniform).  It rounds differently from the masked branch, so a
-        # full mask on a coarser lattice (GridSpec.lattice), which is not
-        # full on the finest one, takes the masked branch.
-        acc = _uniform(field, coeffs, 2.0**spec.j_max / domain_length, axis)
-        # A full mask's points are every entry, in row-major order.
-        return acc if grid is None else acc.reshape(-1)
+    if grid is None:
+        return _uniform(field, coeffs, 2.0**spec.j_max / domain_length, axis)
 
     values, data = store(spec, spec.derivative_width)
     np.copyto(data, field, where=mask)

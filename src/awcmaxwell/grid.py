@@ -17,7 +17,8 @@ checks.
 A MaskGrid holds one mask and, built once, its points, their density
 levels, their derivative stencil and its transform plan, which every
 consumer of the mask reads, so that their work follows the number of
-masked points rather than the size of the lattice.
+masked points rather than the size of the lattice.  It is the one holder
+of what is derived from a mask: nothing else stores a mask's levels.
 
 Stencils read fields in the padded layout that store makes: k (n, n)
 fields one after another, each stored as (width, width) with its margin,
@@ -30,12 +31,13 @@ add to a point's flat position (Taps).
 
 A mask whose points all lie on the level-J lattice can be worked on with
 the grid of that lattice alone, GridSpec.lattice(J), as its entries at
-stride(J).  Birth and density levels are absolute, so the points keep
-theirs, and every operation here, in the wavelets and in the derivatives
-reads the same taps with the same weights in the same order on either
-grid: the reconstruction check only adds taps of a point's own birth
-level or coarser, and a point's derivative taps are spaced by its
-density level, which is no finer than J.  So the results are bit for bit
+stride(J); lattice_level gives J from the side of an array on it.  Birth
+and density levels are absolute, so the points keep theirs, and every
+operation here, in the wavelets and in the derivatives reads the same
+taps with the same weights in the same order on either grid: the
+reconstruction check only adds taps of a point's own birth level or
+coarser, and a point's derivative taps are spaced by its density level,
+which is no finer than J.  So the results are bit for bit
 the finest grid's at the lattice's points, which are zero or False off
 it.  The adjacent zone of a point born at level b reaches level b + 1,
 so it stays on the lattice when no point is born at J.  finest_level
@@ -84,8 +86,6 @@ class GridSpec:
         self.transform_width = self.n + min((2 * order - 1) * stride // 2,
                                             self.n)
         self.derivative_width = self.n + min(2 * (order - 1) * stride, self.n)
-        self.coarsened = False
-        self._lattices = {j_max: self}
 
     @cached_property
     def gap_levels(self) -> np.ndarray:
@@ -103,18 +103,15 @@ class GridSpec:
         return 1 << (self.j_max - j)
 
     def lattice(self, j: int) -> "GridSpec":
-        """The grid of the level-j lattice alone, GridSpec(j_min, j),
-        built once, whose points are this grid's at stride(j), with the
-        same birth levels; this grid itself for j = j_max.  Its
-        ``coarsened`` is True below j_max."""
-        if j not in self._lattices:
-            if not self.j_min < j < self.j_max:
-                raise ValueError(f"level {j} outside ({self.j_min}, "
-                                 f"{self.j_max}]")
-            grid = GridSpec(self.j_min, j)
-            grid.coarsened = True
-            self._lattices[j] = grid
-        return self._lattices[j]
+        """The grid of the level-j lattice alone, the shared
+        grid_of(j_min, j), whose points are this grid's at stride(j),
+        with the same birth levels; this grid itself for j = j_max."""
+        if j == self.j_max:
+            return self
+        if not self.j_min < j < self.j_max:
+            raise ValueError(f"level {j} outside ({self.j_min}, "
+                             f"{self.j_max}]")
+        return grid_of(self.j_min, j)
 
     def full_mask(self) -> np.ndarray:
         return np.ones((self.n, self.n), dtype=bool)
@@ -132,6 +129,12 @@ def grid_of(j_min: int, j_max: int) -> GridSpec:
     """The GridSpec(j_min, j_max) that every caller shares: it only adds
     to its caches, and its arrays are read-only."""
     return GridSpec(j_min, j_max)
+
+
+def lattice_level(side: int) -> int:
+    """J of the level-J lattice, 2^J + 1 points a side, of an array
+    whose last axis has side entries (for such a side)."""
+    return (side - 1).bit_length() - 1
 
 
 def finest_level(mask: np.ndarray, spec: GridSpec) -> int:
@@ -178,12 +181,11 @@ class Taps:
 
     at holds their flat positions in stores of the given width, field by
     field, and step the flat distance of one index along x and z,
-    (width, 1): moved(axis, shift) holds the points moved along axis by
-    shift (a number or one per point, at most the store's margin), at +
-    shift * step[axis], as a (k, len(rows)) array, or a 1-D one for one
-    field.  Positions are flat, each field offset by width^2: a flat
-    gather or scatter is several times faster than one on a stack, and
-    one field's 1-D positions add faster than a broadcast (1, len(rows)).
+    (width, 1): a point moved along axis by shift (at most the store's
+    margin) sits at + shift * step[axis].  Positions are flat, each field
+    offset by width^2: a flat gather or scatter is several times faster
+    than one on a stack, and one field's 1-D positions add faster than a
+    broadcast (1, len(rows)).
     """
 
     def __init__(self, width: int, rows, cols, fields=1):
@@ -196,9 +198,6 @@ class Taps:
     @property
     def at(self) -> np.ndarray:
         return self._at.reshape(-1)
-
-    def moved(self, axis: int, shift) -> np.ndarray:
-        return self._at + shift * self.step[axis]
 
     def sum(self, values, offsets, weights) -> np.ndarray:
         """Sum of weight * values[at + offset] over the taps, from zero in
@@ -307,15 +306,15 @@ def _box_dilate(a, radius):
     return out
 
 
-def add_adjacent_zone(mask: np.ndarray, spec: GridSpec, level_range: int = 1,
-                      space_range: int = 1) -> np.ndarray:
-    """Grow the mask by the adjacent zone of every masked detail point:
-    a detail point with birth level b and level-b indices (mb, nb) activates
-    every lattice point (j', m', n') with |j' - b| <= level_range and
-    |2^(j'-b) mb - m'| <= space_range (likewise for n'), with j' clipped to
-    [j_min, j_max].  Coarse scaling points spawn no zone; their same-level
-    neighbourhood is the always-present coarse lattice.  Levels finer than
-    the mask's finest detail point spawn nothing and are not visited.
+def add_adjacent_zone(mask: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Grow the mask by the adjacent zone of every masked detail point,
+    one level and one point either way: a detail point with birth level b
+    and level-b indices (mb, nb) activates every lattice point (j', m', n')
+    with |j' - b| <= 1 and |2^(j'-b) mb - m'| <= 1 (likewise for n'), with
+    j' clipped to [j_min, j_max].  Coarse scaling points spawn no zone;
+    their same-level neighbourhood is the always-present coarse lattice.
+    Levels finer than the mask's finest detail point spawn nothing and are
+    not visited.
     """
     out = mask.copy()
     for b in range(spec.j_min + 1, finest_level(mask, spec) + 1):
@@ -325,8 +324,7 @@ def add_adjacent_zone(mask: np.ndarray, spec: GridSpec, level_range: int = 1,
         det[:, 1::2] |= mask[::h, h::2 * h]
         if not det.any():
             continue
-        for jp in range(max(spec.j_min, b - level_range),
-                        min(spec.j_max, b + level_range) + 1):
+        for jp in range(b - 1, min(spec.j_max, b + 1) + 1):
             sp = spec.stride(jp)
             target = out[::sp, ::sp]
             if jp >= b:
@@ -335,12 +333,12 @@ def add_adjacent_zone(mask: np.ndarray, spec: GridSpec, level_range: int = 1,
                 q = h // sp
                 up = np.zeros_like(target)
                 up[::q, ::q] = det
-                target |= _box_dilate(up, space_range)
+                target |= _box_dilate(up, 1)
             else:
-                # Coarser target: dilate in birth-lattice units by the
-                # range measured in target strides, then subsample.
+                # Coarser target: dilate in birth-lattice units by one
+                # target stride, then subsample.
                 p = sp // h
-                target |= _box_dilate(det, space_range * p)[::p, ::p]
+                target |= _box_dilate(det, p)[::p, ::p]
     return out
 
 

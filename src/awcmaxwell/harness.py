@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import CONFIG_KEYS, SimulationConfig
 from .errors import ConfigError
-from .grid import GridSpec
+from .grid import GridSpec, lattice_level
 from .solver import FieldState, Simulation, relattice
 
 MANIFEST_HEADER = "k,t,cardinality,card1,card2,cp,wall_ms"
@@ -110,7 +110,7 @@ def write_field_csv(path, fields, spec: GridSpec,
         raise ValueError(f"fields differ in shape: {shapes}")
     shape = shapes[0]
     side = shape[-1] if shape else 0
-    level = (side - 1).bit_length() - 1
+    level = lattice_level(side)
     if (shape != (side, side) or not 0 <= level <= spec.j_max
             or side != (1 << level) + 1):
         raise ValueError(f"fields of shape {shape} sample no lattice of "

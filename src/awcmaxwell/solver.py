@@ -18,10 +18,13 @@ On an adaptive grid a step makes the grid (grid.MaskGrid) of every mask
 it reads or makes, once, and hands it to every consumer: the transforms
 read its plan, the derivative closure and the derivatives its stencil,
 the field update and the finite check its points, so each costs in
-proportion to the active points.  Every entry off the masks is 0.0 by
-construction, so only the listed entries are computed.  In full-grid
-mode every point is active, no grid is made, and the same arithmetic
-runs on the whole arrays.
+proportion to the active points.  The state keeps the fields and the
+masks only; a mask's points and levels live in its grid, which
+adapt_step returns and update_step takes.  Every entry off the masks is
+0.0 by construction, so only the listed entries are computed.  In
+full-grid mode every point is active, no grid is made, and the same
+arithmetic runs on the whole arrays, the derivatives by the uniform
+stencil.
 
 An adaptive start of the configured field is fitted to it coarse to
 fine (wavelets.fit_mask), one of a user's initial_ey is thresholded on
@@ -31,13 +34,12 @@ configured field neither the start nor step 1 makes the grid of the
 whole lattice unless the field needs it.  The full-grid start and every
 full-grid step run on the whole (2^j_max + 1)^2 mesh, so they hold as
 few mesh-sized arrays as they can: the start's three masks are one
-read-only full mask and its two level arrays one read-only array, which
-a full-grid run keeps throughout; the uniform-stencil derivatives work a
-cache-sized band of rows at a time and hold their result and a few
-bands; the finite check forms and tests Ey, and tests H, a band at a
-time (_finite); and the start and the field update scale and sum
-into arrays they have just made, in place, with the operands and order
-of the plain expressions.
+read-only full mask, which a full-grid run keeps throughout; the
+uniform-stencil derivatives work a cache-sized band of rows at a time
+and hold their result and a few bands; the finite check forms and tests
+Ey, and tests H, a band at a time (_finite); and the start and the field
+update scale and sum into arrays they have just made, in place, with the
+operands and order of the plain expressions.
 
 An adaptive state is stored on the level-J lattice of the finest point
 of the masks its last step read and made, J = finest_level(previous
@@ -72,6 +74,7 @@ from .grid import (  # noqa: F401 (compute_levels: traced where bound)
     extend_for_derivatives,
     finest_level,
     grid_of,
+    lattice_level,
     reconstruction_check,
 )
 from .wavelets import (
@@ -104,18 +107,18 @@ def default_dt_factor(bank: FilterBank) -> float:
 
 @dataclass
 class FieldState:
-    """The fields and the grid they live on.
+    """The fields and the masks they live on.
 
     The splits eyx/eyz are sampled at t = k dt, the magnetic fields at
     t = (k - 1/2) dt.  Between steps the splits hold their values on
     mask0 and H on mask1, so these are the supports a step regrids from;
-    adapt_step replaces the masks and levels and regrids the splits onto
-    mask2 and H onto the new mask1, and update_step advances the fields
-    on them.  ey is derived, never stored.
+    adapt_step replaces the masks and regrids the splits onto mask2 and
+    H onto the new mask1, and update_step advances the fields on them.
+    ey is derived, never stored, and so is all a mask's grid holds
+    (grid.MaskGrid): its points and density levels.
 
     The arrays sample one lattice (see the module docstring); fields are
-    0.0 off their masks, levels 0 (and 0 throughout at an adaptive start,
-    which update_step refuses).  on_finest_lattice gives them (n, n).
+    0.0 off their masks.  on_finest_lattice gives them (n, n).
     """
 
     eyx: np.ndarray
@@ -125,8 +128,6 @@ class FieldState:
     mask0: np.ndarray
     mask1: np.ndarray
     mask2: np.ndarray
-    level0: np.ndarray
-    level1: np.ndarray
     k: int = 0
     t: float = 0.0
 
@@ -184,16 +185,11 @@ def _finite(*sums) -> bool:
     return True
 
 
-def _level(array) -> int:
-    """J of the (2^J + 1)-square lattice an array samples."""
-    return (array.shape[-1] - 1).bit_length() - 1
-
-
 def relattice(array, level: int):
     """The array on the level-`level` lattice: a finer one's entries at
     its points, or a coarser one's spread out with 0 (False) between
     them; the array itself when it samples that lattice."""
-    up = level - _level(array)
+    up = level - lattice_level(array.shape[-1])
     if up <= 0:
         return array if up == 0 else np.ascontiguousarray(
             array[..., ::1 << -up, ::1 << -up])
@@ -233,8 +229,9 @@ class Simulation:
     the explicit Euler half-step from the t=0 electric field.  Both are
     (n, n) arrays; an adaptive start keeps their values at its mask's
     points only, and holds 0.0 elsewhere, like every later state.  An
-    adaptive start has no levels and no derivative ring yet, so its
-    first update runs through step (or after adapt_step).
+    adaptive start has no derivative ring yet, and an adaptive update
+    takes the grids adapt_step returns, so an adaptive run advances
+    through step (or adapt_step, then update_step).
     """
 
     def __init__(self, config: SimulationConfig, initial_ey=None,
@@ -327,6 +324,8 @@ class Simulation:
                 r2 /= spread
                 return np.exp(r2, out=r2)
 
+            # Per-axis slopes: the one-stencil form stencil @ at(rows, cols
+            # + taps) made Simulation() 1.4x slower (2-core host).
             gx, gz = gauss = np.exp(tables / spread)
             sx, sz = stencil @ gauss[:, np.arange(n) + taps]
             return at, lambda rows, cols: (gx[rows] * sz[cols],
@@ -377,7 +376,7 @@ class Simulation:
     def _initialize(self, initial_ey, initial_h) -> FieldState:
         """The k=0 state: the splits, each half of Ey(t=0), and H at
         t = -dt/2 on one mask, which the state holds as mask0, mask1 and
-        mask2, with one level array as level0 and level1.
+        mask2.
 
         The full-grid start holds every point of the whole mesh, at level
         j_max, and a full-grid run keeps that grid.  An adaptive start
@@ -389,23 +388,18 @@ class Simulation:
         transform and plan no whole lattice unless the field needs it, and
         step 1 is an ordinary adaptive step: it closes the grid anew, and
         its H regrid fills the derivative ring around the start's mask.
-        Its levels are 0, no level, and it has no derivative ring:
-        update_step refuses it, and runs on the grid adapt_step leaves.
 
         Without initial_h, H is the explicit Euler half-step from Ey(t=0)
         with the uniform stencil at the finest spacing, the full-grid
         derivative's, so the first leapfrog advance lands on
         +-(dt/2)/mu0 d(Ey) (at an adaptive start's points, to rounding:
-        see _initial_field).  The mask and the levels are each one
-        read-only array, since a step replaces a state's masks and levels
-        and never writes into them; the levels stay int64, as _diff
-        shifts by j_max - level.
+        see _initial_field).  The mask is one read-only array, since a
+        step replaces a state's masks and never writes into them.
         """
         at, slopes = self._initial_field(initial_ey)
         if self.config.full_grid:
             spec, grid = self.spec, None
             mask = spec.full_mask()
-            levels = np.full((spec.n, spec.n), spec.j_max, dtype=np.int64)
             index = np.arange(spec.n)
             ey = at(index[:, None], index[None, :])
         else:
@@ -413,7 +407,6 @@ class Simulation:
             mask = reconstruction_check(add_adjacent_zone(thinned, spec),
                                         spec, self.bank)
             grid = MaskGrid(mask, spec, self.bank)
-            levels = np.zeros((spec.n, spec.n), dtype=np.int64)
             stride = self.spec.stride(spec.j_max)
             rows, cols = grid.points.rows * stride, grid.points.cols * stride
             ey = at(rows, cols)
@@ -437,12 +430,11 @@ class Simulation:
                       for h in (hx, hz))
         eyx = 0.5 * ey
         ey *= 0.5
-        mask.flags.writeable = levels.flags.writeable = False
+        mask.flags.writeable = False
         eyx, ey, hx, hz = (_lattice(values, grid)
                            for values in (eyx, ey, hx, hz))
         state = FieldState(eyx=eyx, eyz=ey, hx=hx, hz=hz, mask0=mask,
-                           mask1=mask, mask2=mask, level0=levels,
-                           level1=levels)
+                           mask1=mask, mask2=mask)
         return self.apply_boundary(state)
 
     # ------------------------------------------------------------ stepping
@@ -472,9 +464,8 @@ class Simulation:
         if self.config.full_grid:
             return None
         # Every field lives on mask1, which holds mask0.
-        level = max(finest_level(state.mask1,
-                                 self.spec.lattice(_level(state.eyx))),
-                    self.spec.j_min + 1)
+        found = self.spec.lattice(lattice_level(state.eyx.shape[-1]))
+        level = max(finest_level(state.mask1, found), self.spec.j_min + 1)
         _to_level(state, level)
         spec = self.spec.lattice(level)
         # Both splits go through one stacked transform per mask.
@@ -511,7 +502,6 @@ class Simulation:
         state.eyx, state.eyz = pyr.data
         state.mask0, state.mask1, state.mask2 = (
             grid.mask for grid in (grid0, grid1, grid2))
-        state.level0, state.level1 = grid0.levels, grid1.levels
         return grid0, grid1
 
     def _thinned_mask(self, pair: CoeffPyramid, grid: MaskGrid):
@@ -532,19 +522,13 @@ class Simulation:
         grids are the grids of the state's mask0 and mask1, as adapt_step
         returns them, on the lattice the state's arrays sample
         (on_finest_lattice gives them as (n, n) arrays), on which the
-        update runs; on an adaptive grid they are made here when not
-        given, and a state that holds no levels (an adaptive start,
-        before its first adapt_step) is refused.
+        update runs; None in full-grid mode.  An adaptive update without
+        them is refused.
         """
         state = self.state
         if grids is None and not self.config.full_grid:
-            if not state.level1.any():
-                raise RuntimeError(
-                    "update_step needs the grid adapt_step prepares; "
-                    "an adaptive start has no levels")
-            spec = self.spec.lattice(_level(state.eyx))
-            grids = tuple(MaskGrid(mask, spec, self.bank)
-                          for mask in (state.mask0, state.mask1))
+            raise RuntimeError("an adaptive update_step takes the grids "
+                               "adapt_step returns")
         at0, at1 = (None, None) if grids is None else grids
         with np.errstate(over="ignore", invalid="ignore"):
             # Blow-ups surface through the finite check, not as
@@ -561,7 +545,7 @@ class Simulation:
         """Advance H, then the splits, at the points of the grids of mask0
         and mask1 (every point when None)."""
         state, bank, length = self.state, self.bank, self.length_m
-        spec = self.spec.lattice(_level(state.eyx))
+        spec = self.spec.lattice(lattice_level(state.eyx.shape[-1]))
         s = self.spec.stride(spec.j_max)
         g0, g1 = (None, None) if grids is None else grids
         ea_x, eb_x, ea_z, eb_z, hb_x, hb_z = (

@@ -20,6 +20,8 @@ from awcmaxwell.grid import (
     add_adjacent_zone,
     compute_levels,
     extend_for_derivatives,
+    grid_of,
+    lattice_level,
     masked_points,
     reconstruction_check,
     require_closed,
@@ -28,7 +30,9 @@ from awcmaxwell.grid import (
 # ---------------------------------------------------------------- oracles
 
 
-def oracle_adjacent_zone(mask, spec, level_range=1, space_range=1):
+def oracle_adjacent_zone(mask, spec):
+    """Every lattice point within one level and one point of a masked
+    detail point, by brute force."""
     out = mask.copy()
     size = spec.n - 1
     for m in range(spec.n):
@@ -37,14 +41,14 @@ def oracle_adjacent_zone(mask, spec, level_range=1, space_range=1):
                 continue
             b = spec.birth[m, n]
             for jp in range(spec.j_min, spec.j_max + 1):
-                if abs(jp - b) > level_range:
+                if abs(jp - b) > 1:
                     continue
                 sp = spec.stride(jp)
                 for mp in range(size // sp + 1):
-                    if abs(m / sp - mp) > space_range:
+                    if abs(m / sp - mp) > 1:
                         continue
                     for np_ in range(size // sp + 1):
-                        if abs(n / sp - np_) > space_range:
+                        if abs(n / sp - np_) > 1:
                             continue
                         out[mp * sp, np_ * sp] = True
     return out
@@ -135,20 +139,14 @@ def spec4():
 
 
 def test_adjacent_zone_matches_oracle(spec4):
+    # Random masks, and a sparse one whose zones stand apart.
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        mask = random_mask(spec4, rng)
+    masks = [random_mask(spec4, rng) for _ in range(5)]
+    masks.append(random_mask(spec4, np.random.default_rng(8), frac=0.01))
+    for mask in masks:
         got = add_adjacent_zone(mask, spec4)
         want = oracle_adjacent_zone(mask, spec4)
         np.testing.assert_array_equal(got, want)
-
-
-def test_adjacent_zone_wider_ranges_match_oracle(spec4):
-    rng = np.random.default_rng(8)
-    mask = random_mask(spec4, rng, frac=0.01)
-    got = add_adjacent_zone(mask, spec4, level_range=2, space_range=2)
-    want = oracle_adjacent_zone(mask, spec4, level_range=2, space_range=2)
-    np.testing.assert_array_equal(got, want)
 
 
 def test_adjacent_zone_single_finest_point():
@@ -345,14 +343,22 @@ def test_extend_for_derivatives_provides_all_taps():
 
 def test_lattice_grid_is_the_strided_grid_of_its_level():
     spec = GridSpec(2, 5)
-    assert spec.lattice(5) is spec and not spec.coarsened
+    assert spec.lattice(5) is spec
     coarse = spec.lattice(3)
-    assert coarse is spec.lattice(3) and coarse.coarsened
+    # Every grid's level-3 lattice is the one shared grid_of(2, 3).
+    assert coarse is spec.lattice(3) is grid_of(2, 5).lattice(3)
+    assert coarse is grid_of(2, 3)
     assert (coarse.j_min, coarse.j_max) == (2, 3)
     np.testing.assert_array_equal(coarse.birth, spec.birth[::4, ::4])
     for level in (2, 6):
         with pytest.raises(ValueError, match="level"):
             spec.lattice(level)
+
+
+def test_lattice_level_is_the_level_of_a_side():
+    for level in range(12):
+        assert lattice_level((1 << level) + 1) == level
+        assert lattice_level(GridSpec(0, level + 1).n) == level + 1
 
 
 def test_stores_hold_at_most_four_lattices_at_j_min_1():

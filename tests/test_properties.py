@@ -332,7 +332,7 @@ def test_taps_match_zero_extension_oracles(case, per_point, count):
         assert got.tobytes() == want.tobytes()
         # A scatter past an edge lands in the margin, which is cropped.
         for shift, (dr, dc) in zip(shifts, moves):
-            moved = taps.moved(axis, shift)
+            moved = taps.at.reshape(k, -1) + shift * taps.step[axis]
             assert np.all((moved >= -stored.size) & (moved < stored.size))
             hit, inside = store(spec, width, (k,), dtype=bool)
             hit.reshape(-1)[moved] = True

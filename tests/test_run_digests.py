@@ -7,13 +7,21 @@ from benchmarks/run.py; without both files the test skips.
 import hashlib
 import importlib.util
 import os
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+
+from awcmaxwell.solver import FieldState
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "run_digests.py"
+
+
+def blake2b(data):
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +50,26 @@ def test_digests_name_every_output_but_the_manifest(tool, bench, tmp_path,
     first = tool.digests(bench, "tiny", 3, tmp_path / "a")
     files = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert "manifest.csv" in files
-    assert [name for name, _ in first] == [
-        name for name in files if name != "manifest.csv"] + ["final-state"]
-    for name, digest in first[:-1]:
-        assert digest == hashlib.blake2b((tmp_path / "a" / name).read_bytes(),
-                                         digest_size=16).hexdigest()
+    outputs = [name for name in files if name != "manifest.csv"]
+    state = [f"final-state.{field.name}" for field in fields(FieldState)]
+    assert [name for name, _ in first] == outputs + state
+    for name, digest in first[:len(outputs)]:
+        assert digest == blake2b((tmp_path / "a" / name).read_bytes())
     assert tool.digests(bench, "tiny", 3, tmp_path / "b") == first
-    # Another seed moves the pulse, and so the final state.
-    assert tool.digests(bench, "tiny", 4, tmp_path / "c")[-1] != first[-1]
+    # Another seed moves the pulse, and so the final fields.
+    moved = dict(tool.digests(bench, "tiny", 4, tmp_path / "c"))
+    for name in ("final-state.eyx", "final-state.hx"):
+        assert moved[name] != dict(first)[name]
+
+
+def test_field_digests_hash_each_field_on_its_own(tool):
+    state = FieldState(*(np.full((3, 3), value) for value in range(7)),
+                       k=2, t=0.5)
+    digests = tool.field_digests(state)
+    assert list(digests) == [field.name for field in fields(FieldState)]
+    assert digests["eyx"] == blake2b(state.eyx.tobytes())
+    assert digests["t"] == blake2b(b"0.5")
+    state.hz[1, 1] = -1.0
+    changed = tool.field_digests(state)
+    assert [name for name in digests if changed[name] != digests[name]] == [
+        "hz"]

@@ -136,13 +136,12 @@ def test_zero_ic_mask_collapses_to_coarse():
 
 # One (n, n) float64 array of the default configuration (jmax=9).
 MESH = (2**9 + 1) ** 2 * 8
-START_SHARED = ("mask0", "mask1", "mask2", "level0", "level1")
+START_SHARED = ("mask0", "mask1", "mask2")
 
 
 def test_start_allocates_under_seven_meshes():
-    # The full-grid start keeps four fields and one level array on the
-    # whole mesh; its masks share one boolean array and the Euler
-    # half-step is formed in place.
+    # The full-grid start keeps four fields on the whole mesh; its masks
+    # share one boolean array and the Euler half-step is formed in place.
     sim, peak = traced_peak(
         lambda: Simulation(SimulationConfig(full_grid=True)))
     assert sim.spec.n**2 * 8 == MESH
@@ -151,7 +150,7 @@ def test_start_allocates_under_seven_meshes():
 
 def test_start_and_whole_lattice_first_step_allocate_under_14_meshes():
     # A full-grid run starts and steps on the whole lattice: on top of the
-    # start's six meshes, a step forms Ey, the derivatives (each its
+    # start's five meshes, a step forms Ey, the derivatives (each its
     # result and a few cache-sized bands while it runs) and the four new
     # fields.
     def first_step():
@@ -173,33 +172,30 @@ def test_adaptive_start_allocates_under_one_mesh():
     assert peak < MESH
 
 
-def test_start_shares_one_read_only_mask_and_level_array():
+def test_start_shares_one_read_only_mask():
     # Adaptive or full-grid, the start's three masks are one read-only
-    # array, and its two level arrays one: j_max everywhere on the full
-    # grid, which update_step reads, and 0 on the fitted start, which the
-    # first adapt_step replaces before any update reads it.
+    # array, and the state holds no levels: a mask's grid derives them.
     for full_grid in (False, True):
         config = small_config(full_grid=full_grid)
         state = Simulation(config).state
         assert all(getattr(state, name) is state.mask0
-                   for name in START_SHARED[:3])
-        assert state.level1 is state.level0
+                   for name in START_SHARED)
         for name in START_SHARED:
             with pytest.raises(ValueError):
                 getattr(state, name)[0, 0] = 0
         assert bool(state.mask0.all()) == full_grid
-        assert np.all(state.level0 == (config.jmax if full_grid else 0))
+        assert not any("level" in field.name for field in fields(state))
 
 
 @pytest.mark.parametrize("full_grid", [False, True])
 def test_runs_from_the_read_only_start_match_writable_copies(full_grid):
     # The adaptive start's mask is fitted to the pulse; step 1 replaces
-    # its masks and levels, and a full-grid run keeps them throughout.
+    # its masks, and a full-grid run keeps them throughout.
     config = small_config(boundary="PML", full_grid=full_grid)
     shared, apart = Simulation(config), Simulation(config)
     for name in START_SHARED:
         setattr(apart.state, name, getattr(apart.state, name).copy())
-    mask, levels = shared.state.mask0, shared.state.level0
+    mask = shared.state.mask0
     assert bool(mask.all()) == full_grid
     for _ in range(4):
         shared.step()
@@ -207,12 +203,11 @@ def test_runs_from_the_read_only_start_match_writable_copies(full_grid):
         assert state_digest(shared.state) == state_digest(apart.state)
     state = shared.state
     if full_grid:
-        # A full-grid run keeps the start's mask and levels for good.
-        assert all(getattr(state, name) is mask for name in START_SHARED[:3])
-        assert state.level0 is state.level1 is levels
+        # A full-grid run keeps the start's mask for good.
+        assert all(getattr(state, name) is mask for name in START_SHARED)
     else:
         assert not any(getattr(state, name) is mask
-                       for name in START_SHARED[:3])
+                       for name in START_SHARED)
 
 
 def lattice_grid(state, config):
@@ -335,15 +330,22 @@ def test_user_field_start_is_the_whole_mesh_threshold():
 
 
 def test_update_step_refuses_an_unprepared_adaptive_start():
-    # The fitted start has no levels and no derivative ring: an update
-    # there would read every derivative as 0.0.
+    # An adaptive update runs on the grids adapt_step returns: the fitted
+    # start has no derivative ring, where an update would read every
+    # derivative as 0.0, and no state is updated without them, after
+    # adapt_step as before it.
     sim = Simulation(small_config())
     with pytest.raises(RuntimeError, match="adapt_step"):
         sim.update_step()
     assert sim.state.k == 0
     sim.update_step(sim.adapt_step())
-    sim.update_step()
-    assert sim.state.k == 2
+    with pytest.raises(RuntimeError, match="adapt_step"):
+        sim.update_step()
+    assert sim.state.k == 1
+    sim.adapt_step()
+    with pytest.raises(RuntimeError, match="adapt_step"):
+        sim.update_step()
+    assert sim.state.k == 1
 
 
 def watch(monkeypatch, name, calls, modules=(solver, grid, derivatives,
@@ -588,20 +590,24 @@ def test_stable_run_stays_finite():
 
 def dense_update(sim, state):
     """The field update on the whole (n, n) mesh: np.where over the masks
-    and the derivatives over the whole lattice, zero off their masks."""
+    and the derivatives over the whole lattice, zero off their masks.  On
+    the full grid the derivatives take no grid, as update_step's do."""
     spec, bank, length = sim.spec, sim.bank, sim.length_m
-    grid1, grid0 = (MaskGrid(mask, spec, bank)
-                    for mask in (state.mask1, state.mask0))
-    dz_ey, dx_ey = (on_mesh(fn(state.ey, state.mask2, grid1, spec, bank,
-                               length), grid1) for fn in (diff_z, diff_x))
+    grid1, grid0 = (None, None) if sim.config.full_grid else (
+        MaskGrid(mask, spec, bank) for mask in (state.mask1, state.mask0))
+
+    def derivative(fn, field, mask, grid):
+        got = fn(field, mask, grid, spec, bank, length)
+        return got if grid is None else on_mesh(got, grid)
+
+    dz_ey, dx_ey = (derivative(fn, state.ey, state.mask2, grid1)
+                    for fn in (diff_z, diff_x))
     state.hx = np.where(state.mask1, sim.ea_z * state.hx + sim.hb_z * dz_ey,
                         0.0)
     state.hz = np.where(state.mask1, sim.ea_x * state.hz - sim.hb_x * dx_ey,
                         0.0)
-    dz_hx = on_mesh(diff_z(state.hx, state.mask1, grid0, spec, bank, length),
-                    grid0)
-    dx_hz = on_mesh(diff_x(state.hz, state.mask1, grid0, spec, bank, length),
-                    grid0)
+    dz_hx = derivative(diff_z, state.hx, state.mask1, grid0)
+    dx_hz = derivative(diff_x, state.hz, state.mask1, grid0)
     state.eyz = np.where(state.mask0,
                          sim.ea_z * state.eyz + sim.eb_z * dz_hx, 0.0)
     state.eyx = np.where(state.mask0,
@@ -619,16 +625,11 @@ def test_update_step_matches_dense_update_bitwise(full_grid):
         listed = sim.adapt_step()
         want = dense_update(sim, on_finest_lattice(copy.deepcopy(sim.state),
                                                    sim.spec))
-        # Once from the grids adapt_step returned, once making them anew.
-        for points in (listed, None):
-            before = copy.deepcopy(sim.state)
-            sim.update_step(points)
-            got = on_finest_lattice(sim.state, sim.spec)
-            for name in ("ey", "eyx", "eyz", "hx", "hz"):
-                assert (getattr(got, name).tobytes()
-                        == getattr(want, name).tobytes()), name
-            if points is listed:
-                sim.state = before
+        sim.update_step(listed)
+        got = on_finest_lattice(sim.state, sim.spec)
+        for name in ("ey", "eyx", "eyz", "hx", "hz"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), name
     if not full_grid:
         assert lattice_level(sim.state) == 7
         assert sim.state.mask0.sum() < sim.state.mask2.sum() < sim.spec.n**2
@@ -686,7 +687,7 @@ def state_digest(state):
 
 def lattice_level(state):
     """Level of the lattice the state's arrays are stored on."""
-    return (state.ey.shape[-1] - 1).bit_length() - 1
+    return grid.lattice_level(state.eyx.shape[-1])
 
 
 def widened_digests(config, steps, whole=False):

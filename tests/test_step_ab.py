@@ -6,6 +6,7 @@ from benchmarks/run.py; without both files the test skips.
 
 import importlib.util
 import os
+import shutil
 import sys
 from pathlib import Path
 from unittest import mock
@@ -35,12 +36,43 @@ def test_a_tree_against_itself_replays_the_same_states(tool):
     module, bench = tool
     import awcmaxwell.solver
 
-    parent, change, differ = module.compare(bench, ROOT, ROOT, "adapt-j9",
-                                            rounds=1)
+    parent, change, differ, only = module.compare(bench, ROOT, ROOT,
+                                                  "adapt-j9", rounds=1)
     assert parent > 0 and change > 0
     assert differ == 0
+    assert only == {"parent": [], "change": []}
     # The trees' packages answer to their own names, and awcmaxwell is
     # this process's own again.
     assert sys.modules["awcmaxwell_parent"] is not sys.modules[
         "awcmaxwell_change"]
     assert sys.modules["awcmaxwell.solver"] is awcmaxwell.solver
+
+
+def test_trees_are_compared_on_the_fields_both_states_hold(tool, tmp_path,
+                                                           monkeypatch):
+    # A copy of this tree whose state holds one field more, and whose
+    # clock runs at twice the step: the extra field is named, not
+    # compared, and every replay leaves a different t.
+    module, bench = tool
+    source = tmp_path / "src" / "awcmaxwell"
+    shutil.copytree(ROOT / "src" / "awcmaxwell", source)
+    solver = source / "solver.py"
+    text = solver.read_text()
+    for old, new in (("    t: float = 0.0\n",
+                      "    t: float = 0.0\n    extra: int = 0\n"),
+                     ("state.t += self.dt", "state.t += 2 * self.dt")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    solver.write_text(text)
+    tiny = bench.Workload(
+        dict(bench.CALIBRATION, jmax=5, steps=4, snapshot_every=2),
+        seeded=True, saved_states=2, step_passes=1, snapshot_repeats=1)
+    monkeypatch.setitem(bench.WORKLOADS, "tiny", tiny)
+    _, _, differ, only = module.compare(bench, ROOT, tmp_path, "tiny",
+                                        rounds=2)
+    assert differ == 2 * 2
+    assert only == {"parent": [], "change": ["extra"]}
+    _, _, differ, only = module.compare(bench, tmp_path, ROOT, "tiny",
+                                        rounds=1)
+    assert differ == 2
+    assert only == {"parent": ["extra"], "change": []}

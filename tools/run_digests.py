@@ -6,13 +6,17 @@ For each workload of benchmarks/run.py (all of them when --workload is
 not given) and each --seed (default 0), one harness.run_simulation of
 the config the benchmark builds for that seed, in a temporary directory.
 Prints one line per output file except manifest.csv, whose wall times
-differ from run to run, and one for the final state: workload, seed,
-name and blake2b digest.  Run it in two trees and diff what they print.
+differ from run to run, and one per field of the final state, named
+final-state.<field>: workload, seed, name and blake2b digest.  Run it in
+two trees and diff what they print: a field only one tree's state holds
+shows as a line only that tree prints, and leaves the others comparable.
 """
 
 import argparse
+import hashlib
 import importlib.util
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
@@ -28,10 +32,23 @@ def load_benchmark():
     return module
 
 
+def field_digests(state) -> dict:
+    """The blake2b digest of each field of a state, by name: an array's
+    bytes, another value's repr, as benchmarks/run.py's state_digest
+    hashes the whole state."""
+    out = {}
+    for field in fields(state):
+        value = getattr(state, field.name)
+        data = (value.tobytes() if hasattr(value, "tobytes")
+                else repr(value).encode())
+        out[field.name] = hashlib.blake2b(data, digest_size=16).hexdigest()
+    return out
+
+
 def digests(bench, workload: str, seed: int, out_dir) -> list:
     """(name, digest) of every file a run of the benchmark's workload at
-    the seed writes into out_dir, manifest.csv left out, then of the
-    final state as "final-state"."""
+    the seed writes into out_dir, manifest.csv left out, then of each
+    field of the final state as "final-state.<field>"."""
     import numpy as np
     from awcmaxwell.harness import run_simulation
 
@@ -41,7 +58,8 @@ def digests(bench, workload: str, seed: int, out_dir) -> list:
     return [(path.name, bench.file_digest(path))
             for path in sorted(Path(out_dir).iterdir())
             if path.name != "manifest.csv"] + [
-        ("final-state", bench.state_digest(result.final_state))]
+        (f"final-state.{name}", digest)
+        for name, digest in field_digests(result.final_state).items()]
 
 
 def main(argv=None):

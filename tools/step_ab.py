@@ -10,8 +10,10 @@ for --rounds rounds.  Prints each tree's mean over the states of its
 median replay, as the benchmark's step_ms is formed but not scaled by a
 host probe, and the ratio of the second tree's to the first's.  Run in
 one process, both trees meet the same host speed, which separate
-benchmark runs on a shared host do not.  A replayed step that leaves a
-different state in the two trees is reported.
+benchmark runs on a shared host do not.  The states are compared field
+by field (run_digests.field_digests): a replayed step that leaves a
+field both trees' states hold different in the two is reported, and so
+is each field that only one tree's state holds.
 """
 
 import argparse
@@ -25,20 +27,33 @@ from contextlib import contextmanager
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+DIGESTS = Path(__file__).resolve().with_name("run_digests.py")
+
+
+def load_file(path, name: str):
+    """The Python file at path as a module named name."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_benchmark():
     """benchmarks/run.py as a module; it sets one thread per numpy
     library in the environment, which holds if numpy is not yet
     imported."""
-    spec = importlib.util.spec_from_file_location("bench_run", RUN)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_file(RUN, "bench_run")
+
+
+field_digests = load_file(DIGESTS, "run_digests").field_digests
 
 
 def load_tree(tree, name: str):
-    """The tree's awcmaxwell package, imported as name."""
+    """The tree's awcmaxwell package, imported as name, anew: modules an
+    earlier load left under that name are dropped first."""
+    for key in [key for key in sys.modules
+                if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
     source = Path(tree) / "src" / "awcmaxwell"
     spec = importlib.util.spec_from_file_location(
         name, source / "__init__.py", submodule_search_locations=[str(source)])
@@ -95,12 +110,12 @@ class Tree:
 
     def replay(self, k):
         """Time one step from a fresh copy of the saved state k; return
-        the digest of the state it leaves."""
+        the digests of the fields of the state it leaves, by name."""
         self.sim.state = self.copy(self.saved[k])
         start = time.perf_counter()
         self.sim.step()
         self.seconds[k].append(time.perf_counter() - start)
-        return self.bench.state_digest(self.sim.state)
+        return field_digests(self.sim.state)
 
     def step_ms(self):
         return 1e3 * statistics.fmean(statistics.median(times)
@@ -108,8 +123,10 @@ class Tree:
 
 
 def compare(bench, parent, change, workload, seed=0, rounds=10):
-    """(parent ms, change ms, replays whose states differ) of the
-    workload's saved steps, interleaved for the rounds."""
+    """(parent ms, change ms, replays whose states differ in a field both
+    hold, {"parent": fields only the parent's state holds, "change":
+    likewise}) of the workload's saved steps, interleaved for the
+    rounds."""
     import numpy as np
 
     setting = bench.WORKLOADS[workload]
@@ -123,10 +140,13 @@ def compare(bench, parent, change, workload, seed=0, rounds=10):
         gc.collect()
         for k in rng.permutation(sorted(keep)):
             first = round_ % 2
-            digests = {tree.name: tree.replay(int(k))
-                       for tree in (trees[first], trees[1 - first])}
-            differ += len(set(digests.values())) > 1
-    return trees[0].step_ms(), trees[1].step_ms(), differ
+            replayed = {i: trees[i].replay(int(k)) for i in (first, 1 - first)}
+            old, new = replayed[0], replayed[1]
+            differ += any(old[name] != new[name]
+                          for name in old.keys() & new.keys())
+    only = {"parent": sorted(old.keys() - new.keys()),
+            "change": sorted(new.keys() - old.keys())}
+    return trees[0].step_ms(), trees[1].step_ms(), differ, only
 
 
 def main(argv=None):
@@ -139,13 +159,19 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
-    parent, change, differ = compare(bench, args.parent, args.change,
-                                     args.workload, args.seed, args.rounds)
+    parent, change, differ, only = compare(
+        bench, args.parent, args.change, args.workload, args.seed,
+        args.rounds)
     print(f"{args.workload} seed {args.seed}, {args.rounds} rounds: "
           f"parent {parent:.3f} ms, change {change:.3f} ms, "
           f"ratio {change / parent:.3f}")
     if differ:
-        print(f"{differ} replayed steps left different states")
+        print(f"{differ} replayed steps left states that differ in a "
+              "field both hold")
+    for tree, names in only.items():
+        if names:
+            print(f"fields only the {tree}'s state holds: "
+                  + ", ".join(names))
 
 
 if __name__ == "__main__":
