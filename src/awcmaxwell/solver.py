@@ -23,8 +23,8 @@ masks only; a mask's points and levels live in its grid, which
 adapt_step returns and update_step takes.  Every entry off the masks is
 0.0 by construction, so only the listed entries are computed.  In
 full-grid mode every point is active, no grid is made, and the same
-arithmetic runs on the whole arrays, the derivatives by the uniform
-stencil.
+arithmetic runs on the whole arrays, in place, the derivatives by the
+uniform stencil.
 
 An adaptive start of the configured field is fitted to it coarse to
 fine (wavelets.fit_mask), one of a user's initial_ey is thresholded on
@@ -34,12 +34,13 @@ configured field neither the start nor step 1 makes the grid of the
 whole lattice unless the field needs it.  The full-grid start and every
 full-grid step run on the whole (2^j_max + 1)^2 mesh, so they hold as
 few mesh-sized arrays as they can: the start's three masks are one
-read-only full mask, which a full-grid run keeps throughout; the
-uniform-stencil derivatives work a cache-sized band of rows at a time
-and hold their result and a few bands; the finite check forms and tests
-Ey, and tests H, a band at a time (_finite); and the start and the field
-update scale and sum into arrays they have just made, in place, with the
-operands and order of the plain expressions.
+read-only full mask, which a full-grid run keeps throughout; the start's
+Euler half-step scales two whole uniform-stencil derivatives in place; a
+step forms Ey once and advances each field in its own array, a
+cache-sized band of rows at a time as the derivative's bands come
+(derivatives.uniform_bands), with the operands and order of the adaptive
+update, so it makes no other mesh-sized array; and the finite check
+forms and tests Ey, and tests H, a band at a time (_finite).
 
 An adaptive state is stored on the level-J lattice of the finest point
 of the masks its last step read and made, J = finest_level(previous
@@ -63,7 +64,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import SimulationConfig
-from .derivatives import BAND_BYTES, diff_x, diff_z
+from .derivatives import BAND_BYTES, diff_x, diff_z, uniform_bands
 from .errors import ConfigError, InstabilityError
 from .filters import FilterBank, build_filter_bank
 from .grid import (  # noqa: F401 (compute_levels: traced where bound)
@@ -118,7 +119,9 @@ class FieldState:
     (grid.MaskGrid): its points and density levels.
 
     The arrays sample one lattice (see the module docstring); fields are
-    0.0 off their masks.  on_finest_lattice gives them (n, n).
+    0.0 off their masks.  on_finest_lattice gives them (n, n).  A
+    full-grid step advances the fields in their own arrays, in place: to
+    keep a state, copy it (copy.deepcopy).
     """
 
     eyx: np.ndarray
@@ -161,13 +164,18 @@ def _lattice(values, grid: MaskGrid | None):
     return out.reshape(n, n)
 
 
-def _advance(a, field, combine, b, derivative, grid: MaskGrid | None):
-    """combine(a * field, b * derivative) at the grid's points (every
-    point when None), on the lattice.  The derivative, a fresh array, is
-    scaled in place; the products and the sum round as written."""
+def _advance(a, field, combine, b, derivative, grid: MaskGrid):
+    """combine(a * field, b * derivative) at the grid's points, on the
+    lattice.  The derivative, a fresh array, is scaled in place; the
+    products and the sum round as written."""
     derivative *= _at(b, grid)
     out = _at(a, grid) * _at(field, grid)
     return _lattice(combine(out, derivative, out=out), grid)
+
+
+def _band(coefficient, rows):
+    """A coefficient column (n, 1) at a band's rows; a row (1, n) whole."""
+    return coefficient if coefficient.shape[0] == 1 else coefficient[rows]
 
 
 def _finite(*sums) -> bool:
@@ -522,8 +530,8 @@ class Simulation:
         grids are the grids of the state's mask0 and mask1, as adapt_step
         returns them, on the lattice the state's arrays sample
         (on_finest_lattice gives them as (n, n) arrays), on which the
-        update runs; None in full-grid mode.  An adaptive update without
-        them is refused.
+        update runs; None in full-grid mode, whose update writes into the
+        state's own arrays.  An adaptive update without them is refused.
         """
         state = self.state
         if grids is None and not self.config.full_grid:
@@ -543,18 +551,38 @@ class Simulation:
 
     def _update_fields(self, grids):
         """Advance H, then the splits, at the points of the grids of mask0
-        and mask1 (every point when None)."""
+        and mask1, or on the full grid (grids None) in place."""
         state, bank, length = self.state, self.bank, self.length_m
         spec = self.spec.lattice(lattice_level(state.eyx.shape[-1]))
         s = self.spec.stride(spec.j_max)
-        g0, g1 = (None, None) if grids is None else grids
         ea_x, eb_x, ea_z, eb_z, hb_x, hb_z = (
             c[::s, ::s] for c in (self.ea_x, self.eb_x, self.ea_z,
                                   self.eb_z, self.hb_x, self.hb_z))
+        if grids is None:
+            # Each field is advanced a band of rows at a time, as the
+            # derivative's bands come: combine(a * field, b * derivative)
+            # with the adaptive update's operands in its order, into the
+            # field's own rows.  The splits read H's derivatives only
+            # once H is whole.
+            ey = state.ey
+            for field, a, combine, b, source, axis in (
+                    (state.hx, ea_z, np.add, hb_z, ey, 1),
+                    (state.hz, ea_x, np.subtract, hb_x, ey, 0),
+                    (state.eyz, ea_z, np.add, eb_z, state.hx, 1),
+                    (state.eyx, ea_x, np.subtract, eb_x, state.hz, 0)):
+                for rows, derivative in uniform_bands(source, spec, bank,
+                                                      length, axis):
+                    np.multiply(derivative, _band(b, rows), out=derivative)
+                    part = field[rows]
+                    np.multiply(_band(a, rows), part, out=part)
+                    combine(part, derivative, out=part)
+            self.apply_boundary(state)
+            return
 
         # H is updated on mask1 and reads the derivatives of Ey there
         # only; their taps reach over mask2, where adapt_step left the
         # splits.
+        g0, g1 = grids
         ey = state.ey
         dz_ey = diff_z(ey, state.mask2, g1, spec, bank, length)
         dx_ey = diff_x(ey, state.mask2, g1, spec, bank, length)

@@ -6,6 +6,8 @@ emptied lines, whole filled lines, isolated points and edge rows and
 columns, the cases where sorted-coordinate gaps and edge taps go wrong.
 """
 
+import contextlib
+import copy
 import re
 from unittest import mock
 
@@ -26,7 +28,8 @@ from test_wavelets import oracle_fwt, oracle_iwt  # noqa: E402
 
 from awcmaxwell import derivatives  # noqa: E402
 from awcmaxwell.derivatives import diff_x, diff_z  # noqa: E402
-from awcmaxwell.errors import MaskClosureError  # noqa: E402
+from awcmaxwell.config import SimulationConfig  # noqa: E402
+from awcmaxwell.errors import InstabilityError, MaskClosureError  # noqa: E402
 from awcmaxwell.filters import build_filter_bank  # noqa: E402
 from awcmaxwell.grid import (  # noqa: E402
     GridSpec,
@@ -36,11 +39,13 @@ from awcmaxwell.grid import (  # noqa: E402
     compute_levels,
     extend_for_derivatives,
     finest_level,
+    lattice_level,
     masked_points,
     reconstruction_check,
     require_closed,
     store,
 )
+from awcmaxwell.solver import FieldState, Simulation  # noqa: E402
 from awcmaxwell.wavelets import (  # noqa: E402
     WAVELET,
     CoeffPyramid,
@@ -376,15 +381,27 @@ def band_cases(draw):
     values."""
     j_max = draw(st.integers(1, 7))
     n = (1 << j_max) + 1
-    rows = draw(st.one_of(
-        st.sampled_from([d for d in range(1, n + 1) if n % d == 0]),
-        st.integers(1, n + 2)))
+    rows = draw(band_rows(n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    field = rng.standard_normal((n, n))
-    special = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
-    field[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
-                                np.count_nonzero(special))
+    field = with_specials(rng, rng.standard_normal((n, n)),
+                          draw(st.sampled_from([0.0, 0.05, 0.5])))
     return GridSpec(0, j_max), rows, field
+
+
+def band_rows(n):
+    """Band heights for an n-row field: a divisor of n, or any height
+    up to n + 2, so one band or several, the last one short or not."""
+    return st.one_of(
+        st.sampled_from([d for d in range(1, n + 1) if n % d == 0]),
+        st.integers(1, n + 2))
+
+
+def with_specials(rng, values, share):
+    """The values, with about share of them made +-0.0, +-inf or nan."""
+    special = rng.random(values.shape) < share
+    values[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                                 np.count_nonzero(special))
+    return values
 
 
 def bit_patterns(values):
@@ -409,6 +426,83 @@ def test_banded_uniform_derivative_equals_the_whole_array_form(case, order):
                                        2.0**spec.j_max / 2.5, axis)
             assert bit_patterns(got).tobytes() == (
                 bit_patterns(want).tobytes()), (axis, rows)
+
+
+SPLIT_AND_H = ("eyx", "eyz", "hx", "hz")
+COEFFICIENTS = ("ea_x", "eb_x", "hb_x", "ea_z", "eb_z", "hb_z")
+
+
+def whole_array_update(sim, state):
+    """The full-grid field update in its whole-array form: Ey, four
+    whole derivatives and four new fields combine(a * field,
+    b * derivative), the derivative scaled in place; then the boundary
+    ring of the splits zeroed.  The state is left as it is."""
+    level = lattice_level(state.eyx.shape[-1])
+    s = sim.spec.stride(level)
+    ea_x, eb_x, hb_x, ea_z, eb_z, hb_z = (
+        getattr(sim, name)[::s, ::s] for name in COEFFICIENTS)
+    scale = 2.0**level / sim.length_m
+
+    def advance(a, field, combine, b, source, axis):
+        derivative = whole_array_uniform(source, sim.bank.deriv_filter,
+                                         scale, axis)
+        derivative *= b
+        out = a * field
+        return combine(out, derivative, out=out)
+
+    ey = state.eyx + state.eyz
+    hx = advance(ea_z, state.hx, np.add, hb_z, ey, 1)
+    hz = advance(ea_x, state.hz, np.subtract, hb_x, ey, 0)
+    eyz = advance(ea_z, state.eyz, np.add, eb_z, hx, 1)
+    eyx = advance(ea_x, state.eyx, np.subtract, eb_x, hz, 0)
+    for part in (eyx, eyz):
+        part[[0, -1], :] = part[:, [0, -1]] = 0.0
+    return dict(eyx=eyx, eyz=eyz, hx=hx, hz=hz)
+
+
+@st.composite
+def update_cases(draw):
+    """A full-grid PML Simulation, a state of four fields holding
+    +-0.0, +-inf and nan among their values on a level-J lattice, J in
+    2-7 (sides 5-129, the smallest a config allows up to 129) and at
+    most jmax, and a band height; the layer's coefficient columns (n, 1)
+    and rows (1, n) are the built ones or random."""
+    level = draw(st.integers(2, 7))
+    n = (1 << level) + 1
+    rows = draw(band_rows(n))
+    sim = Simulation(SimulationConfig(jmin=1, jmax=draw(st.integers(level, 7)),
+                                      boundary="PML", full_grid=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        for name in COEFFICIENTS:
+            setattr(sim, name, rng.random(getattr(sim, name).shape) + 0.5)
+    share = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    fields = [with_specials(rng, rng.standard_normal((n, n)), share)
+              for _ in SPLIT_AND_H]
+    mask = np.ones((n, n), dtype=bool)
+    sim.state = FieldState(*fields, mask0=mask, mask1=mask, mask2=mask)
+    return sim, rows
+
+
+@PROPERTY
+@given(update_cases())
+def test_banded_full_grid_update_equals_the_whole_array_form(case):
+    # Bit for bit, +-0.0 and +-inf included; NaN where it gives NaN.  The
+    # step writes into the state's own arrays, so a deep copy taken
+    # before it keeps the state it was.
+    sim, rows = case
+    n = sim.state.eyx.shape[0]
+    kept = copy.deepcopy(sim.state)
+    before = {name: getattr(kept, name).tobytes() for name in SPLIT_AND_H}
+    with np.errstate(all="ignore"):
+        want = whole_array_update(sim, kept)
+        with (mock.patch.object(derivatives, "BAND_BYTES", rows * 8 * n),
+              contextlib.suppress(InstabilityError)):
+            sim.update_step(None)
+    for name in SPLIT_AND_H:
+        assert bit_patterns(getattr(sim.state, name)).tobytes() == (
+            bit_patterns(want[name]).tobytes()), (name, rows)
+        assert getattr(kept, name).tobytes() == before[name], name
 
 @PROPERTY
 @given(closed_cases(max_j=4))

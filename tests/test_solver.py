@@ -150,9 +150,8 @@ def test_start_allocates_under_seven_meshes():
 
 def test_start_and_whole_lattice_first_step_allocate_under_14_meshes():
     # A full-grid run starts and steps on the whole lattice: on top of the
-    # start's five meshes, a step forms Ey, the derivatives (each its
-    # result and a few cache-sized bands while it runs) and the four new
-    # fields.
+    # start's five meshes, a step forms Ey and advances the four fields in
+    # place, a few cache-sized derivative bands at a time.
     def first_step():
         sim = Simulation(SimulationConfig(full_grid=True))
         sim.step()
@@ -161,6 +160,24 @@ def test_start_and_whole_lattice_first_step_allocate_under_14_meshes():
     sim, peak = traced_peak(first_step)
     assert sim.state.eyx.shape == (sim.spec.n,) * 2
     assert peak < 14 * MESH
+
+
+def test_full_grid_step_at_jmax_9_holds_under_seven_meshes():
+    # The bound is fixed before measuring.  The state is copied inside
+    # the traced call, so it counts: four fields and one mask, 4.1
+    # meshes.  A step adds Ey and a few derivative bands; making four
+    # new fields and four whole derivatives held 10.2 meshes.
+    sim = Simulation(SimulationConfig(full_grid=True))
+    sim.step()
+    state = sim.state
+
+    def step_from_a_copy():
+        sim.state = copy.deepcopy(state)
+        sim.step()
+
+    _, peak = traced_peak(step_from_a_copy)
+    assert sim.state.k == state.k + 1
+    assert peak < 7 * MESH, peak / MESH
 
 
 def test_adaptive_start_allocates_under_one_mesh():

@@ -36,11 +36,11 @@ def test_a_tree_against_itself_replays_the_same_states(tool):
     module, bench = tool
     import awcmaxwell.solver
 
-    parent, change, differ, only = module.compare(bench, ROOT, ROOT,
-                                                  "adapt-j9", rounds=1)
-    assert parent > 0 and change > 0
-    assert differ == 0
-    assert only == {"parent": [], "change": []}
+    result = module.compare(bench, ROOT, ROOT, "adapt-j9", rounds=1)
+    assert result.parent_ms > 0 and result.change_ms > 0
+    assert result.differ == 0
+    assert result.only == {"parent": [], "change": []}
+    assert result.parent_faults >= 0 and result.change_faults >= 0
     # The trees' packages answer to their own names, and awcmaxwell is
     # this process's own again.
     assert sys.modules["awcmaxwell_parent"] is not sys.modules[
@@ -68,11 +68,45 @@ def test_trees_are_compared_on_the_fields_both_states_hold(tool, tmp_path,
         dict(bench.CALIBRATION, jmax=5, steps=4, snapshot_every=2),
         seeded=True, saved_states=2, step_passes=1, snapshot_repeats=1)
     monkeypatch.setitem(bench.WORKLOADS, "tiny", tiny)
-    _, _, differ, only = module.compare(bench, ROOT, tmp_path, "tiny",
-                                        rounds=2)
-    assert differ == 2 * 2
-    assert only == {"parent": [], "change": ["extra"]}
-    _, _, differ, only = module.compare(bench, tmp_path, ROOT, "tiny",
-                                        rounds=1)
-    assert differ == 2
-    assert only == {"parent": ["extra"], "change": []}
+    result = module.compare(bench, ROOT, tmp_path, "tiny", rounds=2)
+    assert result.differ == 2 * 2
+    assert result.only == {"parent": [], "change": ["extra"]}
+    result = module.compare(bench, tmp_path, ROOT, "tiny", rounds=1)
+    assert result.differ == 2
+    assert result.only == {"parent": ["extra"], "change": []}
+
+
+def test_report_prints_times_faults_and_differences(tool):
+    module, _ = tool
+    result = module.Comparison(2.0, 1.5, 3, {"parent": [], "change": ["x"]},
+                               514, 0.5)
+    assert module.report("full-j9", 7, 10, result) == [
+        "full-j9 seed 7, 10 rounds: parent 2.000 ms, change 1.500 ms, "
+        "ratio 0.750",
+        "minor page faults per step (median): parent 514, change 0.5",
+        "3 replayed steps left states that differ in a field both hold",
+        "fields only the change's state holds: x"]
+
+
+def test_a_step_into_fresh_memory_counts_its_faults(tool, tmp_path,
+                                                    monkeypatch):
+    # A copy of this tree whose step also writes a fresh 36 MB array,
+    # past glibc's largest mmap threshold, so the allocator maps it anew
+    # at every step: each of its pages, 2 MB ones at the most, faults
+    # once, and is counted against the step.
+    module, bench = tool
+    source = tmp_path / "src" / "awcmaxwell"
+    shutil.copytree(ROOT / "src" / "awcmaxwell", source)
+    solver = source / "solver.py"
+    text = solver.read_text()
+    old = "        self.update_step(self.adapt_step())\n"
+    assert text.count(old) == 1
+    solver.write_text(text.replace(
+        old, old + "        np.ones(9 << 19).sum()\n"))
+    tiny = bench.Workload(
+        dict(bench.CALIBRATION, jmax=5, steps=4, snapshot_every=2),
+        seeded=True, saved_states=2, step_passes=1, snapshot_repeats=1)
+    monkeypatch.setitem(bench.WORKLOADS, "tiny", tiny)
+    result = module.compare(bench, ROOT, tmp_path, "tiny", rounds=3)
+    assert result.differ == 0
+    assert result.change_faults >= result.parent_faults + 36 // 2

@@ -8,23 +8,28 @@ seed (evenly along the run), then replays every saved step in both trees
 in turn, the states in a seeded order and the trees alternating first,
 for --rounds rounds.  Prints each tree's mean over the states of its
 median replay, as the benchmark's step_ms is formed but not scaled by a
-host probe, and the ratio of the second tree's to the first's.  Run in
-one process, both trees meet the same host speed, which separate
-benchmark runs on a shared host do not.  The states are compared field
-by field (run_digests.field_digests): a replayed step that leaves a
-field both trees' states hold different in the two is reported, and so
-is each field that only one tree's state holds.
+host probe, and the ratio of the second tree's to the first's, then each
+tree's median count of minor page faults per replayed step
+(resource.getrusage around step): a step that writes into fresh memory
+pays for its pages there, and its time follows where the allocator puts
+them.  Run in one process, both trees meet the same host speed, which
+separate benchmark runs on a shared host do not.  The states are
+compared field by field (run_digests.field_digests): a replayed step
+that leaves a field both trees' states hold different in the two is
+reported, and so is each field that only one tree's state holds.
 """
 
 import argparse
 import gc
 import importlib
 import importlib.util
+import resource
 import statistics
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
 DIGESTS = Path(__file__).resolve().with_name("run_digests.py")
@@ -103,18 +108,22 @@ class Tree:
                 self.saved[self.sim.state.k] = self.copy(self.sim.state)
             self.sim.step()
         self.seconds = {k: [] for k in keep}
+        self.faults = []
 
     def copy(self, state):
         with as_awcmaxwell(self.name):
             return self.bench.copy_state(state)
 
     def replay(self, k):
-        """Time one step from a fresh copy of the saved state k; return
-        the digests of the fields of the state it leaves, by name."""
+        """Time one step from a fresh copy of the saved state k, and count
+        its minor page faults; return the digests of the fields of the
+        state it leaves, by name."""
         self.sim.state = self.copy(self.saved[k])
+        faults = minor_faults()
         start = time.perf_counter()
         self.sim.step()
         self.seconds[k].append(time.perf_counter() - start)
+        self.faults.append(minor_faults() - faults)
         return field_digests(self.sim.state)
 
     def step_ms(self):
@@ -122,11 +131,23 @@ class Tree:
                                       for times in self.seconds.values())
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class Comparison(NamedTuple):
+    parent_ms: float
+    change_ms: float
+    differ: int  # replays whose states differ in a field both hold
+    only: dict  # "parent"/"change": fields only that tree's state holds
+    parent_faults: float  # median minor page faults per replayed step
+    change_faults: float
+
+
 def compare(bench, parent, change, workload, seed=0, rounds=10):
-    """(parent ms, change ms, replays whose states differ in a field both
-    hold, {"parent": fields only the parent's state holds, "change":
-    likewise}) of the workload's saved steps, interleaved for the
-    rounds."""
+    """The Comparison of the workload's saved steps, replayed in the two
+    trees interleaved for the rounds."""
     import numpy as np
 
     setting = bench.WORKLOADS[workload]
@@ -146,7 +167,27 @@ def compare(bench, parent, change, workload, seed=0, rounds=10):
                           for name in old.keys() & new.keys())
     only = {"parent": sorted(old.keys() - new.keys()),
             "change": sorted(new.keys() - old.keys())}
-    return trees[0].step_ms(), trees[1].step_ms(), differ, only
+    return Comparison(trees[0].step_ms(), trees[1].step_ms(), differ, only,
+                      *(statistics.median(tree.faults) for tree in trees))
+
+
+def report(workload, seed, rounds, result: Comparison):
+    """The lines main prints for a Comparison."""
+    lines = [f"{workload} seed {seed}, {rounds} rounds: "
+             f"parent {result.parent_ms:.3f} ms, "
+             f"change {result.change_ms:.3f} ms, "
+             f"ratio {result.change_ms / result.parent_ms:.3f}",
+             f"minor page faults per step (median): "
+             f"parent {result.parent_faults:g}, "
+             f"change {result.change_faults:g}"]
+    if result.differ:
+        lines.append(f"{result.differ} replayed steps left states that "
+                     "differ in a field both hold")
+    for tree, names in result.only.items():
+        if names:
+            lines.append(f"fields only the {tree}'s state holds: "
+                         + ", ".join(names))
+    return lines
 
 
 def main(argv=None):
@@ -159,19 +200,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
-    parent, change, differ, only = compare(
-        bench, args.parent, args.change, args.workload, args.seed,
-        args.rounds)
-    print(f"{args.workload} seed {args.seed}, {args.rounds} rounds: "
-          f"parent {parent:.3f} ms, change {change:.3f} ms, "
-          f"ratio {change / parent:.3f}")
-    if differ:
-        print(f"{differ} replayed steps left states that differ in a "
-              "field both hold")
-    for tree, names in only.items():
-        if names:
-            print(f"fields only the {tree}'s state holds: "
-                  + ", ".join(names))
+    result = compare(bench, args.parent, args.change, args.workload,
+                     args.seed, args.rounds)
+    print("\n".join(report(args.workload, args.seed, args.rounds, result)))
 
 
 if __name__ == "__main__":
