@@ -41,7 +41,8 @@ which is no finer than J.  So the results are bit for bit
 the finest grid's at the lattice's points, which are zero or False off
 it.  The adjacent zone of a point born at level b reaches level b + 1,
 so it stays on the lattice when no point is born at J.  finest_level
-finds the level J of a mask.
+finds the level J of a mask, and zone_lattice the one lattice that holds
+a mask and its adjacent zone.
 """
 
 from functools import cache, cached_property
@@ -146,6 +147,13 @@ def finest_level(mask: np.ndarray, spec: GridSpec) -> int:
         if mask[h::2 * h, ::h].any() or mask[::2 * h, h::2 * h].any():
             return b
     return spec.j_min
+
+
+def zone_lattice(finest: int, spec: GridSpec) -> GridSpec:
+    """The grid of the lattice that holds a mask whose finest point is
+    born at level finest and the mask's adjacent zone, which reaches one
+    level finer: level finest + 1, within [j_min + 1, j_max]."""
+    return spec.lattice(min(max(finest + 1, spec.j_min + 1), spec.j_max))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -282,13 +290,11 @@ def transform_plan(mask, spec: GridSpec, bank: FilterBank) -> list:
         d1, d2, d3 = (_frozen(np.multiply(np.nonzero(mask[r::s, c::s]), s)
                               + [[r], [c]])
                       for r, c in ((h, 0), (0, h), (h, h)))
-        even = d1  # none without d1 or d2 points
-        if d1[0].size or d2[0].size:
-            # A tap (2l - 1) h moves odd class index i to i + l.
-            moved = spread_lines(np.stack((mask[h::s, ::s], mask[::s, h::s].T),
-                                          axis=1), bank.predict_offsets)
-            near = (moved[:, 0] | moved[:, 1].T) & mask[::s, ::s]
-            even = _frozen(np.multiply(np.nonzero(near), s))
+        # A tap (2l - 1) h moves odd class index i to i + l.
+        moved = spread_lines(np.stack((mask[h::s, ::s], mask[::s, h::s].T),
+                                      axis=1), bank.predict_offsets)
+        near = (moved[:, 0] | moved[:, 1].T) & mask[::s, ::s]
+        even = _frozen(np.multiply(np.nonzero(near), s))
         plan.append((d1, d2, d3, even))
     return plan
 
@@ -322,8 +328,6 @@ def add_adjacent_zone(mask: np.ndarray, spec: GridSpec) -> np.ndarray:
         det = np.zeros_like(mask[::h, ::h])
         det[1::2, :] = mask[h::2 * h, ::h]
         det[:, 1::2] |= mask[::h, h::2 * h]
-        if not det.any():
-            continue
         for jp in range(b - 1, min(spec.j_max, b + 1) + 1):
             sp = spec.stride(jp)
             target = out[::sp, ::sp]
@@ -390,10 +394,9 @@ def reconstruction_check(mask, spec: GridSpec, bank: FilterBank) -> np.ndarray:
         # d3 is (k, k), d1 (k, k + 1), d2 (k + 1, k), even (k + 1, k + 1).
         d1, d2, d3, even = (lattice[r::2, c::2]
                             for r, c in ((1, 0), (0, 1), (1, 1), (0, 0)))
-        if d3.any():
-            moved = spread_lines(np.stack((d3, d3.T), axis=1), shifts)
-            d2 |= moved[:, 0]
-            d1 |= moved[:, 1].T
+        moved = spread_lines(np.stack((d3, d3.T), axis=1), shifts)
+        d2 |= moved[:, 0]
+        d1 |= moved[:, 1].T
         moved = spread_lines(np.stack((d1, d2.T), axis=1), shifts)
         even |= moved[:, 0]
         even |= moved[:, 1].T

@@ -18,25 +18,26 @@ On an adaptive grid a step makes the grid (grid.MaskGrid) of every mask
 it reads or makes, once, and hands it to every consumer: the transforms
 read its plan, the derivative closure and the derivatives its stencil,
 the field update and the finite check its points, so each costs in
-proportion to the active points.  The state keeps the fields and the
-masks only; a mask's points and levels live in its grid, which
-adapt_step returns and update_step takes.  Every entry off the masks is
-0.0 by construction, so only the listed entries are computed.  In
-full-grid mode every point is active, no grid is made, and the same
+proportion to the active points; the update coefficients are laid out
+like the fields, so one gather reads either (_at).  The state keeps the
+fields and the masks only; a mask's points and levels live in its grid,
+which adapt_step returns and update_step takes.  Every entry off the
+masks is 0.0 by construction, so only the listed entries are computed.
+In full-grid mode every point is active, no grid is made, and the same
 arithmetic runs on the whole arrays, in place, the derivatives by the
 uniform stencil.
 
-An adaptive start of the configured field is fitted to it coarse to
-fine (wavelets.fit_mask), one of a user's initial_ey is thresholded on
-the whole mesh, and either is closed as adapt_step closes a thinned
-mask; the field is sampled at the start's points only, so for the
-configured field neither the start nor step 1 makes the grid of the
-whole lattice unless the field needs it.  The full-grid start and every
-full-grid step run on the whole (2^j_max + 1)^2 mesh, so they hold as
-few mesh-sized arrays as they can: the start's three masks are one
-read-only full mask, which a full-grid run keeps throughout; the start's
-Euler half-step scales two whole uniform-stencil derivatives in place; a
-step forms Ey once and advances each field in its own array, a
+An adaptive start of the configured field is fitted to it coarse to fine
+(wavelets.fit_mask), one of a user's initial_ey is thresholded on the
+whole mesh, and either is closed by adapt_step's closure
+(Simulation._closed_grid); the field is sampled at the start's points
+only, so for the configured field neither the start nor step 1 makes the
+grid of the whole lattice unless the field needs it.  The full-grid
+start and every full-grid step run on the whole (2^j_max + 1)^2 mesh, so
+they hold as few mesh-sized arrays as they can: the start's three masks
+are one read-only full mask, which a full-grid run keeps throughout; the
+start's Euler half-step scales two whole uniform-stencil derivatives in
+place; a step forms Ey once and advances each field in its own array, a
 cache-sized band of rows at a time as the derivative's bands come
 (derivatives.uniform_bands), with the operands and order of the adaptive
 update, so it makes no other mesh-sized array; and the finite check
@@ -47,15 +48,15 @@ of the masks its last step read and made, J = finest_level(previous
 mask1 | mask2), at least j_min + 1 (the start's, of its one mask): its
 arrays are (2^J + 1)-square, J is read from their shape, and the grids
 adapt_step returns and update_step takes are on that lattice.
-adapt_step narrows the state to the finest level of the mask1 it
-finds, which holds every field, thresholds there, and goes one level
-finer only when a survivor is born at that level, since the adjacent
-zone reaches one level past a point; update_step runs where adapt_step
-leaves the state.  Every point reads the same taps with the same
-weights in the same order as on the whole mesh (see the grid module),
-so the results are bit for bit the whole mesh's.  relattice
-spreads one array over the (2^j_max + 1)^2 mesh and on_finest_lattice
-the whole state; full-grid mode stays there.
+adapt_step narrows the state to the finest level of the mask1 it finds,
+which holds every field, thresholds there, and moves to the lattice that
+holds the thinned mask and its adjacent zone (grid.zone_lattice, as the
+start's lies on) when that is finer; update_step runs where adapt_step
+leaves the state.  Every point reads the same taps with the same weights
+in the same order as on the whole mesh (see the grid module), so the
+results are bit for bit the whole mesh's.  relattice spreads one array
+over the (2^j_max + 1)^2 mesh and on_finest_lattice the whole state;
+full-grid mode stays there.
 """
 
 import math
@@ -77,6 +78,7 @@ from .grid import (  # noqa: F401 (compute_levels: traced where bound)
     grid_of,
     lattice_level,
     reconstruction_check,
+    zone_lattice,
 )
 from .wavelets import (
     WAVELET,
@@ -141,15 +143,11 @@ class FieldState:
 
 
 def _at(array, grid: MaskGrid | None):
-    """A lattice array, or a coefficient column (n, 1) or row (1, n), at
-    the grid's points; the whole array when grid is None."""
+    """A lattice array, a field or a coefficient, at the grid's points;
+    the whole array when grid is None."""
     if grid is None:
         return array
     rows, cols, _ = grid.points
-    if array.shape[1] == 1:
-        return array[rows, 0]
-    if array.shape[0] == 1:
-        return array[0, cols]
     return array[rows, cols]
 
 
@@ -171,11 +169,6 @@ def _advance(a, field, combine, b, derivative, grid: MaskGrid):
     derivative *= _at(b, grid)
     out = _at(a, grid) * _at(field, grid)
     return _lattice(combine(out, derivative, out=out), grid)
-
-
-def _band(coefficient, rows):
-    """A coefficient column (n, 1) at a band's rows; a row (1, n) whole."""
-    return coefficient if coefficient.shape[0] == 1 else coefficient[rows]
 
 
 def _finite(*sums) -> bool:
@@ -255,10 +248,6 @@ class Simulation:
         if factor is None:
             factor = default_dt_factor(self.bank)
         self.dt = factor * cfl_max_dt(self.delta_m, self.bank)
-        if config.enforce_cfl and self.dt > cfl_max_dt(self.delta_m, self.bank):
-            raise ConfigError(
-                f"dt_factor {factor} exceeds the CFL bound; refusing to run"
-            )
 
         self._build_update_coefficients()
         self.state = self._initialize(initial_ey, initial_h)
@@ -281,17 +270,19 @@ class Simulation:
         return sigma_max * (left**grade + right**grade)
 
     def _build_update_coefficients(self):
-        """The update coefficients along x, as columns (n, 1), and along
-        z, as rows (1, n): the layer is the same along both axes, so each
-        pair is one array seen both ways."""
+        """The update coefficients as read-only (n, n) views of their
+        profile along x, or z: the layer is the same along both axes."""
+        n = self.spec.n
         q = self._sigma_profile() * self.dt / (2.0 * EPS0)
         ea = (1.0 - q) / (1.0 + q)
         eb = (self.dt / EPS0) / (1.0 + q)
         # Matched-impedance magnetic losses share the dimensionless ramp
         # ea.
         hb = (self.dt / MU0) / (1.0 + q)
-        self.ea_x, self.eb_x, self.hb_x = (c[:, None] for c in (ea, eb, hb))
-        self.ea_z, self.eb_z, self.hb_z = (c[None, :] for c in (ea, eb, hb))
+        self.ea_x, self.eb_x, self.hb_x = (np.broadcast_to(c[:, None], (n, n))
+                                           for c in (ea, eb, hb))
+        self.ea_z, self.eb_z, self.hb_z = (np.broadcast_to(c, (n, n))
+                                           for c in (ea, eb, hb))
 
     def _initial_field(self, initial_ey):
         """Ey(t=0) as two functions of finest-lattice indices: at(rows,
@@ -363,12 +354,12 @@ class Simulation:
                                    / (2.0 * self.config.sigma_um)))
 
     def _thinned_start(self, at, initial_ey):
-        """The thinned mask of Ey(t=0) and the grid of the lattice it
-        lies on, one level finer than its finest detail.  The configured
-        field is fitted coarse to fine (wavelets.fit_mask); a user field,
-        which carries no scale to fit to, is transformed and thresholded
-        on the whole mesh, as adapt_step thresholds a state that holds
-        every point."""
+        """The thinned mask of Ey(t=0) and the grid of the lattice that
+        holds it and its adjacent zone (grid.zone_lattice).  The
+        configured field is fitted coarse to fine (wavelets.fit_mask); a
+        user field, which carries no scale to fit to, is transformed and
+        thresholded on the whole mesh, as adapt_step thresholds a state
+        that holds every point."""
         spec = self.spec
         if initial_ey is None:
             return fit_mask(at, spec, self.bank, self.config.zeta,
@@ -377,9 +368,8 @@ class Simulation:
         pyr = CoeffPyramid.from_field(at(index[:, None], index), spec)
         fwt_full(pyr, MaskGrid(spec.full_mask(), spec, self.bank))
         thinned = threshold_coeffs(pyr, self.config.zeta)[1]
-        level = min(max(finest_level(thinned, spec) + 1, spec.j_min + 1),
-                    spec.j_max)
-        return relattice(thinned, level), spec.lattice(level)
+        lattice = zone_lattice(finest_level(thinned, spec), spec)
+        return relattice(thinned, lattice.j_max), lattice
 
     def _initialize(self, initial_ey, initial_h) -> FieldState:
         """The k=0 state: the splits, each half of Ey(t=0), and H at
@@ -389,13 +379,14 @@ class Simulation:
         The full-grid start holds every point of the whole mesh, at level
         j_max, and a full-grid run keeps that grid.  An adaptive start
         thins its mask (_thinned_start: the configured field fitted coarse
-        to fine, a user field thresholded whole) and closes it as
-        adapt_step closes a thinned mask; it samples Ey(t=0) and initial_h
-        at the mask's points only, and the state lies on the lattice of
-        the mask's finest point.  So the configured start and step 1 list,
-        transform and plan no whole lattice unless the field needs it, and
-        step 1 is an ordinary adaptive step: it closes the grid anew, and
-        its H regrid fills the derivative ring around the start's mask.
+        to fine, a user field thresholded whole) on its zone lattice and
+        closes it with adapt_step's closure (_closed_grid); it samples
+        Ey(t=0) and initial_h at the mask's points only, and the state
+        lies on the lattice of the mask's finest point.  So the configured
+        start and step 1 list, transform and plan no whole lattice unless
+        the field needs it, and step 1 is an ordinary adaptive step: it
+        closes the grid anew, and its H regrid fills the derivative ring
+        around the start's mask.
 
         Without initial_h, H is the explicit Euler half-step from Ey(t=0)
         with the uniform stencil at the finest spacing, the full-grid
@@ -411,10 +402,8 @@ class Simulation:
             index = np.arange(spec.n)
             ey = at(index[:, None], index[None, :])
         else:
-            thinned, spec = self._thinned_start(at, initial_ey)
-            mask = reconstruction_check(add_adjacent_zone(thinned, spec),
-                                        spec, self.bank)
-            grid = MaskGrid(mask, spec, self.bank)
+            grid = self._closed_grid(*self._thinned_start(at, initial_ey))
+            spec, mask = grid.spec, grid.mask
             stride = self.spec.stride(spec.j_max)
             rows, cols = grid.points.rows * stride, grid.points.cols * stride
             ey = at(rows, cols)
@@ -452,17 +441,19 @@ class Simulation:
         it (no-op in full-grid mode).
 
         The state's masks on entry are the previous step's: the splits
-        hold their values on mask0 and H on mask1.  The transform of the
-        summed field decides only grid membership: detail positions below
-        the threshold leave the mask (unless the safety zone or a stencil
-        closure keeps them).  The electric splits are carried through
-        their own transforms and come back on the new mask2 with their
-        coefficients intact; only positions dropped from the grid lose
-        their content.  Zeroing retained sub-threshold coefficients
-        instead deletes just-below-threshold field content every step and
-        the deviation from the full-grid reference then grows far past the
-        threshold scale.  H is interpolated onto the new mask1 when that
-        leaves the previous one.
+        hold their values on mask0 and H on mask1; the step moves the
+        state between lattices as the module docstring says and closes the
+        thinned mask as the start does.  The transform of the summed field
+        decides only grid membership: detail positions below the threshold
+        leave the mask (unless the safety zone or a stencil closure keeps
+        them).  The electric splits are carried through their own
+        transforms and come back on the new mask2 with their coefficients
+        intact; only positions dropped from the grid lose their content.
+        Zeroing retained sub-threshold coefficients instead deletes
+        just-below-threshold field content every step and the deviation
+        from the full-grid reference then grows far past the threshold
+        scale.  H is interpolated onto the new mask1 when that leaves the
+        previous one.
 
         Returns the grids of the new mask0 and mask1 for update_step, on
         the lattice the state leaves on, or None in full-grid mode;
@@ -473,23 +464,20 @@ class Simulation:
             return None
         # Every field lives on mask1, which holds mask0.
         found = self.spec.lattice(lattice_level(state.eyx.shape[-1]))
-        level = max(finest_level(state.mask1, found), self.spec.j_min + 1)
-        _to_level(state, level)
-        spec = self.spec.lattice(level)
+        spec = self.spec.lattice(max(finest_level(state.mask1, found),
+                                     self.spec.j_min + 1))
+        _to_level(state, spec.j_max)
         # Both splits go through one stacked transform per mask.
         pyr = CoeffPyramid.from_field((state.eyx, state.eyz), spec,
                                       mask=state.mask0)
         mask0 = self._thinned_mask(pyr, MaskGrid(state.mask0, spec, bank))
-        if level < self.spec.j_max and finest_level(mask0, spec) == level:
-            # A survivor born at the lattice's finest level: its adjacent
-            # zone reaches one level finer.
-            level += 1
-            _to_level(state, level)
-            spec = self.spec.lattice(level)
-            pyr = CoeffPyramid(relattice(pyr.data, level), spec, WAVELET)
-            mask0 = relattice(mask0, level)
-        grid0 = MaskGrid(reconstruction_check(add_adjacent_zone(mask0, spec),
-                                              spec, bank), spec, bank)
+        zone = zone_lattice(finest_level(mask0, spec), self.spec)
+        if zone.j_max > spec.j_max:
+            spec = zone
+            _to_level(state, spec.j_max)
+            pyr = CoeffPyramid(relattice(pyr.data, spec.j_max), spec, WAVELET)
+            mask0 = relattice(mask0, spec.j_max)
+        grid0 = self._closed_grid(mask0, spec)
         grid1 = MaskGrid(extend_for_derivatives(grid0), spec, bank)
         # H carries genuine values on the whole previous mask1 (update ring
         # included); interpolating from there instead of from the previous
@@ -511,6 +499,13 @@ class Simulation:
         state.mask0, state.mask1, state.mask2 = (
             grid.mask for grid in (grid0, grid1, grid2))
         return grid0, grid1
+
+    def _closed_grid(self, thinned, spec: GridSpec) -> MaskGrid:
+        """The grid of the thinned mask grown by its adjacent zone and
+        closed, on a lattice that holds the zone."""
+        mask = reconstruction_check(add_adjacent_zone(thinned, spec), spec,
+                                    self.bank)
+        return MaskGrid(mask, spec, self.bank)
 
     def _thinned_mask(self, pair: CoeffPyramid, grid: MaskGrid):
         """Forward-transform the split pair on the grid, in place, and
@@ -572,9 +567,9 @@ class Simulation:
                     (state.eyx, ea_x, np.subtract, eb_x, state.hz, 0)):
                 for rows, derivative in uniform_bands(source, spec, bank,
                                                       length, axis):
-                    np.multiply(derivative, _band(b, rows), out=derivative)
+                    np.multiply(derivative, b[rows], out=derivative)
                     part = field[rows]
-                    np.multiply(_band(a, rows), part, out=part)
+                    np.multiply(a[rows], part, out=part)
                     combine(part, derivative, out=part)
             self.apply_boundary(state)
             return

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .filters import FilterBank
-from .grid import GridSpec, MaskGrid, Taps, store
+from .grid import GridSpec, MaskGrid, Taps, store, zone_lattice
 
 PHYSICAL = "physical"
 WAVELET = "wavelet"
@@ -112,14 +112,12 @@ class _Taps(Taps):
 
 def _level(level, grid: MaskGrid, what):
     """The grid's plan of one level and its stencil (x and z flat tap
-    offsets, weights), or None when the level holds no masked detail."""
+    offsets, weights); a level without masked details lists no points."""
     spec, bank = grid.spec, grid.bank
     if not spec.j_min <= level <= spec.j_max - 1:
         raise ValueError(
             f"{what} level {level} outside [{spec.j_min}, {spec.j_max - 1}]")
     points = grid.plan[level - spec.j_min]
-    if all(rows.size == 0 for rows, _ in points[:3]):
-        return None
     # Prediction and update share their taps: (2l - 1) h on the finest
     # lattice for l in predict_offsets, weighted by predict_weights,
     # clipped to +-n when they can pass it (see GridSpec).
@@ -152,13 +150,12 @@ def _update(pyramid, points, stencil, lift):
     """Set the lifted even-even values s to lift(s, Sx(d1 + Sz d3) +
     Sz d2).  d1 + Sz d3 is staged at the d1 points, which hold every
     nonzero Sz d3, and their d1 values are put back bit for bit."""
-    d1, _, d3, even = points
+    d1, _, _, even = points
     v = pyramid.padded.reshape(-1)
     kept = []
-    if d3[0].size:
-        for t in _blocks(pyramid, d1, stencil):
-            kept.append((t.at, v[t.at]))
-            v[t.at] = kept[-1][1] + t.sz()
+    for t in _blocks(pyramid, d1, stencil):
+        kept.append((t.at, v[t.at]))
+        v[t.at] = kept[-1][1] + t.sz()
     _pass(pyramid, even, stencil, lambda t, s: lift(s, t.sx() + t.sz()))
     for at, values in kept:
         v[at] = values
@@ -174,17 +171,16 @@ def fwt_step(pyramid: CoeffPyramid, level: int, grid: MaskGrid):
     written), then d1 = (v - Sx v) / 2, and last adds Sx(d1 + Sz d3) +
     Sz d2 to the lifted even-even values.  Only the points that the
     grid's plan lists are computed, and entries off its mask must hold
-    zero; a level without masked details is the identity and is skipped.
+    zero; a level without masked details lists none, so it passes over
+    no point and is the identity.
     """
-    found = _level(level, grid, "fwt")
-    if found is not None:
-        points, stencil = found
-        d1, d2, d3, _ = points
-        _pass(pyramid, d2, stencil, lambda t, v: 0.5 * (v - t.sz()))
-        _pass(pyramid, d3, stencil,
-              lambda t, v: 0.25 * (v - t.sz()) - 0.5 * t.sx())
-        _pass(pyramid, d1, stencil, lambda t, v: 0.5 * (v - t.sx()))
-        _update(pyramid, points, stencil, np.add)
+    points, stencil = _level(level, grid, "fwt")
+    d1, d2, d3, _ = points
+    _pass(pyramid, d2, stencil, lambda t, v: 0.5 * (v - t.sz()))
+    _pass(pyramid, d3, stencil,
+          lambda t, v: 0.25 * (v - t.sz()) - 0.5 * t.sx())
+    _pass(pyramid, d1, stencil, lambda t, v: 0.5 * (v - t.sx()))
+    _update(pyramid, points, stencil, np.add)
     return pyramid
 
 
@@ -194,15 +190,13 @@ def iwt_step(pyramid: CoeffPyramid, level: int, grid: MaskGrid):
     The scaling update comes off first, then d1 is rebuilt, d3 from the
     rebuilt d1 values and the stored d2 details, and d2 last.
     """
-    found = _level(level, grid, "iwt")
-    if found is not None:
-        points, stencil = found
-        d1, d2, d3, _ = points
-        _update(pyramid, points, stencil, np.subtract)
-        _pass(pyramid, d1, stencil, lambda t, d: 2.0 * d + t.sx())
-        _pass(pyramid, d3, stencil,
-              lambda t, d: 4.0 * d + t.sz() + 2.0 * t.sx())
-        _pass(pyramid, d2, stencil, lambda t, d: 2.0 * d + t.sz())
+    points, stencil = _level(level, grid, "iwt")
+    d1, d2, d3, _ = points
+    _update(pyramid, points, stencil, np.subtract)
+    _pass(pyramid, d1, stencil, lambda t, d: 2.0 * d + t.sx())
+    _pass(pyramid, d3, stencil,
+          lambda t, d: 4.0 * d + t.sz() + 2.0 * t.sx())
+    _pass(pyramid, d2, stencil, lambda t, d: 2.0 * d + t.sz())
     return pyramid
 
 
@@ -287,9 +281,8 @@ def fit_mask(sample, spec: GridSpec, bank: FilterBank, zeta: float,
     is missed: whole is the level whose lattice resolves the field.
 
     The mask holds the coarse lattice and the kept details, as
-    threshold_coeffs' thinned mask does.  It lies on the lattice one
-    level finer than its finest detail, within [j_min + 1, j_max], where
-    the adjacent zone of every point stays.
+    threshold_coeffs' thinned mask does.  It lies on the lattice that
+    holds it and its adjacent zone (grid.zone_lattice).
     """
     reach = 2 * bank.order - 1
     kept = []
@@ -328,8 +321,7 @@ def fit_mask(sample, spec: GridSpec, bank: FilterBank, zeta: float,
                                                    2 * top))
                 for lo, first, last in ((z0, rows[0], rows[-1]),
                                         (y0, cols[0], cols[-1]))]
-    finest = min(spec.j_max, kept[-1][0] + 1 if kept else spec.j_min + 1)
-    lattice = spec.lattice(finest)
+    lattice = zone_lattice(kept[-1][0] if kept else spec.j_min, spec)
     mask = np.zeros((lattice.n, lattice.n), dtype=bool)
     s = lattice.stride(spec.j_min)
     mask[::s, ::s] = True

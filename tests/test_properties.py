@@ -44,6 +44,7 @@ from awcmaxwell.grid import (  # noqa: E402
     reconstruction_check,
     require_closed,
     store,
+    zone_lattice,
 )
 from awcmaxwell.solver import FieldState, Simulation  # noqa: E402
 from awcmaxwell.wavelets import (  # noqa: E402
@@ -465,8 +466,8 @@ def update_cases(draw):
     """A full-grid PML Simulation, a state of four fields holding
     +-0.0, +-inf and nan among their values on a level-J lattice, J in
     2-7 (sides 5-129, the smallest a config allows up to 129) and at
-    most jmax, and a band height; the layer's coefficient columns (n, 1)
-    and rows (1, n) are the built ones or random."""
+    most jmax, and a band height; the layer's (n, n) coefficients are
+    the built ones or random."""
     level = draw(st.integers(2, 7))
     n = (1 << level) + 1
     rows = draw(band_rows(n))
@@ -505,6 +506,29 @@ def test_banded_full_grid_update_equals_the_whole_array_form(case):
         assert getattr(kept, name).tobytes() == before[name], name
 
 @PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from(["PML", "PEC"]),
+       st.booleans())
+def test_update_coefficients_are_read_only_fields(jmin, levels, boundary,
+                                                  full_grid):
+    # Laid out like the fields, (n, n), so one gather reads either; the
+    # x ones constant along z, the z ones along x, one profile each pair.
+    sim = Simulation(SimulationConfig(jmin=jmin, jmax=jmin + levels,
+                                      boundary=boundary, full_grid=full_grid,
+                                      steps=0))
+    n = sim.spec.n
+    for name in COEFFICIENTS:
+        coefficient = getattr(sim, name)
+        assert coefficient.shape == (n, n), name
+        assert not coefficient.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            coefficient[0, 0] = 0.0
+    for x, z in (("ea_x", "ea_z"), ("eb_x", "eb_z"), ("hb_x", "hb_z")):
+        column = getattr(sim, x)
+        assert (column == column[:, :1]).all(), x
+        np.testing.assert_array_equal(getattr(sim, z), column.T)
+
+
+@PROPERTY
 @given(closed_cases(max_j=4))
 def test_masked_derivatives_match_loop_oracle_on_random_masks(case):
     # At the grid's points, in their order.
@@ -533,6 +557,32 @@ def test_extend_for_derivatives_matches_loop_oracle(case):
 
 
 # ------------------------------------------------- coarser working lattices
+
+
+@PROPERTY
+@given(st.data())
+def test_adjacent_zone_lies_on_the_zone_lattice_and_needs_it(data):
+    # A thinned mask: the coarse lattice plus random details born at a
+    # random level or coarser.  Its adjacent zone on the whole mesh lies
+    # on zone_lattice's lattice and, when that is finer than j_min + 1,
+    # not on the one a level coarser.
+    spec = data.draw(grids(max_j=6))
+    born = data.draw(st.integers(spec.j_min, spec.j_max))
+    mask = spec.coarse_mask() | (data.draw(masks(spec)) & spec.detail
+                                 & (spec.birth <= born))
+    zone = add_adjacent_zone(mask, spec)
+    lattice = zone_lattice(finest_level(mask, spec), spec)
+    assert lattice.j_min == spec.j_min
+
+    def on_lattice(level):
+        s = spec.stride(level)
+        off = np.ones_like(zone)
+        off[::s, ::s] = False
+        return not zone[off].any()
+
+    assert on_lattice(lattice.j_max)
+    if lattice.j_max > spec.j_min + 1:
+        assert not on_lattice(lattice.j_max - 1)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from awcmaxwell import derivatives, grid, solver, wavelets
 from awcmaxwell.config import SimulationConfig
 from awcmaxwell.derivatives import diff_x, diff_z
 from awcmaxwell.errors import ConfigError, InstabilityError
-from awcmaxwell.filters import build_filter_bank
+from awcmaxwell.filters import SUPPORTED_ORDERS, build_filter_bank
 from awcmaxwell.grid import MaskGrid
 from awcmaxwell.harness import emit_snapshot, run_simulation
 from awcmaxwell.solver import (
@@ -67,6 +67,14 @@ def test_nonpositive_mesh_rejected(bank4):
 def test_dt_factor_above_one_refused_by_default():
     with pytest.raises(ConfigError, match="dt_factor"):
         Simulation(small_config(dt_factor=1.2))
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_default_dt_factor_is_below_one_for_every_order(order):
+    # SimulationConfig.validate refuses a dt_factor above 1 under
+    # enforce_cfl, and the default stays below 1, so no step is ever
+    # past the CFL bound unless enforce_cfl is off.
+    assert default_dt_factor(build_filter_bank(order)) < 1.0
 
 
 def test_dt_factor_above_one_runs_unenforced():

@@ -8,8 +8,11 @@ seed (evenly along the run), then replays every saved step in both trees
 in turn, the states in a seeded order and the trees alternating first,
 for --rounds rounds.  Prints each tree's mean over the states of its
 median replay, as the benchmark's step_ms is formed but not scaled by a
-host probe, and the ratio of the second tree's to the first's, then each
-tree's median count of minor page faults per replayed step
+host probe, and the ratio of the second tree's to the first's; then the
+quartiles of the per-round ratio, each round's from the two trees' means
+over the states of that round's replays, which show whether a ratio
+near 1 lies inside the tool's own spread; then each tree's median count
+of minor page faults per replayed step
 (resource.getrusage around step): a step that writes into fresh memory
 pays for its pages there, and its time follows where the allocator puts
 them.  Run in one process, both trees meet the same host speed, which
@@ -130,6 +133,11 @@ class Tree:
         return 1e3 * statistics.fmean(statistics.median(times)
                                       for times in self.seconds.values())
 
+    def round_means(self):
+        """Each round's mean over the states of its replay times."""
+        return [statistics.fmean(times)
+                for times in zip(*self.seconds.values())]
+
 
 def minor_faults() -> int:
     """Minor page faults of this process so far."""
@@ -143,6 +151,7 @@ class Comparison(NamedTuple):
     only: dict  # "parent"/"change": fields only that tree's state holds
     parent_faults: float  # median minor page faults per replayed step
     change_faults: float
+    quartiles: tuple  # of the per-round change/parent ratio
 
 
 def compare(bench, parent, change, workload, seed=0, rounds=10):
@@ -167,8 +176,11 @@ def compare(bench, parent, change, workload, seed=0, rounds=10):
                           for name in old.keys() & new.keys())
     only = {"parent": sorted(old.keys() - new.keys()),
             "change": sorted(new.keys() - old.keys())}
+    ratios = [second / first for first, second in
+              zip(trees[0].round_means(), trees[1].round_means())]
     return Comparison(trees[0].step_ms(), trees[1].step_ms(), differ, only,
-                      *(statistics.median(tree.faults) for tree in trees))
+                      *(statistics.median(tree.faults) for tree in trees),
+                      tuple(np.percentile(ratios, (25, 50, 75)).tolist()))
 
 
 def report(workload, seed, rounds, result: Comparison):
@@ -177,6 +189,8 @@ def report(workload, seed, rounds, result: Comparison):
              f"parent {result.parent_ms:.3f} ms, "
              f"change {result.change_ms:.3f} ms, "
              f"ratio {result.change_ms / result.parent_ms:.3f}",
+             "per-round ratio quartiles: "
+             + " / ".join(f"{q:.3f}" for q in result.quartiles),
              f"minor page faults per step (median): "
              f"parent {result.parent_faults:g}, "
              f"change {result.change_faults:g}"]
