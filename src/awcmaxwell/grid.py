@@ -81,7 +81,7 @@ class GridSpec:
         # of j_min + 1 in a transform, 2(N - 1) of j_min in a derivative,
         # up to n.  A tap more than n past an edge reads zero from every
         # point, as one n past does, so taps are clipped to +-n
-        # (derivative_taps, wavelets._level) and a store is at most four
+        # (derivative_taps, wavelets._stencil) and a store is at most four
         # times its lattice.
         order, stride = max(SUPPORTED_ORDERS), self.stride(j_min)
         self.transform_width = self.n + min((2 * order - 1) * stride // 2,

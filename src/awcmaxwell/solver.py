@@ -452,8 +452,9 @@ class Simulation:
         Zeroing retained sub-threshold coefficients instead deletes
         just-below-threshold field content every step and the deviation
         from the full-grid reference then grows far past the threshold
-        scale.  H is interpolated onto the new mask1 when that leaves the
-        previous one.
+        scale.  H keeps its values and, when the new mask1 leaves the
+        previous one, its gained points are predicted from the coarser
+        ones (wavelets.interpolate_missing); no transform of H runs.
 
         Returns the grids of the new mask0 and mask1 for update_step, on
         the lattice the state leaves on, or None in full-grid mode;
@@ -480,13 +481,13 @@ class Simulation:
         grid0 = self._closed_grid(mask0, spec)
         grid1 = MaskGrid(extend_for_derivatives(grid0), spec, bank)
         # H carries genuine values on the whole previous mask1 (update ring
-        # included); interpolating from there instead of from the previous
-        # mask0 keeps them, and the error against the full-grid reference
-        # stays at the threshold scale instead of accumulating
-        # ring-prediction glitches every step.  Both fields share one
-        # stacked regrid.  The update reads H at mask1's points only, so
-        # when mask1 lies inside the previous one the values there are H's
-        # own and no regrid runs.
+        # included); the regrid keeps them and fills only the points mask1
+        # gains, predicted from the coarser points around them, so the
+        # error against the full-grid reference stays at the threshold
+        # scale instead of accumulating ring-prediction glitches every
+        # step.  Both fields share one stacked regrid.  The update reads H
+        # at mask1's points only, so when mask1 lies inside the previous
+        # one the values there are H's own and no regrid runs.
         if not state.mask1.reshape(-1)[grid1.points.flat].all():
             state.hx, state.hz = interpolate_missing(
                 (state.hx, state.hz), MaskGrid(state.mask1, spec, bank),
@@ -597,9 +598,10 @@ class Simulation:
     def dense_ey(self) -> np.ndarray:
         """Ey over the whole finest lattice.
 
-        Inactive points hold no value of their own; they are filled by
-        wavelet interpolation from the active representation, which is
-        how the adaptive solution is defined between mask points.
+        Inactive points hold no value of their own; they are filled from
+        mask0's values by the interpolating prediction of the H regrid
+        (wavelets.interpolate_missing), coarse to fine, which is how the
+        adaptive solution is defined between mask points.
         """
         spec, bank = self.spec, self.bank
         ey, mask0 = (relattice(a, spec.j_max)

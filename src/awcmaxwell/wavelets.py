@@ -31,8 +31,13 @@ A transform runs on a grid.MaskGrid, and each level gathers its taps at
 the points that the grid's plan lists for it only, so its work follows
 the active point count rather than the size of the lattice.  fit_mask
 finds the thinned mask of a field known only through its samples,
-coarse to fine, without transforming the whole lattice.
+coarse to fine, without transforming the whole lattice, and
+interpolate_missing fills the points a grid gains by the inverse
+transform's prediction passes at zero detail, without transforming
+either grid, so its passes follow the gained points.
 """
+
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -94,7 +99,7 @@ class CoeffPyramid:
 
 class _Taps(Taps):
     """Taps of some points of a pyramid, in every stacked field, with one
-    level's stencil (_level): the weighted sums of the stored values at
+    level's stencil (_stencil): the weighted sums of the stored values at
     their taps along x, sx(), and z, sz()."""
 
     def __init__(self, pyramid: CoeffPyramid, points, x, z, weights):
@@ -110,14 +115,10 @@ class _Taps(Taps):
         return self.sum(self._v, self._z, self._weights)
 
 
-def _level(level, grid: MaskGrid, what):
-    """The grid's plan of one level and its stencil (x and z flat tap
-    offsets, weights); a level without masked details lists no points."""
-    spec, bank = grid.spec, grid.bank
-    if not spec.j_min <= level <= spec.j_max - 1:
-        raise ValueError(
-            f"{what} level {level} outside [{spec.j_min}, {spec.j_max - 1}]")
-    points = grid.plan[level - spec.j_min]
+def _stencil(level, spec: GridSpec, bank: FilterBank):
+    """One level's stencil: the x and z flat tap offsets in the store and
+    the weights.  The z offsets are also the index shifts of the taps
+    along either axis."""
     # Prediction and update share their taps: (2l - 1) h on the finest
     # lattice for l in predict_offsets, weighted by predict_weights,
     # clipped to +-n when they can pass it (see GridSpec).
@@ -125,8 +126,17 @@ def _level(level, grid: MaskGrid, what):
     offsets = (2 * bank.predict_offsets - 1) * h
     if (2 * bank.order - 1) * h > spec.n:
         offsets = np.clip(offsets, -spec.n, spec.n)
-    return points, (offsets * spec.transform_width, offsets,
-                    bank.predict_weights)
+    return offsets * spec.transform_width, offsets, bank.predict_weights
+
+
+def _level(level, grid: MaskGrid, what):
+    """The grid's plan of one level and its stencil (_stencil); a level
+    without masked details lists no points."""
+    spec = grid.spec
+    if not spec.j_min <= level <= spec.j_max - 1:
+        raise ValueError(
+            f"{what} level {level} outside [{spec.j_min}, {spec.j_max - 1}]")
+    return grid.plan[level - spec.j_min], _stencil(level, spec, grid.bank)
 
 
 def _blocks(pyramid, points, stencil):
@@ -146,19 +156,47 @@ def _pass(pyramid, points, stencil, values):
         v[t.at] = values(t, v[t.at])
 
 
+@contextmanager
+def _staged(pyramid, points, stencil, values):
+    """Within the block the points hold values(taps, stored values), and
+    after it their stored values again, bit for bit.  The points are
+    listed once each, and values reads none of them."""
+    v = pyramid.padded.reshape(-1)
+    kept = []
+    for t in _blocks(pyramid, points, stencil):
+        kept.append((t.at, v[t.at]))
+        v[t.at] = values(t, kept[-1][1])
+    yield
+    for at, stored in kept:
+        v[at] = stored
+
+
 def _update(pyramid, points, stencil, lift):
     """Set the lifted even-even values s to lift(s, Sx(d1 + Sz d3) +
     Sz d2).  d1 + Sz d3 is staged at the d1 points, which hold every
-    nonzero Sz d3, and their d1 values are put back bit for bit."""
+    nonzero Sz d3."""
     d1, _, _, even = points
-    v = pyramid.padded.reshape(-1)
-    kept = []
-    for t in _blocks(pyramid, d1, stencil):
-        kept.append((t.at, v[t.at]))
-        v[t.at] = kept[-1][1] + t.sz()
-    _pass(pyramid, even, stencil, lambda t, s: lift(s, t.sx() + t.sz()))
-    for at, values in kept:
-        v[at] = values
+    with _staged(pyramid, d1, stencil, lambda t, d: d + t.sz()):
+        _pass(pyramid, even, stencil, lambda t, s: lift(s, t.sx() + t.sz()))
+
+
+def _d2_detail(t, v):
+    """The d2 detail (v - Sz v) / 2 of a value v."""
+    return 0.5 * (v - t.sz())
+
+
+def _predict(pyramid, points, stencil, d2_details):
+    """iwt_step's prediction passes at the d1, d2 and d3 points, with d
+    the detail stored at a point: d1 = 2 d + Sx v, then d3 = 4 d + Sz v
+    + 2 Sx d2, whose z taps read the rebuilt d1 values and whose x taps
+    read d2 details, within the context d2_details, then d2 = 2 d + Sz v.
+    """
+    d1, d2, d3 = points
+    _pass(pyramid, d1, stencil, lambda t, d: 2.0 * d + t.sx())
+    with d2_details:
+        _pass(pyramid, d3, stencil,
+              lambda t, d: 4.0 * d + t.sz() + 2.0 * t.sx())
+    _pass(pyramid, d2, stencil, lambda t, d: 2.0 * d + t.sz())
 
 
 def fwt_step(pyramid: CoeffPyramid, level: int, grid: MaskGrid):
@@ -176,7 +214,7 @@ def fwt_step(pyramid: CoeffPyramid, level: int, grid: MaskGrid):
     """
     points, stencil = _level(level, grid, "fwt")
     d1, d2, d3, _ = points
-    _pass(pyramid, d2, stencil, lambda t, v: 0.5 * (v - t.sz()))
+    _pass(pyramid, d2, stencil, _d2_detail)
     _pass(pyramid, d3, stencil,
           lambda t, v: 0.25 * (v - t.sz()) - 0.5 * t.sx())
     _pass(pyramid, d1, stencil, lambda t, v: 0.5 * (v - t.sx()))
@@ -187,16 +225,13 @@ def fwt_step(pyramid: CoeffPyramid, level: int, grid: MaskGrid):
 def iwt_step(pyramid: CoeffPyramid, level: int, grid: MaskGrid):
     """One inverse level: fwt_step's passes undone in reverse order.
 
-    The scaling update comes off first, then d1 is rebuilt, d3 from the
-    rebuilt d1 values and the stored d2 details, and d2 last.
+    The scaling update comes off first, then the prediction passes
+    (_predict) rebuild d1, d3 from the rebuilt d1 values and the stored
+    d2 details, and d2 last.
     """
     points, stencil = _level(level, grid, "iwt")
-    d1, d2, d3, _ = points
     _update(pyramid, points, stencil, np.subtract)
-    _pass(pyramid, d1, stencil, lambda t, d: 2.0 * d + t.sx())
-    _pass(pyramid, d3, stencil,
-          lambda t, d: 4.0 * d + t.sz() + 2.0 * t.sx())
-    _pass(pyramid, d2, stencil, lambda t, d: 2.0 * d + t.sz())
+    _predict(pyramid, points[:3], stencil, nullcontext())
     return pyramid
 
 
@@ -332,23 +367,56 @@ def fit_mask(sample, spec: GridSpec, bank: FilterBank, zeta: float,
     return mask, lattice
 
 
-def interpolate_missing(field_values, old: MaskGrid, new: MaskGrid):
-    """Field on the new grid's mask: old values kept bitwise, new points
-    interpolated.
+def _x_reach(points, kept, stencil):
+    """The points of the kept mask that the points' x taps land on, each
+    once, as (rows, cols)."""
+    rows, cols = points
+    n = kept.shape[-1]
+    tapped = rows + stencil[1][:, None]
+    # Marked on the lattice rather than sorted: np.sort's first call
+    # maps code pages that raise a run's peak memory by a quarter MB.
+    hit = np.zeros(kept.size, dtype=bool)
+    hit[(tapped * n + cols)[(tapped >= 0) & (tapped < n)]] = True
+    return np.divmod(np.flatnonzero(hit & kept.reshape(-1)), n)
 
-    Transforms the field on the old grid, drops coefficients outside the
-    new mask, reconstructs on the new grid, then copies the original
-    values back onto the overlap so points present in both masks are
-    untouched.  field_values may also be a stack or a sequence of
-    fields, shape (k, n, n), which share the two transforms.
+
+def interpolate_missing(field_values, old: MaskGrid, new: MaskGrid):
+    """Field on the new grid's mask: old values kept bitwise, the points
+    the new mask gains predicted from the coarser ones.
+
+    field_values holds the field on the old grid's mask; it may also be
+    a stack or a sequence of fields, shape (k, n, n), filled together.
+    The gained points are filled coarse to fine by iwt_step's prediction
+    passes (_predict) at zero detail, level by level: d1 = Sx v, then
+    d3 = Sz v + 2 Sx d2, which reads the d2 details (v - Sz v) / 2 of
+    the kept d2 points in its x reach, staged there and put back, and
+    zero at the gained ones, then d2 = Sz v.  This is the interpolating
+    prediction of adaptive wavelet schemes (Holmstrom, SIAM J. Sci.
+    Comput. 21, 1999): the inverse transform with every gained detail
+    zero, without the lifting update.  The new mask is stencil-closed,
+    so every tap of a gained point is a kept point or one filled before
+    it; taps past an edge read zero.  A gained point of the coarse
+    lattice has nothing coarser to predict it and stays 0.0, as does
+    every point off the new mask.  The gained points are listed from
+    the new grid's points and no plan or transform of either grid is
+    made, so the passes follow the gained points.
     """
-    spec = old.spec
-    pyramid = CoeffPyramid.from_field(field_values, spec, mask=old.mask)
-    fwt_full(pyramid, old)
-    iwt_full(pyramid, new)
-    # iwt_full left every entry off the new mask at zero.
-    _, fields = _fields(field_values)
+    spec = new.spec
     kept = old.mask & new.mask
-    for out, field in zip(pyramid.data.reshape(-1, spec.n, spec.n), fields):
-        np.copyto(out, field, where=kept)
+    pyramid = CoeffPyramid(field_values, spec, where=kept)
+    rows, cols, flat = new.points
+    gained = ~old.mask.reshape(-1)[flat]
+    rows, cols = rows[gained], cols[gained]
+    born = spec.birth[rows, cols]
+    for level in range(spec.j_min, spec.j_max):
+        h = spec.stride(level + 1)
+        at = born == level + 1
+        r, c = rows[at], cols[at]
+        odd_r, odd_c = r % (2 * h) > 0, c % (2 * h) > 0
+        d1, d2, d3 = ((r[kind], c[kind]) for kind in (
+            odd_r & ~odd_c, ~odd_r & odd_c, odd_r & odd_c))
+        stencil = _stencil(level, spec, new.bank)
+        _predict(pyramid, (d1, d2, d3), stencil,
+                 _staged(pyramid, _x_reach(d3, kept, stencil), stencil,
+                         _d2_detail))
     return pyramid.data

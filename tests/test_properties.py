@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_derivatives import oracle_diff  # noqa: E402
 from test_grid import (  # noqa: E402
@@ -62,8 +62,8 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 @st.composite
-def grids(draw, max_j=5):
-    j_max = draw(st.integers(2, max_j))
+def grids(draw, max_j=5, min_j=2):
+    j_max = draw(st.integers(min_j, max_j))
     j_min = draw(st.integers(1, j_max - 1))
     return GridSpec(j_min, j_max)
 
@@ -89,11 +89,21 @@ def masks(draw, spec):
 
 
 @st.composite
-def closed_cases(draw, max_j=5):
+def masks_to_level(draw, spec):
+    """A masks(spec) mask with its points born at a random level or
+    coarser, so that a property that depends on a mask's finest level is
+    tested at every level: nearly every masks(spec) mask has a point
+    born at j_max."""
+    born = draw(st.integers(spec.j_min, spec.j_max))
+    return draw(masks(spec)) & (spec.birth <= born)
+
+
+@st.composite
+def closed_cases(draw, max_j=5, orders=(2, 3, 4), min_j=2):
     """Grid, filter bank, stencil-closed mask and a field pair on it."""
-    spec = draw(grids(max_j))
-    bank = build_filter_bank(draw(st.sampled_from([2, 3, 4])))
-    mask = reconstruction_check(draw(masks(spec)), spec, bank)
+    spec = draw(grids(max_j, min_j))
+    bank = build_filter_bank(draw(st.sampled_from(orders)))
+    mask = reconstruction_check(draw(masks_to_level(spec)), spec, bank)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fields = rng.standard_normal((2, spec.n, spec.n))
     return spec, bank, mask, fields
@@ -114,7 +124,7 @@ def test_compute_levels_matches_oracle_on_random_masks(data):
 def test_closures_only_add_points_and_are_idempotent(data):
     spec = data.draw(grids())
     bank = build_filter_bank(data.draw(st.sampled_from([2, 3, 4])))
-    mask = data.draw(masks(spec)) | spec.coarse_mask()
+    mask = data.draw(masks_to_level(spec)) | spec.coarse_mask()
     zone = add_adjacent_zone(mask, spec)
     closed = reconstruction_check(zone, spec, bank)
     assert (zone >= mask).all() and (closed >= zone).all()
@@ -131,7 +141,7 @@ def test_require_closed_names_a_masked_point_and_its_absent_tap(data):
     # that the mask lacks.
     spec = data.draw(grids())
     bank = build_filter_bank(data.draw(st.sampled_from([2, 3, 4])))
-    mask = data.draw(masks(spec))
+    mask = data.draw(masks_to_level(spec))
     closed = (oracle_closure(mask, spec, bank) == mask).all()
     try:
         require_closed(mask, spec, bank, "test")
@@ -248,6 +258,148 @@ def test_interpolate_missing_pair_matches_single_calls_bitwise(case, data):
         keep = old & new
         np.testing.assert_array_equal(got[keep], field[keep])
         assert (got[~new] == 0.0).all()
+
+
+@st.composite
+def regrid_cases(draw, orders=(2, 3, 4), min_j=2):
+    """A closed_cases case with a new closed mask that grows, shrinks or
+    moves the old one: grid, filter bank, old and new masks and a field
+    pair."""
+    spec, bank, old, fields = draw(closed_cases(6, orders, min_j))
+    combine = draw(st.sampled_from([np.logical_or, np.logical_and,
+                                    lambda a, b: b]))
+    new = reconstruction_check(combine(old, draw(masks_to_level(spec))),
+                               spec, bank)
+    return spec, bank, old, new, fields
+
+
+@st.composite
+def gain_cases(draw, orders=(2, 3, 4), min_j=2):
+    """A closed_cases case with a detail point added, whose mask is the
+    new one, and an old mask that lacks some of its detail points, one
+    at least, and may hold points off it: grid, filter bank, old and new
+    masks and a field pair.  Unlike regrid_cases, most gained points
+    have kept taps."""
+    spec, bank, new, fields = draw(closed_cases(6, orders, min_j))
+    detail = np.argwhere(spec.detail)
+    new[tuple(detail[draw(st.integers(0, len(detail) - 1))])] = True
+    new = reconstruction_check(new, spec, bank)
+    details = np.argwhere(new & spec.detail)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fraction = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    old = new & ~(rng.random(new.shape) < fraction)
+    old[tuple(details[draw(st.integers(0, len(details) - 1))])] = False
+    if draw(st.booleans()):
+        old |= draw(masks_to_level(spec)) & ~new
+    return spec, bank, old | (new & ~spec.detail), new, fields
+
+
+def regrid(fields, old, new, spec, bank):
+    return interpolate_missing(fields, MaskGrid(old, spec, bank),
+                               MaskGrid(new, spec, bank))
+
+
+def within_reach(points, spec, bank):
+    """The mask of the points within some listed point's prediction
+    reach: 2N - 1 strides of its birth level along either axis or both,
+    which covers its taps and, for a d3 point, the taps of the d2
+    details it reads."""
+    near = np.zeros_like(points)
+    for r, c in np.argwhere(points):
+        reach = (2 * bank.order - 1) * spec.stride(spec.birth[r, c])
+        near[max(r - reach, 0):r + reach + 1,
+             max(c - reach, 0):c + reach + 1] = True
+    return near
+
+
+@PROPERTY
+@given(gain_cases(), st.integers(0, 2**32 - 1))
+def test_interpolate_missing_reads_only_within_each_gained_points_reach(
+        case, seed):
+    # Kept values farther from every gained point than its reach are
+    # changed; no gained value moves, bit for bit.
+    spec, bank, old, new, fields = case
+    gained = new & ~old
+    far = old & new & ~within_reach(gained, spec, bank)
+    assume(gained.any() and far.any())
+    moved = fields.copy()
+    moved[:, far] = np.random.default_rng(seed).standard_normal(
+        (2, int(far.sum())))
+    before, after = (regrid(f, old, new, spec, bank)
+                     for f in (fields, moved))
+    assert before[:, gained].tobytes() == after[:, gained].tobytes()
+
+
+def exactly_predicted(kept, gained, spec, bank):
+    """The gained points whose every tap lies inside the lattice and
+    holds a kept value or one so predicted: the x taps of a d1 point,
+    the z taps of a d2 point, and the z and x taps of a d3 point and the
+    z taps of the kept d2 points among its x taps, whose details it
+    reads.  A polynomial the prediction reproduces is reproduced there."""
+    n = spec.n
+    exact = kept.copy()
+
+    def holds(points):
+        return all(0 <= r < n and 0 <= c < n and exact[r, c]
+                   for r, c in points)
+
+    for b in range(spec.j_min + 1, spec.j_max + 1):
+        h = spec.stride(b)
+        shifts = [(2 * int(l) - 1) * h for l in bank.predict_offsets]
+        born = np.argwhere(gained & (spec.birth == b))
+        # d1, d3, d2: the order in which the fill passes over them.
+        for kind in ((1, 0), (1, 1), (0, 1)):
+            for r, c in born[((born // h) % 2 == kind).all(axis=1)]:
+                x_taps = [(r + s, c) for s in shifts]
+                z_taps = [(r, c + s) for s in shifts]
+                if kind == (1, 0):
+                    ok = holds(x_taps)
+                elif kind == (0, 1):
+                    ok = holds(z_taps)
+                else:
+                    ok = holds(z_taps) and all(
+                        0 <= tr < n and (not kept[tr, tc] or holds(
+                            (tr, tc + s) for s in shifts))
+                        for tr, tc in x_taps)
+                exact[r, c] = ok
+    return exact & gained
+
+
+@PROPERTY
+@given(st.one_of(gain_cases((4,), min_j=4), regrid_cases((4,), min_j=4)),
+       st.integers(0, 2**32 - 1))
+def test_interpolate_missing_reproduces_a_cubic(case, seed):
+    # Order 4 predicts cubics exactly: a bicubic on the kept points is
+    # reproduced at every gained point whose taps lie inside the lattice.
+    spec, bank, old, new, _ = case
+    axis = np.linspace(0.0, 1.0, spec.n)
+    coefficients = np.random.default_rng(seed).standard_normal((4, 4))
+    field = np.polynomial.polynomial.polygrid2d(axis, axis, coefficients)
+    exact = exactly_predicted(old & new, new & ~old, spec, bank)
+    assume(exact.any())
+    got = regrid(field, old, new, spec, bank)
+    scale = np.abs(field).max()
+    assert np.abs(got[exact] - field[exact]).max() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(regrid_cases(), st.data())
+def test_interpolate_missing_leaves_a_gained_coarse_point_at_zero(case,
+                                                                  data):
+    # The old mask lacks a point of the coarse lattice that the new one
+    # holds: nothing coarser predicts it.  Coarse points spawn no
+    # stencil, so the new mask stays closed.
+    spec, bank, old, new, fields = case
+    coarse = np.argwhere(spec.coarse_mask())
+    r, c = coarse[data.draw(st.integers(0, len(coarse) - 1))]
+    old = old.copy()
+    old[r, c] = False
+    new = new | spec.coarse_mask()
+    out = regrid(fields, old, new, spec, bank)
+    gained = new & ~old & spec.coarse_mask()
+    assert gained[r, c]
+    assert (out[:, gained] == 0.0).all()
+    np.testing.assert_array_equal(out[:, old & new], fields[:, old & new])
 
 
 # What each consumer reads from a grid.
@@ -567,9 +719,7 @@ def test_adjacent_zone_lies_on_the_zone_lattice_and_needs_it(data):
     # on zone_lattice's lattice and, when that is finer than j_min + 1,
     # not on the one a level coarser.
     spec = data.draw(grids(max_j=6))
-    born = data.draw(st.integers(spec.j_min, spec.j_max))
-    mask = spec.coarse_mask() | (data.draw(masks(spec)) & spec.detail
-                                 & (spec.birth <= born))
+    mask = spec.coarse_mask() | data.draw(masks_to_level(spec))
     zone = add_adjacent_zone(mask, spec)
     lattice = zone_lattice(finest_level(mask, spec), spec)
     assert lattice.j_min == spec.j_min

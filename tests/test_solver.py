@@ -26,7 +26,12 @@ from awcmaxwell.solver import (
     on_finest_lattice,
     relattice,
 )
-from awcmaxwell.wavelets import interpolate_missing
+from awcmaxwell.wavelets import (
+    CoeffPyramid,
+    fwt_full,
+    interpolate_missing,
+    iwt_full,
+)
 
 SIGMA_PAPERED = 1.0 / (4.0 * math.sqrt(2.0))
 
@@ -685,6 +690,31 @@ def test_adapt_step_regrids_h_only_where_mask1_leaves_the_previous_one():
         branches.append(regrid)
         sim.update_step(points)
     assert branches == [True] + [False] * 4 + [True, False] * 2 + [True]
+
+
+def test_h_regrid_fills_within_zeta_of_the_transform_regrid(monkeypatch):
+    # Every H regrid of the jmax=7 PML calibration run, against the
+    # transform regrid of the same values: a forward transform on the
+    # old grid and an inverse one on the new.  The fill predicts the
+    # gained points at zero detail, without the lifting update and the
+    # terms of the details the new mask drops.  The bound is the
+    # threshold scale, zeta, with H scaled by eta0.
+    config = small_config(jmax=7, boundary="PML", pml_width_frac=0.25,
+                          steps=260)
+    worst = []
+
+    def regrid(values, old, new):
+        out = interpolate_missing(values, old, new)
+        reference = CoeffPyramid.from_field(values, old.spec, mask=old.mask)
+        iwt_full(fwt_full(reference, old), new)
+        gained = new.mask & ~old.mask
+        worst.append(np.abs(out[:, gained] - reference.data[:, gained]).max())
+        return out
+
+    monkeypatch.setattr(solver, "interpolate_missing", regrid)
+    Simulation(config).run()
+    assert len(worst) > 10
+    assert ETA0 * max(worst) <= config.zeta, ETA0 * max(worst) / config.zeta
 
 
 @pytest.mark.parametrize("full_grid", [False, True])

@@ -75,21 +75,65 @@ def test_trees_are_compared_on_the_fields_both_states_hold(tool, tmp_path,
     result = module.compare(bench, ROOT, tmp_path, "tiny", rounds=2)
     assert result.differ == 2 * 2
     assert result.only == {"parent": [], "change": ["extra"]}
+    # Only t differs, by the parent's t after the step from the later
+    # saved state, k = 3: doubling dt doubles every sum exactly.
+    from awcmaxwell.solver import Simulation
+
+    dt = Simulation(bench.build_config(tiny, np.random.default_rng(0))).dt
+    assert result.largest == {"t": pytest.approx(4 * dt, rel=1e-12)}
     result = module.compare(bench, tmp_path, ROOT, "tiny", rounds=1)
     assert result.differ == 2
     assert result.only == {"parent": ["extra"], "change": []}
 
 
+def test_states_on_other_lattices_are_compared_on_the_mesh(tool, tmp_path,
+                                                           monkeypatch):
+    # A copy of this tree that leaves every state spread over the whole
+    # (n, n) mesh, which steps the same: at jmax=9 the pulse lies on the
+    # level-7 lattice, so every array's bytes differ, but not its values.
+    module, bench = tool
+    source = tmp_path / "src" / "awcmaxwell"
+    shutil.copytree(ROOT / "src" / "awcmaxwell", source)
+    solver = source / "solver.py"
+    text = solver.read_text()
+    old = "        self.update_step(self.adapt_step())\n"
+    assert text.count(old) == 1
+    solver.write_text(text.replace(old, old + (
+        "        self.state = on_finest_lattice(self.state, self.spec)\n")))
+    tiny = bench.Workload(dict(bench.DEFAULT_J9, steps=4, snapshot_every=2),
+                          seeded=True, saved_states=2, step_passes=1,
+                          snapshot_repeats=1)
+    monkeypatch.setitem(bench.WORKLOADS, "tiny", tiny)
+    result = module.compare(bench, ROOT, tmp_path, "tiny", rounds=1)
+    assert result.differ == 2
+    assert result.largest == dict.fromkeys(
+        ("eyx", "eyz", "hx", "hz", "mask0", "mask1", "mask2"), 0.0)
+
+
+def test_largest_difference_spreads_a_coarser_lattice_over_the_mesh(tool):
+    module, _ = tool
+    coarse = np.arange(9.0).reshape(3, 3)
+    fine = np.zeros((5, 5))
+    fine[::2, ::2] = coarse
+    assert module.largest_difference(coarse, fine, 5) == 0.0
+    fine[1, 1] = -2.5
+    assert module.largest_difference(fine, coarse, 5) == 2.5
+    assert module.largest_difference(0.5, 2.0, 5) == 1.5
+
+
 def test_report_prints_times_faults_and_differences(tool):
     module, _ = tool
     result = module.Comparison(2.0, 1.5, 3, {"parent": [], "change": ["x"]},
-                               514, 0.5, (0.7, 0.75, 0.8125))
+                               514, 0.5, (0.7, 0.75, 0.8125),
+                               {"hz": 2.5e-7, "eyx": 0.03125})
     assert module.report("full-j9", 7, 10, result) == [
         "full-j9 seed 7, 10 rounds: parent 2.000 ms, change 1.500 ms, "
         "ratio 0.750",
         "per-round ratio quartiles: 0.700 / 0.750 / 0.812",
         "minor page faults per step (median): parent 514, change 0.5",
         "3 replayed steps left states that differ in a field both hold",
+        "largest absolute difference over the replays: eyx 0.0312, "
+        "hz 2.5e-07",
         "fields only the change's state holds: x"]
 
 

@@ -418,7 +418,7 @@ def test_interpolate_missing_keeps_old_values_bitwise():
     assert (out[keep] == field[keep]).all()
     assert (out[~new] == 0.0).all()
     # Newly activated points get interpolated values close to the truth
-    # (observed max deviation 2.9e-4 for this field and threshold).
+    # (observed max deviation 3.8e-4 for this field and threshold).
     fresh = new & ~old
     assert fresh.any()
     assert np.max(np.abs(out[fresh] - field[fresh])) <= 1e-3

@@ -19,7 +19,10 @@ them.  Run in one process, both trees meet the same host speed, which
 separate benchmark runs on a shared host do not.  The states are
 compared field by field (run_digests.field_digests): a replayed step
 that leaves a field both trees' states hold different in the two is
-reported, and so is each field that only one tree's state holds.
+reported, and so is each field that only one tree's state holds.  For
+each field both hold that differs, the largest absolute difference over
+the replays is printed; arrays on different lattices are compared on
+the (n, n) mesh, spread with 0 between a lattice's points.
 """
 
 import argparse
@@ -119,15 +122,14 @@ class Tree:
 
     def replay(self, k):
         """Time one step from a fresh copy of the saved state k, and count
-        its minor page faults; return the digests of the fields of the
-        state it leaves, by name."""
+        its minor page faults; return the state it leaves."""
         self.sim.state = self.copy(self.saved[k])
         faults = minor_faults()
         start = time.perf_counter()
         self.sim.step()
         self.seconds[k].append(time.perf_counter() - start)
         self.faults.append(minor_faults() - faults)
-        return field_digests(self.sim.state)
+        return self.sim.state
 
     def step_ms(self):
         return 1e3 * statistics.fmean(statistics.median(times)
@@ -144,6 +146,29 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def on_mesh(value, n: int):
+    """A lattice array spread over the (n, n) mesh, with 0 between the
+    lattice's points; any other value as it is."""
+    import numpy as np
+
+    if not isinstance(value, np.ndarray) or value.shape[-1] == n:
+        return value
+    stride = (n - 1) // (value.shape[-1] - 1)
+    out = np.zeros(value.shape[:-2] + (n, n), dtype=value.dtype)
+    out[..., ::stride, ::stride] = value
+    return out
+
+
+def largest_difference(old, new, n: int) -> float:
+    """The largest absolute difference of two values of a field, arrays
+    of different lattices compared on the (n, n) mesh."""
+    import numpy as np
+
+    old, new = (np.asarray(on_mesh(value, n), dtype=float)
+                for value in (old, new))
+    return float(np.max(np.abs(old - new), initial=0.0))
+
+
 class Comparison(NamedTuple):
     parent_ms: float
     change_ms: float
@@ -152,6 +177,7 @@ class Comparison(NamedTuple):
     parent_faults: float  # median minor page faults per replayed step
     change_faults: float
     quartiles: tuple  # of the per-round change/parent ratio
+    largest: dict  # field both hold -> largest |difference|, where it differs
 
 
 def compare(bench, parent, change, workload, seed=0, rounds=10):
@@ -165,22 +191,29 @@ def compare(bench, parent, change, workload, seed=0, rounds=10):
     trees = [Tree(bench, path, f"awcmaxwell_{label}", workload, seed, keep)
              for path, label in ((parent, "parent"), (change, "change"))]
     rng = np.random.default_rng(seed)
-    differ = 0
+    n = trees[0].sim.spec.n
+    differ, largest = 0, {}
     for round_ in range(rounds):
         gc.collect()
         for k in rng.permutation(sorted(keep)):
             first = round_ % 2
             replayed = {i: trees[i].replay(int(k)) for i in (first, 1 - first)}
-            old, new = replayed[0], replayed[1]
-            differ += any(old[name] != new[name]
-                          for name in old.keys() & new.keys())
+            old, new = (field_digests(replayed[i]) for i in (0, 1))
+            names = sorted(name for name in old.keys() & new.keys()
+                           if old[name] != new[name])
+            differ += bool(names)
+            for name in names:
+                value = largest_difference(
+                    *(getattr(replayed[i], name) for i in (0, 1)), n)
+                largest[name] = max(largest.get(name, 0.0), value)
     only = {"parent": sorted(old.keys() - new.keys()),
             "change": sorted(new.keys() - old.keys())}
     ratios = [second / first for first, second in
               zip(trees[0].round_means(), trees[1].round_means())]
     return Comparison(trees[0].step_ms(), trees[1].step_ms(), differ, only,
                       *(statistics.median(tree.faults) for tree in trees),
-                      tuple(np.percentile(ratios, (25, 50, 75)).tolist()))
+                      tuple(np.percentile(ratios, (25, 50, 75)).tolist()),
+                      largest)
 
 
 def report(workload, seed, rounds, result: Comparison):
@@ -197,6 +230,9 @@ def report(workload, seed, rounds, result: Comparison):
     if result.differ:
         lines.append(f"{result.differ} replayed steps left states that "
                      "differ in a field both hold")
+        lines.append("largest absolute difference over the replays: "
+                     + ", ".join(f"{name} {value:.3g}" for name, value
+                                 in sorted(result.largest.items())))
     for tree, names in result.only.items():
         if names:
             lines.append(f"fields only the {tree}'s state holds: "
